@@ -62,7 +62,6 @@ from .package_logic import (
     WitnessPair,
     build_canonical_derivation,
     check_derivation,
-    check_derivation_lifted,
     extract_footprint,
     init_witness_set,
 )

@@ -11,6 +11,8 @@ the semantic footprint quantification.
 from __future__ import annotations
 
 import itertools
+import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -516,10 +518,19 @@ def _sat(u, sigma: State, a: Assertion, store, diag, budget) -> bool:
     raise AssertionError_(f"unknown assertion node {a!r}")
 
 
-# satisfying-state pools are hot inside wand satisfaction; cache per
-# (universe object, printed assertion, store).  The universe object is held
-# strongly so its id cannot be reused while the entry lives.
+# Satisfying-state pools are hot inside wand satisfaction.  Entries are keyed
+# by (universe id, printed assertion, the store restricted to the assertion's
+# free variables, budget), so stores that differ only in variables the
+# assertion never reads share an entry.  A universe's entries are dropped
+# when it is garbage-collected: the cache neither keeps a universe alive nor
+# outlives it, and a recycled id never meets a stale entry.
 _LHS_CACHE: dict = {}
+_LHS_KEYS: dict[int, set] = {}
+
+
+def _forget_universe(uid: int) -> None:
+    for k in _LHS_KEYS.pop(uid, ()):
+        _LHS_CACHE.pop(k, None)
 
 
 def lhs_states(u: Universe, a: Assertion, store: Store, budget: int = 10**6) -> list[State]:
@@ -528,10 +539,11 @@ def lhs_states(u: Universe, a: Assertion, store: Store, budget: int = 10**6) -> 
     Quantifying over stable states suffices for well-formed assertions:
     extra heap values at zero permission can never flip them.
     """
-    key = (id(u), format_assertion(a), tuple(sorted(store.items())), budget)
+    read = tuple(sorted((v, store[v]) for v in assertion_free_vars(a) if v in store))
+    key = (id(u), format_assertion(a), read, budget)
     hit = _LHS_CACHE.get(key)
-    if hit is not None and hit[0] is u:
-        return hit[1]
+    if hit is not None:
+        return hit
     out = sorted(
         (
             s
@@ -540,8 +552,42 @@ def lhs_states(u: Universe, a: Assertion, store: Store, budget: int = 10**6) -> 
         ),
         key=state_key,
     )
-    _LHS_CACHE[key] = (u, out)
+    # setdefault, not get-then-set: verifier threads may race on a universe
+    keys = _LHS_KEYS.setdefault(id(u), fresh := set())
+    if keys is fresh:
+        weakref.finalize(u, _forget_universe, id(u)).atexit = False
+    keys.add(key)
+    _LHS_CACHE[key] = out
     return out
+
+
+def minimal_lhs_states(u: Universe, a: Assertion, store: Store) -> list[State]:
+    """The minimal stable lattice states satisfying a wand-free,
+    self-framing assertion, built from its demands instead of enumerated.
+
+    Equal to ``minimal_elements(lhs_states(u, a, store))``.  Each demand,
+    with fresh values forked over their domains, is lifted to the least
+    stable state on the universe's granularity lattice above it: amounts
+    round up to the lattice (an assertion may hold off-lattice amounts
+    such as 1/3), and predicate instances the universe does not declare
+    satisfy nothing.  A stable lattice state satisfies the assertion
+    exactly when it lies above one of the lifted demands.
+    """
+    try:
+        ds = demands(u, a, {}, store, fresh=FRESH_FORK)
+    except Unframed:
+        return []  # sat is False on every state
+    declared = set(u.predicate_instances())
+    g = u.granularity
+    lifted = []
+    for d in ds:
+        if any(isinstance(r, PredInst) and r not in declared for r, _ in d.mask):
+            continue
+        mask = {r: Fraction(math.ceil(amt * g), g) for r, amt in d.mask}
+        for loc, _ in d.heap:
+            mask.setdefault(loc, Fraction(1, g))
+        lifted.append(State.make(mask, d.heap))
+    return st.minimal_elements(lifted)
 
 
 def wand_holds(

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import algebra, oracle
 from .algorithms import COMBINABLE, FIA, SOUND
 from .assertions import Wand, format_assertion
-from .package_logic import CheckFailure, check_derivation, check_derivation_lifted
+from .package_logic import CheckFailure, check_derivation, extract_footprint
 from .parser import (
     ParseError,
     parse_assertion_text,
@@ -29,6 +29,7 @@ from .parser import (
     parse_universe_text,
 )
 from .serialization import (
+    SerializationError,
     derivation_doc_parse,
     dumps_canonical,
     state_to_text,
@@ -158,21 +159,25 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check_derivation(args) -> int:
-    payload = json.loads(Path(args.file).read_text())
+    try:
+        payload = json.loads(Path(args.file).read_text())
+    except json.JSONDecodeError as e:
+        raise CliError(f"{args.file}: not JSON: {e}")
     docs = payload if isinstance(payload, list) else [payload]
     if not docs:
         print("error: no derivations in file", file=sys.stderr)
         return 2
     for i, doc in enumerate(docs):
-        u, store, wand, conf, deriv = derivation_doc_parse(doc)
-        checker = check_derivation_lifted if doc["kind"] == "combinable" else check_derivation
         try:
-            final = checker(conf, deriv, u, store)
+            u, store, wand, conf, deriv = derivation_doc_parse(doc)
+        except (SerializationError, KeyError, TypeError) as e:
+            what = f"missing field {e}" if isinstance(e, KeyError) else str(e)
+            raise CliError(f"{args.file}: derivation {i}: malformed document: {what}")
+        try:
+            final = check_derivation(conf, deriv, u, store)
         except CheckFailure as e:
             print(f"derivation {i}: REJECTED: {e}")
             return 1
-        from .package_logic import extract_footprint
-
         fp = extract_footprint(conf.context.outer, final.outer)
         print(f"derivation {i}: ACCEPTED, footprint {state_to_text(fp)}")
     return 0

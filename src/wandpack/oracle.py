@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 from . import states as st
 from .assertions import Assertion, Wand, sat
 from .exprs import Store, Unframed, eval_bool
-from .states import BudgetExceeded, State, bin_mask, count_states, enumerate_states, state_key
+from .states import State, bin_mask, count_states, enumerate_states, state_key
 from .universe import Universe
 
 STANDARD = "standard"
@@ -34,11 +34,6 @@ class EnumerationPlan:
 
     def cardinality(self) -> int:
         return count_states(self.universe, self.stable_only, self.total_heap_only)
-
-    def check_budget(self) -> None:
-        n = self.cardinality()
-        if n > self.budget:
-            raise BudgetExceeded(n, self.budget)
 
     def states(self) -> list[State]:
         return list(
@@ -191,17 +186,6 @@ def minimal_footprints(
         if is_footprint(s, w, kind, p, store, lhs_pool=pool):
             found.append(s)
     return st.minimal_elements(found)
-
-
-def fractional_sat(a: Assertion, frac: Fraction, p: EnumerationPlan, store: Store = {}) -> set[State]:
-    """States satisfying 'a fraction ``frac`` of the assertion': scaled
-    copies of enumerated satisfying states."""
-    out = set()
-    for s in sat_states(a, p, store):
-        scaled = st.mult(frac, s)
-        if scaled is not None:
-            out.add(scaled)
-    return out
 
 
 def sat_fraction(sigma: State, a: Assertion, frac: Fraction, p: EnumerationPlan, store: Store = {}) -> bool:

@@ -4,9 +4,10 @@ A derivation is an explicit tree of rule applications (implication, star,
 atom, extract, disjunction) carrying all rule parameters, so it can be
 re-validated after the fact.  ``check_derivation`` re-checks every premise
 literally and either returns the final context or raises ``CheckFailure``
-at the first violated premise.  The lifted variant threads a monotonic
-transformer per witness pair and tracks the footprint extracted so far,
-which is what combinable-wand packaging builds on.
+at the first violated premise.  Each witness pair carries a monotonic
+transformer (the identity, or the restriction that combinable-wand
+packaging builds on), and the context tracks the footprint extracted so
+far, so one checker serves both wand kinds.
 """
 
 from __future__ import annotations
@@ -20,9 +21,12 @@ from .assertions import (
     Imp,
     OrA,
     Star,
+    contains_wand,
     demands,
     format_assertion,
     is_atom,
+    minimal_lhs_states,
+    wf,
 )
 from .exprs import Expr, Store, Unframed, eval_bool, format_expr
 from .states import EMPTY, State, state_key
@@ -219,18 +223,27 @@ def init_witness_set(
     combinable: bool = False,
     budget: int = 10**6,
 ) -> tuple[WitnessPair, ...]:
-    """Initial pairs (sigma_a, e) over enumerated stable satisfying states.
+    """Initial pairs (sigma_a, e), one per stable state satisfying the LHS.
 
     With ``minimal`` only the order-minimal satisfying states are kept —
-    sound because the assertion fragment is intuitionistic.  For the
-    lifted (combinable) form each pair carries its restriction transformer
+    sound because the assertion fragment is intuitionistic.  They are
+    built from the LHS's demands, so the cost follows the assertion, not
+    the universe.  The universe is enumerated only for all satisfying
+    states (``minimal=False``), for an LHS holding a wand atom (demands
+    read a wand as a token, satisfaction reads it semantically), and for
+    an LHS that is not self-framing (its demands may read values no
+    accessibility predicate to their left supplies).  For the lifted
+    (combinable) form each pair carries its restriction transformer
     anchored at the satisfying state itself.
     """
-    from .assertions import lhs_states
+    if minimal and not contains_wand(a) and wf(a):
+        sats = minimal_lhs_states(u, a, store)
+    else:
+        from .assertions import lhs_states
 
-    sats = lhs_states(u, a, store, budget=budget)
-    if minimal:
-        sats = st.minimal_elements(sats)
+        sats = lhs_states(u, a, store, budget=budget)
+        if minimal:
+            sats = st.minimal_elements(sats)
     pairs = []
     for s in sats:
         t: Transformer = CombinableR(s) if combinable else Identity()
@@ -278,15 +291,6 @@ def check_derivation(conf: Configuration, d: Derivation, u: Universe, store: Sto
     Raises CheckFailure at the first violated premise, naming the rule
     path and the offending pair.
     """
-    return _check(conf.assertion, conf.pc, conf.context, d, u, store, ())
-
-
-def check_derivation_lifted(conf: Configuration, d: Derivation, u: Universe, store: Store) -> Context:
-    """The lifted checker: identical rules, but Extract distributes the
-    per-pair transformed delta and tracks the cumulative footprint."""
-    for p in conf.context.pairs:
-        if not isinstance(p.transformer, (Identity, CombinableR)):
-            raise CheckFailure("lifted checking requires a transformer per pair")
     return _check(conf.assertion, conf.pc, conf.context, d, u, store, ())
 
 
@@ -410,15 +414,6 @@ def _absorb(pairs, extracted: State, footprint: State, path) -> list[WitnessPair
             continue
         out.append(WitnessPair(grown, pair.sigma_b, pair.transformer))
     return out
-
-
-def classical_side_condition(ctx: Context) -> bool:
-    """The classical-SL audit: every remaining available state is pure.
-
-    The IDF fragment is intuitionistic, so soundness never needs this
-    branch; it is exposed behind a flag for completeness of the audit.
-    """
-    return all(st.is_pure(p.sigma_a) for p in ctx.pairs)
 
 
 # -- canonical derivations ------------------------------------------------------------

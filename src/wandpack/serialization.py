@@ -62,10 +62,6 @@ def state_to_json(s: State) -> dict:
     return {"mask": mask, "heap": heap}
 
 
-def state_from_text(text: str) -> State:
-    return parse_state_text(text)
-
-
 def state_to_text(s: State) -> str:
     return format_state(s)
 
@@ -85,12 +81,12 @@ def _pair_to_json(p: WitnessPair) -> dict:
 def _pair_from_json(d: dict) -> WitnessPair:
     t = d.get("transformer", {"kind": "identity"})
     if t["kind"] == "restrict":
-        tr = CombinableR(state_from_text(t["anchor"]))
+        tr = CombinableR(parse_state_text(t["anchor"]))
     elif t["kind"] == "identity":
         tr = Identity()
     else:
         raise SerializationError(f"unknown transformer kind {t['kind']!r}")
-    return WitnessPair(state_from_text(d["available"]), state_from_text(d["assembled"]), tr)
+    return WitnessPair(parse_state_text(d["available"]), parse_state_text(d["assembled"]), tr)
 
 
 def derivation_to_json(d: Derivation) -> dict:
@@ -133,10 +129,10 @@ def derivation_from_json(d: dict) -> Derivation:
     if rule == "star":
         return DStar(derivation_from_json(d["left"]), derivation_from_json(d["right"]))
     if rule == "extract":
-        return DExtract(state_from_text(d["state"]), derivation_from_json(d["child"]))
+        return DExtract(parse_state_text(d["state"]), derivation_from_json(d["child"]))
     if rule == "atom":
         choices = {
-            (state_from_text(c["available"]), state_from_text(c["assembled"])): state_from_text(
+            (parse_state_text(c["available"]), parse_state_text(c["assembled"])): parse_state_text(
                 c["choice"]
             )
             for c in d["choices"]
@@ -144,7 +140,7 @@ def derivation_from_json(d: dict) -> Derivation:
         return DAtom.make(choices)
     if rule == "disjunction":
         pairs = tuple(
-            (state_from_text(p["available"]), state_from_text(p["assembled"]))
+            (parse_state_text(p["available"]), parse_state_text(p["assembled"]))
             for p in d["left_pairs"]
         )
         return DDisjunction(pairs, derivation_from_json(d["left"]), derivation_from_json(d["right"]))
@@ -177,7 +173,7 @@ def derivation_doc(
 
 def derivation_doc_parse(doc: dict):
     """Returns (universe, store, wand, configuration, derivation)."""
-    if doc.get("format") != DERIVATION_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != DERIVATION_FORMAT:
         raise SerializationError("not a derivation document")
     u = parse_universe_text(doc["universe"])
     store = dict(doc["store"])
@@ -190,9 +186,9 @@ def derivation_doc_parse(doc: dict):
         parse_assertion_text(cfg["assertion"]),
         tuple(parse_expr_text(e) for e in cfg["pc"]),
         Context.make(
-            state_from_text(cfg["outer"]),
+            parse_state_text(cfg["outer"]),
             pairs,
-            state_from_text(cfg.get("extracted", "{}")),
+            parse_state_text(cfg.get("extracted", "{}")),
         ),
     )
     deriv = derivation_from_json(doc["derivation"])

@@ -146,15 +146,6 @@ def add(a: State, b: State) -> Optional[State]:
     return State.make(m, h)
 
 
-def add_all(states: Iterable[State]) -> Optional[State]:
-    acc = EMPTY
-    for s in states:
-        acc = add(acc, s)
-        if acc is None:
-            return None
-    return acc
-
-
 def compatible(a: State, b: State) -> bool:
     return add(a, b) is not None
 

@@ -21,7 +21,6 @@ from wandpack.package_logic import (
     DExtract,
     DStar,
     check_derivation,
-    check_derivation_lifted,
     extract_footprint,
     init_witness_set,
 )
@@ -175,7 +174,7 @@ def test_package_combinable_succeeds_with_rhs_permission(u2, store2):
     assert out.success
     assert out.footprint == S("{x.g @ 1 = 0}")
     assert orc.is_footprint(out.footprint, wand, "combinable", orc.plan(u2), store2)
-    check_derivation_lifted(out.configuration, out.derivation, u2, store2)
+    check_derivation(out.configuration, out.derivation, u2, store2)
 
 
 # -- package_fia -------------------------------------------------------------------------------

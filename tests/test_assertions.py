@@ -1,9 +1,11 @@
+import gc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as strat
 
+import wandpack.assertions as asn
 import wandpack.states as st
 from wandpack.assertions import (
     Star,
@@ -26,7 +28,7 @@ from wandpack.parser import (
 from wandpack.states import EMPTY
 from wandpack.universe import FieldLoc, PredInst
 
-from conftest import TINY_TEXT
+from conftest import TINY_TEXT, U1_TEXT
 
 TINY = parse_universe_text(TINY_TEXT)
 TINY_STORE = {"x": "x"}
@@ -248,3 +250,30 @@ def test_lhs_states_minimal(u1, store1):
     sats = lhs_states(u1, A("acc(x.f) * (x.f == y || x.f == z)"), store1)
     mins = st.minimal_elements(sats)
     assert mins == [S("{x.f @ 1 = y}"), S("{x.f @ 1 = z}")]
+
+
+def _entries_of(u):
+    return [k for k in asn._LHS_CACHE if k[0] == id(u)]
+
+
+def test_lhs_cache_ignores_unread_store_variables():
+    u1 = parse_universe_text(U1_TEXT)
+    a = A("acc(x.f) * x.f == y")
+    first = lhs_states(u1, a, {"x": "x", "y": "y", "z": "z"})
+    before = len(asn._LHS_CACHE)
+    again = lhs_states(u1, a, {"x": "x", "y": "y", "z": "y", "w": "x"})
+    assert again is first and len(asn._LHS_CACHE) == before
+    other = lhs_states(u1, a, {"x": "x", "y": "z"})
+    assert other != first and len(asn._LHS_CACHE) == before + 1
+
+
+def test_lhs_cache_entries_die_with_their_universe():
+    u = parse_universe_text(TINY_TEXT)
+    uid = id(u)
+    lhs_states(u, A("acc(x.f)"), {"x": "x"})
+    lhs_states(u, A("acc(x.g, 1/2)"), {"x": "x"})
+    assert len(_entries_of(u)) == 2
+    del u
+    gc.collect()
+    assert not [k for k in asn._LHS_CACHE if k[0] == uid]
+    assert uid not in asn._LHS_KEYS

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from wandpack.cli import main
 
 from conftest import CORPUS
@@ -80,6 +82,27 @@ def test_check_corrupted_derivation(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert run_cli("check-derivation", bad) == 1
     assert "REJECTED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        '{"kind": "standard"}',
+        "[1]",
+        '{"format": "wandpack-derivation-1", "universe": "universe v1\\ngranularity 2\\nrefs x", "store": {}}',
+        '{"format": "wandpack-derivation-1", "universe": "universe v1\\ngranularity 2\\nrefs x", "store": 5}',
+    ],
+    ids=["not-json", "no-format", "not-an-object", "missing-field", "bad-store"],
+)
+def test_check_malformed_derivation_exit_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert run_cli("check-derivation", bad) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 # -- oracle ------------------------------------------------------------------------------

@@ -1,19 +1,41 @@
-"""Exhaustive differential check on a tiny universe.
+"""Exhaustive differential checks on a tiny universe.
 
 Unlike the seeded random sweeps, this enumerates *every* well-formed wand
 over a small atom pool and packages it in several outer states; each
 success must be an oracle-valid footprint, and the restricted wand must
 entail the standard one.  Small enough to run on every test invocation.
+
+The witness-set checks compare the demand-built minimal LHS states with
+the enumeration they replace: the minimal elements of every enumerated
+stable state satisfying the LHS.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
+import pytest
+
 import wandpack.oracle as orc
+import wandpack.states as st
 from wandpack.algorithms import package_combinable, package_sound
-from wandpack.assertions import Acc, Imp, OrA, Pure, Star, Wand, wf
+from wandpack.assertions import (
+    Acc,
+    Imp,
+    OrA,
+    Pure,
+    Star,
+    Wand,
+    contains_wand,
+    lhs_states,
+    minimal_lhs_states,
+    wf,
+)
 from wandpack.exprs import Eq, FieldAcc, Lit, Var
-from wandpack.parser import parse_state_text, parse_universe_text
+from wandpack.package_logic import CombinableR, init_witness_set
+from wandpack.parser import parse_assertion_text, parse_state_text, parse_universe_text
+
+from gen import identity_store, random_assertion, random_universe
 
 HALF = Fraction(1, 2)
 
@@ -91,3 +113,120 @@ def test_restricted_wand_entails_standard_exhaustively():
         assert orc.check_entailment(Wand(lhs, rhs, True), w, plan, STORE)
         checked += 1
     assert checked > 60
+
+
+# -- demand-built witness sets ---------------------------------------------------
+
+
+def enumerated_minimal(u, a, store):
+    return st.minimal_elements(lhs_states(u, a, store))
+
+
+def assert_same_minimal(u, a, store):
+    assert minimal_lhs_states(u, a, store) == enumerated_minimal(u, a, store), a
+    pairs = init_witness_set(a, u, True, store, combinable=True)
+    assert [p.sigma_a for p in pairs] == enumerated_minimal(u, a, store), a
+    assert all(p.transformer == CombinableR(p.sigma_a) for p in pairs)
+
+
+def test_demand_witness_sets_match_enumeration_on_atom_pool():
+    pool = [a for a in _pool() if wf(a)]
+    pool += [Star(a, b) for a, b in itertools.product(pool, repeat=2)]
+    checked = 0
+    for a in pool:
+        if wf(a):
+            assert_same_minimal(U, a, STORE)
+            checked += 1
+    assert checked > 300
+
+
+@pytest.mark.parametrize("with_predicate", [False, True])
+def test_demand_witness_sets_match_enumeration_on_generated(with_predicate):
+    rng = random.Random(2205 + with_predicate)
+    checked = 0
+    for _ in range(60):
+        u = random_universe(rng, with_predicate=with_predicate)
+        store = identity_store(u)
+        for _ in range(5):
+            a, framed = random_assertion(rng, u, rng.choice([0, 1, 2, 3]))
+            assert wf(a) and not contains_wand(a)
+            assert_same_minimal(u, a, store)
+            # a body reading the locations the first conjunct framed
+            b, _ = random_assertion(rng, u, 2, framed=framed)
+            if wf(Star(a, b)):
+                assert_same_minimal(u, Star(a, b), store)
+            checked += 1
+    assert checked == 300
+
+
+OFF_LATTICE = parse_universe_text(
+    """
+    universe v1
+    granularity 2
+    refs x, y
+    loc x.f: int {0, 1}
+    loc x.g: ref {x, y, null}
+    loc y.f: int {0}
+    pred Cell(r) = acc(r.f)
+    """
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "acc(x.f, 1/3)",
+        "acc(x.f, 1/3) * acc(x.f, 1/3)",
+        "acc(x.f, 1/3) * acc(x.f, 2/3)",
+        "acc(x.f, 2/3) * acc(x.f, 2/3)",
+        "acc(x.f, 1/3) * acc(x.f, 1/2) * x.f == 1",
+        "acc(x.f, 1/3) * acc(y.f, 1/3) || acc(x.f, 1/2)",
+        "acc(x.f, 1/4) || acc(x.f, 3/4)",
+        "acc(x.g, 1/3) * acc(x.g.f, 1/3)",
+        "acc(x.g) * (x.g == y ==> acc(x.g.f, 1/5))",
+        "acc(Cell(x), 1/3) * acc(x.f, 1/3)",
+        "acc(x.g, 1/3) * acc(Cell(x.g), 1/3)",
+        "acc(x.g) * Cell(x.g) * Cell(x.g)",
+    ],
+)
+def test_demand_witness_sets_round_off_lattice_amounts(text):
+    assert_same_minimal(OFF_LATTICE, parse_assertion_text(text), {"x": "x", "y": "y"})
+
+
+def test_init_witness_set_never_enumerates_a_wand_free_lhs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_states called")
+
+    monkeypatch.setattr(st, "enumerate_states", refuse)
+    a = parse_assertion_text("acc(x.g) * (x.g == y ==> acc(x.g.f, 1/3)) * acc(x.f)")
+    pairs = init_witness_set(a, OFF_LATTICE, True, {"x": "x", "y": "y"})
+    assert len(pairs) == 6
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "acc(x.f, 1/2) || (acc(x.g) --* acc(x.g))",  # holds a wand atom
+        "acc(x.f) || x.g == 0",  # not self-framing
+    ],
+)
+def test_init_witness_set_enumerates_other_lhs(monkeypatch, text):
+    from wandpack import assertions
+
+    a = parse_assertion_text(text)
+    expected = enumerated_minimal(U, a, STORE)
+    # the demands read these assertions differently from satisfaction
+    assert minimal_lhs_states(U, a, STORE) != expected
+    calls = []
+    enumerate_states = st.enumerate_states
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return enumerate_states(*args, **kwargs)
+
+    monkeypatch.setattr(st, "enumerate_states", spy)
+    monkeypatch.setattr(assertions, "_LHS_CACHE", {})
+    monkeypatch.setattr(assertions, "_LHS_KEYS", {})
+    pairs = init_witness_set(a, U, True, STORE)
+    assert calls
+    assert [p.sigma_a for p in pairs] == expected

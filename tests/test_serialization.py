@@ -5,7 +5,6 @@ import gen
 from wandpack.algorithms import package_combinable, package_sound
 from wandpack.package_logic import (
     check_derivation,
-    check_derivation_lifted,
     extract_footprint,
 )
 from wandpack.parser import parse_state_text
@@ -45,8 +44,7 @@ def test_derivation_documents_round_trip_and_recheck():
         )
         u2, store2, wand2, conf2, deriv2 = derivation_doc_parse(doc)
         assert wand2 == wand
-        checker = check_derivation_lifted if comb else check_derivation
-        final = checker(conf2, deriv2, u2, store2)
+        final = check_derivation(conf2, deriv2, u2, store2)
         assert extract_footprint(conf2.context.outer, final.outer) == out.footprint
         checked += 1
     assert checked > 30
