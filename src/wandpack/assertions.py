@@ -584,8 +584,6 @@ def minimal_lhs_states(u: Universe, a: Assertion, store: Store) -> list[State]:
         if any(isinstance(r, PredInst) and r not in declared for r, _ in d.mask):
             continue
         mask = {r: Fraction(math.ceil(amt * g), g) for r, amt in d.mask}
-        for loc, _ in d.heap:
-            mask.setdefault(loc, Fraction(1, g))
         lifted.append(State.make(mask, d.heap))
     return st.minimal_elements(lifted)
 

@@ -161,7 +161,7 @@ def _cmd_verify(args) -> int:
 def _cmd_check_derivation(args) -> int:
     try:
         payload = json.loads(Path(args.file).read_text())
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
         raise CliError(f"{args.file}: not JSON: {e}")
     docs = payload if isinstance(payload, list) else [payload]
     if not docs:
@@ -170,7 +170,7 @@ def _cmd_check_derivation(args) -> int:
     for i, doc in enumerate(docs):
         try:
             u, store, wand, conf, deriv = derivation_doc_parse(doc)
-        except (SerializationError, KeyError, TypeError) as e:
+        except (SerializationError, KeyError, TypeError, ValueError, AttributeError) as e:
             what = f"missing field {e}" if isinstance(e, KeyError) else str(e)
             raise CliError(f"{args.file}: derivation {i}: malformed document: {what}")
         try:

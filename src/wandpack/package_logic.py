@@ -26,7 +26,6 @@ from .assertions import (
     format_assertion,
     is_atom,
     minimal_lhs_states,
-    wf,
 )
 from .exprs import Expr, Store, Unframed, eval_bool, format_expr
 from .states import EMPTY, State, state_key
@@ -228,15 +227,14 @@ def init_witness_set(
     With ``minimal`` only the order-minimal satisfying states are kept —
     sound because the assertion fragment is intuitionistic.  They are
     built from the LHS's demands, so the cost follows the assertion, not
-    the universe.  The universe is enumerated only for all satisfying
-    states (``minimal=False``), for an LHS holding a wand atom (demands
-    read a wand as a token, satisfaction reads it semantically), and for
-    an LHS that is not self-framing (its demands may read values no
-    accessibility predicate to their left supplies).  For the lifted
-    (combinable) form each pair carries its restriction transformer
-    anchored at the satisfying state itself.
+    the universe; the LHS must be self-framing, as every package entry
+    point checks.  The universe is enumerated only for all satisfying
+    states (``minimal=False``) and for an LHS holding a wand atom
+    (demands read a wand as a token, satisfaction reads it
+    semantically).  For the lifted (combinable) form each pair carries
+    its restriction transformer anchored at the satisfying state itself.
     """
-    if minimal and not contains_wand(a) and wf(a):
+    if minimal and not contains_wand(a):
         sats = minimal_lhs_states(u, a, store)
     else:
         from .assertions import lhs_states

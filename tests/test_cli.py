@@ -92,8 +92,11 @@ def test_check_corrupted_derivation(tmp_path, capsys):
         "[1]",
         '{"format": "wandpack-derivation-1", "universe": "universe v1\\ngranularity 2\\nrefs x", "store": {}}',
         '{"format": "wandpack-derivation-1", "universe": "universe v1\\ngranularity 2\\nrefs x", "store": 5}',
+        '{"format": "wandpack-derivation-1", "universe": "universe v1\\ngranularity 2\\nrefs x", "store": "ab"}',
+        '{"format": "wandpack-derivation-1", "universe": "universe v1\\ngranularity 2\\nrefs x", "store": {},'
+        ' "wand": "acc(x.f) --* acc(x.f)", "config": {"pairs": [5]}}',
     ],
-    ids=["not-json", "no-format", "not-an-object", "missing-field", "bad-store"],
+    ids=["not-json", "no-format", "not-an-object", "missing-field", "bad-store", "store-string", "pair-not-object"],
 )
 def test_check_malformed_derivation_exit_2(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
