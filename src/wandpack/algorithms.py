@@ -6,8 +6,9 @@
   logic: each pair carries the restriction transformer anchored at its
   left-hand-side state, and extraction distributes per-pair deltas.
 * ``package_fia`` — the deliberately flawed baseline, kept for
-  differential comparison: it infers a footprint for each left-hand-side
-  case separately and returns one post-state per case.
+  differential comparison: it runs each left-hand-side case alone through
+  the same engine, as a one-pair witness set, and returns one footprint
+  and one post-state per case.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Optional, Sequence
 
 from . import states as st
 from .assertions import (
+    FRESH_FORK,
     Assertion,
     Imp,
     OrA,
@@ -30,7 +32,7 @@ from .assertions import (
     wand_key,
     wf,
 )
-from .exprs import Expr, Not, Store, Unframed, eval_bool
+from .exprs import Expr, Not, Store, Unframed, eval_bool, eval_expr
 from .package_logic import (
     CheckFailure,
     Configuration,
@@ -82,21 +84,22 @@ class PackageOutcome:
 
 
 def cons_lhs(
-    seeds: Sequence[State], pc: tuple[Expr, ...], a: Assertion, u: Universe, store: Store
+    states: Sequence[State], pc: tuple[Expr, ...], a: Assertion, u: Universe, store: Store
 ) -> list[State]:
-    """Construct minimal satisfying states from permission-free, total-heap
-    seed states: stars chain, implications extend the path condition, pure
-    atoms filter, resource atoms add their minimal demand, and
-    disjunctions split into branch unions."""
+    """Construct the minimal states satisfying ``a`` on top of each given
+    state: stars chain, implications extend the path condition, pure
+    atoms filter, resource atoms add each of their demands (forking over
+    the values of locations not yet held), and disjunctions split into
+    branch unions."""
     if isinstance(a, Star):
-        return cons_lhs(cons_lhs(seeds, pc, a.left, u, store), pc, a.right, u, store)
+        return cons_lhs(cons_lhs(states, pc, a.left, u, store), pc, a.right, u, store)
     if isinstance(a, Imp):
-        return cons_lhs(seeds, pc + (a.guard,), a.body, u, store)
+        return cons_lhs(states, pc + (a.guard,), a.body, u, store)
     if isinstance(a, OrA):
-        both = cons_lhs(seeds, pc, a.left, u, store) + cons_lhs(seeds, pc, a.right, u, store)
+        both = cons_lhs(states, pc, a.left, u, store) + cons_lhs(states, pc, a.right, u, store)
         return sorted(set(both), key=state_key)
     out = []
-    for s in seeds:
+    for s in states:
         heap = s.heap_dict()
         try:
             if not all(eval_bool(g, heap, store) for g in pc):
@@ -106,20 +109,17 @@ def cons_lhs(
                 if eval_bool(a.expr, heap, store):
                     out.append(s)
                 continue
-            ds = demands(u, a, heap, store)
+            ds = demands(u, a, heap, store, fresh=FRESH_FORK)
         except Unframed:
             continue
-        if not ds:
-            continue
-        grown = st.add(s, ds[0])
-        if grown is not None:
-            out.append(grown)
+        out.extend(g for d in ds if (g := st.add(s, d)) is not None)
     return sorted(set(out), key=state_key)
 
 
-def lhs_cases(u: Universe, a: Assertion, store: Store, budget: int = 10**6) -> list[State]:
-    seeds = list(st.enumerate_states(u, total_heap_only=True, zero_mask_only=True, budget=budget))
-    return cons_lhs(seeds, (), a, u, store)
+def lhs_cases(u: Universe, a: Assertion, store: Store) -> list[State]:
+    """The left-hand-side cases of the per-case baseline, built from ``a``'s
+    demands: each case holds only the locations it owns."""
+    return cons_lhs([EMPTY], (), a, u, store)
 
 
 # -- shared coverage / extraction machinery --------------------------------------
@@ -141,32 +141,11 @@ def _first_covered(sigma_a: State, ds: Sequence[State]) -> Optional[State]:
     return None
 
 
-def _shortfall(sigma_a: State, d: State) -> State:
-    missing = {}
-    values = {}
-    for rid, amt in d.mask:
-        gap = amt - sigma_a.mask_of(rid)
-        if gap > 0:
-            missing[rid] = gap
-            if isinstance(rid, FieldLoc):
-                v = d.heap_value(rid)
-                if v is not None:
-                    values[rid] = v
-    return State.make(missing, values)
-
-
-def _target_demand(sigma_a: State, ds: Sequence[State]) -> tuple[State, State]:
-    """The demand this pair should be steered toward: least missing
-    permission first, leftmost on ties.  Returns (demand, shortfall)."""
-    best = None
-    for i, d in enumerate(ds):
-        gap = _shortfall(sigma_a, d)
-        size = sum(a for _, a in gap.mask)
-        key = (size, i)
-        if best is None or key < best[0]:
-            best = (key, d, gap)
-    assert best is not None
-    return best[1], best[2]
+def _least_shortfall(sigma_a: State, ds: Sequence[State]) -> dict:
+    """The permission missing for the demand this pair should be steered
+    toward: least missing permission first, leftmost on ties."""
+    gaps = ({rid: amt - have for rid, amt in d.mask if (have := sigma_a.mask_of(rid)) < amt} for d in ds)
+    return min(gaps, key=lambda gap: sum(gap.values()))
 
 
 def _extract_to_cover(
@@ -198,20 +177,14 @@ def _extract_to_cover(
             )
         if _first_covered(pair.sigma_a, ds) is not None:
             continue
-        _, gap = _target_demand(pair.sigma_a, ds)
         witness = witness or pair
-        for rid, amt in gap.mask:
+        for rid, amt in _least_shortfall(pair.sigma_a, ds).items():
             if amt > needed.get(rid, Fraction(0)):
                 needed[rid] = amt
-            if isinstance(rid, FieldLoc):
-                v = gap.heap_value(rid)
-                if v is None:
-                    v = outer_heap.get(rid)
-                if v is None:
-                    raise PackageFailure(
-                        f"{what}: no value available for extracted location {rid}"
-                    )
-                values[rid] = v
+            # the outer state's value is the only one extraction can take;
+            # where it has none, the check below reports the missing permission
+            if isinstance(rid, FieldLoc) and rid in outer_heap:
+                values[rid] = outer_heap[rid]
     if not needed:
         return ctx, None
     sigma_w = State.make(needed, values)
@@ -333,11 +306,7 @@ def _run_script(ctx, script, conds, store, u, outer_heap, extracts, mutated) -> 
             ctx = _run_script(ctx, stmt.els, conds + (Not(stmt.cond),), store, u, outer_heap, extracts, mutated)
             continue
         if isinstance(stmt, SAssert):
-            ctx, ex = _extract_to_cover(
-                u, ctx, _active(ctx, conds, store), stmt.assertion, store, outer_heap, "assert"
-            )
-            if ex is not None:
-                extracts.append(ex)
+            ctx = _cover(u, ctx, conds, stmt.assertion, store, outer_heap, extracts, "assert")
             for pair in _active(ctx, conds, store):
                 ds = _pair_demands(u, stmt.assertion, pair, store, outer_heap)
                 if _first_covered(pair.sigma_a, ds) is None:
@@ -348,18 +317,31 @@ def _run_script(ctx, script, conds, store, u, outer_heap, extracts, mutated) -> 
             continue
         if isinstance(stmt, SFold):
             ctx = _script_fold(ctx, stmt, conds, store, u, outer_heap, extracts)
-            mutated[0] = True
-            continue
-        if isinstance(stmt, SUnfold):
+        elif isinstance(stmt, SUnfold):
             ctx = _script_unfold(ctx, stmt, conds, store, u)
-            mutated[0] = True
-            continue
-        if isinstance(stmt, SApply):
+        elif isinstance(stmt, SApply):
             ctx = _script_apply(ctx, stmt, conds, store, u, outer_heap, extracts)
-            mutated[0] = True
-            continue
-        raise PackageFailure(f"unknown script statement {stmt!r}")
+        else:
+            raise PackageFailure(f"unknown script statement {stmt!r}")
+        mutated[0] = True
     return ctx
+
+
+def _cover(u, ctx, conds, a, store, outer_heap, extracts, what) -> Context:
+    """Extract what the active pairs lack to cover ``a``, logging the extraction."""
+    ctx, ex = _extract_to_cover(u, ctx, _active(ctx, conds, store), a, store, outer_heap, what)
+    if ex is not None:
+        extracts.append(ex)
+    return ctx
+
+
+def _map_active(ctx: Context, conds, store, step) -> Context:
+    """Replace each active pair by the pairs ``step`` returns for it."""
+    active_keys = {p.key() for p in _active(ctx, conds, store)}
+    new_pairs = []
+    for pair in ctx.pairs:
+        new_pairs.extend(step(pair) if pair.key() in active_keys else (pair,))
+    return Context.make(ctx.outer, new_pairs, ctx.extracted)
 
 
 def _instantiated_body(u: Universe, name: str, args) -> Assertion:
@@ -369,110 +351,81 @@ def _instantiated_body(u: Universe, name: str, args) -> Assertion:
     return assertion_substitute(d.body, dict(zip(d.params, args)))
 
 
+def _instance_token(stmt, pair: WitnessPair, store, what: str) -> State:
+    try:
+        vals = tuple(eval_expr(x, ctx_heap(pair), store) for x in stmt.args)
+    except Unframed as e:
+        raise PackageFailure(f"{what} {stmt.name}: {e.description}")
+    return State.make({PredInst(stmt.name, vals): Fraction(1)}, {})
+
+
+def _forks(u, a: Assertion, base: State, pair: WitnessPair, store, what: str) -> list[WitnessPair]:
+    """The pair with ``base`` grown by each demand of ``a``, forking over
+    values the pair leaves undetermined; no fork means the case is
+    inconsistent and is dropped."""
+    try:
+        ds = demands(u, a, ctx_heap(WitnessPair(base, pair.sigma_b)), store, fresh=FRESH_FORK)
+    except Unframed as e:
+        raise PackageFailure(f"{what}: {e.description}")
+    return [
+        WitnessPair(grown, pair.sigma_b, pair.transformer)
+        for d in ds
+        if (grown := st.add(base, d)) is not None
+    ]
+
+
 def _script_fold(ctx, stmt: SFold, conds, store, u, outer_heap, extracts) -> Context:
     body = _instantiated_body(u, stmt.name, stmt.args)
-    ctx, ex = _extract_to_cover(u, ctx, _active(ctx, conds, store), body, store, outer_heap, "fold")
-    if ex is not None:
-        extracts.append(ex)
-    active_keys = {p.key() for p in _active(ctx, conds, store)}
-    new_pairs = []
-    for pair in ctx.pairs:
-        if pair.key() not in active_keys:
-            new_pairs.append(pair)
-            continue
-        heap = ctx_heap(pair)
-        ds = _pair_demands(u, body, pair, store, outer_heap)
-        chosen = _first_covered(pair.sigma_a, ds)
+    ctx = _cover(u, ctx, conds, body, store, outer_heap, extracts, "fold")
+
+    def fold(pair: WitnessPair) -> list[WitnessPair]:
+        chosen = _first_covered(pair.sigma_a, _pair_demands(u, body, pair, store, outer_heap))
         if chosen is None:
             raise PackageFailure(f"fold {stmt.name}: body not available for pair ({pair.sigma_a})")
-        try:
-            vals = tuple(_eval_arg(x, heap, store) for x in stmt.args)
-        except Unframed as e:
-            raise PackageFailure(f"fold {stmt.name}: {e.description}")
-        token = State.make({PredInst(stmt.name, vals): Fraction(1)}, {})
+        token = _instance_token(stmt, pair, store, "fold")
         grown = st.add(st.sub(pair.sigma_a, chosen), token)
         if grown is None:
             raise PackageFailure(f"fold {stmt.name}: instance already held in full")
-        new_pairs.append(WitnessPair(grown, pair.sigma_b, pair.transformer))
-    return Context.make(ctx.outer, new_pairs, ctx.extracted)
+        return [WitnessPair(grown, pair.sigma_b, pair.transformer)]
+
+    return _map_active(ctx, conds, store, fold)
 
 
 def _script_unfold(ctx, stmt: SUnfold, conds, store, u) -> Context:
     body = _instantiated_body(u, stmt.name, stmt.args)
-    active_keys = {p.key() for p in _active(ctx, conds, store)}
-    new_pairs = []
-    for pair in ctx.pairs:
-        if pair.key() not in active_keys:
-            new_pairs.append(pair)
-            continue
-        heap = ctx_heap(pair)
-        try:
-            vals = tuple(_eval_arg(x, heap, store) for x in stmt.args)
-        except Unframed as e:
-            raise PackageFailure(f"unfold {stmt.name}: {e.description}")
-        token = State.make({PredInst(stmt.name, vals): Fraction(1)}, {})
+
+    def unfold(pair: WitnessPair) -> list[WitnessPair]:
+        token = _instance_token(stmt, pair, store, "unfold")
         if not st.geq(pair.sigma_a, token):
             raise PackageFailure(
                 f"unfold {stmt.name}: no full instance held by pair ({pair.sigma_a})"
             )
-        stripped = st.sub(pair.sigma_a, token)
         # body values may be undetermined (the instance came straight from
         # the LHS): fork the pair over the possible valuations
-        try:
-            ds = demands(u, body, ctx_heap(WitnessPair(stripped, pair.sigma_b)), store, fresh="fork")
-        except Unframed as e:
-            raise PackageFailure(f"unfold {stmt.name}: {e.description}")
-        forks = []
-        for d in ds:
-            grown = st.add(stripped, d)
-            if grown is not None:
-                forks.append(WitnessPair(grown, pair.sigma_b, pair.transformer))
-        new_pairs.extend(forks)  # zero forks: the case is inconsistent, drop it
-    return Context.make(ctx.outer, new_pairs, ctx.extracted)
+        return _forks(u, body, st.sub(pair.sigma_a, token), pair, store, f"unfold {stmt.name}")
+
+    return _map_active(ctx, conds, store, unfold)
 
 
 def _script_apply(ctx, stmt: SApply, conds, store, u, outer_heap, extracts) -> Context:
     w = stmt.wand
     token = State.make({wand_key(w, store): Fraction(1)}, {})
-    ctx, ex = _extract_to_cover(
-        u, ctx, _active(ctx, conds, store), w.lhs, store, outer_heap, "apply (left-hand side)"
-    )
-    if ex is not None:
-        extracts.append(ex)
-    active_keys = {p.key() for p in _active(ctx, conds, store)}
-    new_pairs = []
-    for pair in ctx.pairs:
-        if pair.key() not in active_keys:
-            new_pairs.append(pair)
-            continue
+    ctx = _cover(u, ctx, conds, w.lhs, store, outer_heap, extracts, "apply (left-hand side)")
+
+    def apply(pair: WitnessPair) -> list[WitnessPair]:
         if not st.geq(pair.sigma_a, token):
             raise PackageFailure(
                 f"apply {format_assertion(w)}: no wand instance held by pair ({pair.sigma_a})"
             )
-        ds = _pair_demands(u, w.lhs, pair, store, outer_heap)
-        chosen = _first_covered(pair.sigma_a, ds)
+        chosen = _first_covered(pair.sigma_a, _pair_demands(u, w.lhs, pair, store, outer_heap))
         if chosen is None:
             raise PackageFailure(
                 f"apply {format_assertion(w)}: left-hand side not available for pair ({pair.sigma_a})"
             )
         base = st.sub(st.sub(pair.sigma_a, token), chosen)
-        try:
-            rds = demands(u, w.rhs, ctx_heap(WitnessPair(base, pair.sigma_b)), store, fresh="fork")
-        except Unframed as e:
-            raise PackageFailure(f"apply {format_assertion(w)}: {e.description}")
-        forks = []
-        for d in rds:
-            grown = st.add(base, d)
-            if grown is not None:
-                forks.append(WitnessPair(grown, pair.sigma_b, pair.transformer))
-        new_pairs.extend(forks)
-    return Context.make(ctx.outer, new_pairs, ctx.extracted)
+        return _forks(u, w.rhs, base, pair, store, f"apply {format_assertion(w)}")
 
-
-def _eval_arg(x, heap, store):
-    from .exprs import eval_expr
-
-    return eval_expr(x, heap, store)
+    return _map_active(ctx, conds, store, apply)
 
 
 # -- the package algorithms -----------------------------------------------------------
@@ -556,169 +509,38 @@ def package_fia(
 ) -> PackageOutcome:
     """The unsound baseline: one footprint per left-hand-side case.
 
-    Each case is processed in isolation, using the values that hold in
-    that case; the per-case footprints generally do not justify the wand
-    for the other cases.  No derivation is emitted — in general none
-    exists.
+    Each case runs alone through the witness-set engine, as a one-pair
+    context over the outer state, so its footprint only has to serve that
+    case; the per-case footprints generally do not justify the wand for
+    the other cases.  No derivation is emitted — in general none exists.
     """
     if not wf(wand):
         return PackageOutcome("failure", diagnostic="wand is not well-formed (self-framing)")
-    cases = lhs_cases(u, wand.lhs, store, budget=budget)
+    outer_heap = outer.heap_dict()
     results: list[tuple[State, State]] = []
     posts: list[State] = []
-    for case in cases:
+    for case in lhs_cases(u, wand.lhs, store):
+        ctx = Context.make(outer, [WitnessPair(case, EMPTY)])
         try:
-            refined, taken = _fia_case(u, case, wand, tuple(script), store, outer)
+            ctx, _, _ = run_script(ctx, script, store, u, outer_heap)
+            ctx, _ = prove_rhs(ctx, (), wand.rhs, u, store, outer_heap)
         except PackageFailure as e:
             return PackageOutcome("failure", diagnostic=f"case {case}: {e.message}")
-        entry = (refined, taken)
+        taken = extract_footprint(outer, ctx.outer)
+        if not ctx.pairs:
+            return PackageOutcome(
+                "failure", diagnostic=f"case {case}: case state cannot absorb {taken}"
+            )
+        entry = (State.make(case.mask, case.heap + taken.heap), taken)
         if entry not in results:
             results.append(entry)
-        post = st.sub(outer, taken)
-        if post not in posts:
-            posts.append(post)
+        if ctx.outer not in posts:
+            posts.append(ctx.outer)
     return PackageOutcome(
         "success",
         case_footprints=tuple(results),
         post_states=tuple(sorted(posts, key=state_key)),
     )
-
-
-def _fia_case(u, case: State, wand: Wand, script, store, outer: State) -> tuple[State, State]:
-    """Run the single-pair inference for one LHS case.
-
-    Returns (refined case state, taken state).  Values for permissions
-    taken from the outer state come from the outer heap; the case state's
-    unowned placeholder values are refined to match, mirroring how the
-    original inference copies values from the current state.
-    """
-    sigma_a = case
-    taken = EMPTY
-
-    def take_from_outer(gap: State, what: str) -> None:
-        nonlocal sigma_a, taken
-        take_mask = {}
-        take_heap = {}
-        for rid, amt in gap.mask:
-            take_mask[rid] = amt
-            if isinstance(rid, FieldLoc):
-                v = outer.heap_value(rid)
-                if v is None:
-                    raise PackageFailure(f"{what}: current state has no value for {rid}")
-                take_heap[rid] = v
-        got = State.make(take_mask, take_heap)
-        new_taken = st.add(taken, got)
-        if new_taken is None or not st.geq(outer, new_taken):
-            raise PackageFailure(f"insufficient permission in the current state for {what}")
-        mask = sigma_a.mask_dict()
-        heap = sigma_a.heap_dict()
-        for rid, amt in got.mask:
-            have = mask.get(rid, Fraction(0))
-            if have + amt > 1:
-                raise PackageFailure(f"{what}: case state cannot absorb {got}")
-            if have == 0 and isinstance(rid, FieldLoc):
-                heap[rid] = take_heap[rid]  # unowned placeholder, refine it
-            elif isinstance(rid, FieldLoc) and heap.get(rid) != take_heap.get(rid):
-                raise PackageFailure(f"{what}: value clash at {rid}")
-            mask[rid] = have + amt
-        sigma_a, taken = State.make(mask, heap), new_taken
-
-    def ensure(a: Assertion) -> State:
-        nonlocal sigma_a
-        try:
-            ds = demands(u, a, sigma_a.heap_dict(), store)
-        except Unframed as e:
-            raise PackageFailure(f"unframed expression: {e.description}")
-        if not ds:
-            raise PackageFailure(f"{format_assertion(a)} does not hold in this case")
-        chosen = _first_covered(sigma_a, ds)
-        if chosen is None:
-            _, gap = _target_demand(sigma_a, ds)
-            take_from_outer(gap, format_assertion(a))
-            ds = demands(u, a, sigma_a.heap_dict(), store)
-            chosen = _first_covered(sigma_a, ds)
-            if chosen is None:
-                raise PackageFailure(f"{format_assertion(a)} still unsatisfied after transfer")
-        return chosen
-
-    def consume(a: Assertion) -> None:
-        nonlocal sigma_a
-        chosen = ensure(a)
-        sigma_a = st.sub(sigma_a, chosen)
-
-    def run(stmts, conds):
-        nonlocal sigma_a, taken
-        for s in stmts:
-            if isinstance(s, SIf):
-                run(s.then, conds + (s.cond,))
-                run(s.els, conds + (Not(s.cond),))
-                continue
-            try:
-                live = all(eval_bool(g, sigma_a.heap_dict(), store) for g in conds)
-            except Unframed as e:
-                raise PackageFailure(f"unframed script condition: {e.description}")
-            if not live:
-                continue
-            if isinstance(s, SAssert):
-                ensure(s.assertion)
-            elif isinstance(s, SFold):
-                body = _instantiated_body(u, s.name, s.args)
-                d = ensure(body)
-                vals = tuple(_eval_arg(x, sigma_a.heap_dict(), store) for x in s.args)
-                token = State.make({PredInst(s.name, vals): Fraction(1)}, {})
-                grown = st.add(st.sub(sigma_a, d), token)
-                if grown is None:
-                    raise PackageFailure(f"fold {s.name}: instance already held in full")
-                sigma_a = grown
-            elif isinstance(s, SUnfold):
-                body = _instantiated_body(u, s.name, s.args)
-                vals = tuple(_eval_arg(x, sigma_a.heap_dict(), store) for x in s.args)
-                token = State.make({PredInst(s.name, vals): Fraction(1)}, {})
-                if not st.geq(sigma_a, token):
-                    raise PackageFailure(f"unfold {s.name}: no full instance held")
-                ds = demands(u, body, sigma_a.heap_dict(), store, fresh="fork")
-                if not ds:
-                    raise PackageFailure(f"unfold {s.name}: body unsatisfiable")
-                grown = st.add(st.sub(sigma_a, token), ds[0])
-                if grown is None:
-                    raise PackageFailure(f"unfold {s.name}: body clashes with held state")
-                sigma_a = grown
-            elif isinstance(s, SApply):
-                token = State.make({wand_key(s.wand, store): Fraction(1)}, {})
-                if not st.geq(sigma_a, token):
-                    raise PackageFailure(f"apply: no instance of {format_assertion(s.wand)}")
-                d = ensure(s.wand.lhs)
-                base = st.sub(st.sub(sigma_a, token), d)
-                rds = demands(u, s.wand.rhs, base.heap_dict(), store, fresh="fork")
-                if not rds:
-                    raise PackageFailure("apply: right-hand side unsatisfiable")
-                grown = st.add(base, rds[0])
-                if grown is None:
-                    raise PackageFailure("apply: right-hand side clashes with held state")
-                sigma_a = grown
-            else:
-                raise PackageFailure(f"unknown script statement {s!r}")
-
-    run(script, ())
-    _fia_rhs(u, wand.rhs, (), store, consume, lambda: sigma_a.heap_dict())
-    # report the case with its mask as enumerated and its refined values
-    return State.make(case.mask_dict(), sigma_a.heap_dict()), taken
-
-
-def _fia_rhs(u, b: Assertion, guards, store, ensure, heap_of):
-    if isinstance(b, Star):
-        _fia_rhs(u, b.left, guards, store, ensure, heap_of)
-        _fia_rhs(u, b.right, guards, store, ensure, heap_of)
-        return
-    if isinstance(b, Imp):
-        _fia_rhs(u, b.body, guards + (b.guard,), store, ensure, heap_of)
-        return
-    try:
-        live = all(eval_bool(g, heap_of(), store) for g in guards)
-    except Unframed as e:
-        raise PackageFailure(f"unframed guard: {e.description}")
-    if live:
-        ensure(b)
 
 
 PACKAGERS = {

@@ -10,7 +10,6 @@ the semantic footprint quantification.
 
 from __future__ import annotations
 
-import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -552,9 +551,9 @@ def lhs_states(u: Universe, a: Assertion, store: Store, budget: int = 10**6) -> 
         ),
         key=state_key,
     )
-    # setdefault, not get-then-set: verifier threads may race on a universe
-    keys = _LHS_KEYS.setdefault(id(u), fresh := set())
-    if keys is fresh:
+    keys = _LHS_KEYS.get(id(u))
+    if keys is None:
+        keys = _LHS_KEYS[id(u)] = set()
         weakref.finalize(u, _forget_universe, id(u)).atexit = False
     keys.add(key)
     _LHS_CACHE[key] = out

@@ -75,7 +75,6 @@ def main(argv=None) -> int:
     pv.add_argument("--emit-derivation", metavar="PATH")
     pv.add_argument("--json", metavar="PATH")
     pv.add_argument("--audit", action="store_true", help="re-check every packaged footprint with the oracle")
-    pv.add_argument("--threads", type=int, default=1)
 
     pc = sub.add_parser("check-derivation", help="re-validate a derivation document")
     pc.add_argument("file")
@@ -129,12 +128,7 @@ def _dispatch(args) -> int:
 def _cmd_verify(args) -> int:
     program = load_program(args.file)
     started = time.monotonic()
-    report = run(
-        program,
-        args.algorithm,
-        audit=args.audit,
-        threads=max(1, args.threads),
-    )
+    report = run(program, args.algorithm, audit=args.audit)
     report.elapsed_seconds = time.monotonic() - started
     doc = report.to_json()
     if args.json:

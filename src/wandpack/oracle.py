@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import states as st
-from .assertions import Assertion, Wand, sat
+from .assertions import Assertion, Wand, sat, wand_holds
 from .exprs import Store, Unframed, eval_bool
 from .states import State, bin_mask, count_states, enumerate_states, state_key
 from .universe import Universe
@@ -29,21 +29,13 @@ class EnumerationPlan:
 
     universe: Universe
     stable_only: bool = False
-    total_heap_only: bool = False
     budget: int = 10**6
 
     def cardinality(self) -> int:
-        return count_states(self.universe, self.stable_only, self.total_heap_only)
+        return count_states(self.universe, self.stable_only)
 
     def states(self) -> list[State]:
-        return list(
-            enumerate_states(
-                self.universe,
-                stable_only=self.stable_only,
-                total_heap_only=self.total_heap_only,
-                budget=self.budget,
-            )
-        )
+        return list(enumerate_states(self.universe, stable_only=self.stable_only, budget=self.budget))
 
 
 def plan(u: Universe, stable_only: bool = False, budget: int = 10**6) -> EnumerationPlan:
@@ -82,16 +74,7 @@ def is_footprint(
     if not st.is_stable(sigma_w):
         raise ValueError("footprint candidates must be stable states")
     w = _as_kind(wand, kind)
-    pool = list(lhs_pool) if lhs_pool is not None else lhs_states_of(w, p, store)
-    u = p.universe
-    for sigma_a in pool:
-        fp = st.restrict(sigma_a, sigma_w) if w.combinable else sigma_w
-        combined = st.add(sigma_a, fp)
-        if combined is None:
-            continue
-        if not sat(u, combined, w.rhs, store, budget=p.budget):
-            return False
-    return True
+    return wand_holds(p.universe, sigma_w, w, store, budget=p.budget, lhs=lhs_pool)
 
 
 def lhs_states_of(w: Wand, p: EnumerationPlan, store: Store = {}) -> list[State]:

@@ -261,6 +261,20 @@ def extract_footprint(initial: State, final: State) -> State:
     return State.make(mask, heap)
 
 
+def grow_pairs(pairs, extracted: State, sigma_w: State, path=()) -> list[WitnessPair]:
+    """Grow each pair's available state by its delta of sigma_w, dropping
+    the pairs that cannot absorb it: the wand cannot be applied in their
+    case."""
+    out = []
+    for pair in pairs:
+        delta = pair_delta(pair, extracted, sigma_w, path)
+        combined = st.add(pair.sigma_a, pair.sigma_b)
+        if combined is None or not st.compatible(combined, delta):
+            continue
+        out.append(WitnessPair(st.add(pair.sigma_a, delta), pair.sigma_b, pair.transformer))
+    return out
+
+
 def pair_delta(pair: WitnessPair, extracted: State, sigma_w: State, path=()) -> State:
     """What this pair receives when sigma_w is extracted.
 
@@ -325,16 +339,7 @@ def apply_extract(ctx: Context, sigma_w: State, path=()) -> Context:
     if not st.geq(ctx.outer, sigma_w):
         raise CheckFailure(f"outer state does not contain {sigma_w}", path)
     new_outer = st.sub(ctx.outer, sigma_w)
-    new_pairs = []
-    for pair in ctx.pairs:
-        delta = pair_delta(pair, ctx.extracted, sigma_w, path)
-        combined = st.add(pair.sigma_a, pair.sigma_b)
-        if combined is None or not st.compatible(combined, delta):
-            continue  # the wand cannot be applied in this case; drop the pair
-        grown = st.add(pair.sigma_a, delta)
-        if grown is None:
-            continue
-        new_pairs.append(WitnessPair(grown, pair.sigma_b, pair.transformer))
+    new_pairs = grow_pairs(ctx.pairs, ctx.extracted, sigma_w, path)
     new_extracted = st.add(ctx.extracted, sigma_w)
     if new_extracted is None:
         raise CheckFailure("cumulative footprint became inconsistent", path)
@@ -388,30 +393,14 @@ def _check_disjunction(b: OrA, pc, ctx: Context, d: DDisjunction, u, store, path
     sr = [p for p in ctx.pairs if p.key() not in left_keys]
     ctx_l = _check(b.left, pc, Context.make(ctx.outer, sl, ctx.extracted), d.left, u, store, path + ("left",))
     f1 = extract_footprint(ctx.outer, ctx_l.outer)
-    sr1 = _absorb(sr, ctx.extracted, f1, path)
+    # each branch absorbs the partial footprint extracted for its sibling
+    sr1 = sr if f1 == EMPTY else grow_pairs(sr, ctx.extracted, f1, path)
     ctx_r = _check(
         b.right, pc, Context.make(ctx_l.outer, sr1, ctx_l.extracted), d.right, u, store, path + ("right",)
     )
     f2 = extract_footprint(ctx_l.outer, ctx_r.outer)
-    sl2 = _absorb(ctx_l.pairs, ctx_l.extracted, f2, path)
+    sl2 = ctx_l.pairs if f2 == EMPTY else grow_pairs(ctx_l.pairs, ctx_l.extracted, f2, path)
     return Context.make(ctx_r.outer, list(sl2) + list(ctx_r.pairs), ctx_r.extracted)
-
-
-def _absorb(pairs, extracted: State, footprint: State, path) -> list[WitnessPair]:
-    """Add a partial footprint extracted while proving the sibling branch."""
-    if footprint == EMPTY:
-        return list(pairs)
-    out = []
-    for pair in pairs:
-        delta = pair_delta(pair, extracted, footprint, path)
-        combined = st.add(pair.sigma_a, pair.sigma_b)
-        if combined is None or not st.compatible(combined, delta):
-            continue
-        grown = st.add(pair.sigma_a, delta)
-        if grown is None:
-            continue
-        out.append(WitnessPair(grown, pair.sigma_b, pair.transformer))
-    return out
 
 
 # -- canonical derivations ------------------------------------------------------------
@@ -465,13 +454,7 @@ def build_canonical_derivation(
     pairs0 = init_witness_set(wand.lhs, u, True, store, combinable=wand.combinable, budget=budget)
     conf = Configuration(wand.rhs, (), Context.make(sigma_w, pairs0))
     # simulate the extraction to know each pair's final available state
-    grown: list[WitnessPair] = []
-    for pair in pairs0:
-        delta = pair_delta(pair, EMPTY, sigma_w)
-        combined = st.add(pair.sigma_a, pair.sigma_b)
-        if combined is None or not st.compatible(combined, delta):
-            continue
-        grown.append(WitnessPair(st.add(pair.sigma_a, delta), pair.sigma_b, pair.transformer))
+    grown = grow_pairs(pairs0, EMPTY, sigma_w)
     atoms = _linearize(wand.rhs)
     per_pair: dict[tuple, list[Optional[State]]] = {}
     for pair in grown:

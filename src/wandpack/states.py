@@ -275,46 +275,26 @@ class BudgetExceeded(Exception):
         self.budget = budget
 
 
-def count_states(
-    u: Universe,
-    stable_only: bool = False,
-    total_heap_only: bool = False,
-    zero_mask_only: bool = False,
-) -> int:
+def count_states(u: Universe, stable_only: bool = False) -> int:
     g = u.granularity
     n = 1
     for loc in u.sorted_locations():
         d = len(u.domain(loc))
-        if zero_mask_only:
-            per = d if total_heap_only else 1 + d
-        elif total_heap_only:
-            per = (g + 1) * d
-        elif stable_only:
-            per = 1 + g * d
-        else:
-            per = 1 + (g + 1) * d
-        n *= per
-    if not zero_mask_only:
-        for _ in u.predicate_instances():
-            n *= g + 1
+        n *= 1 + g * d if stable_only else 1 + (g + 1) * d
+    for _ in u.predicate_instances():
+        n *= g + 1
     return n
 
 
 def enumerate_states(
     u: Universe,
     stable_only: bool = False,
-    total_heap_only: bool = False,
-    zero_mask_only: bool = False,
     budget: Optional[int] = 10**6,
 ) -> Iterator[State]:
-    """All valid states of the universe on the granularity lattice.
-
-    ``total_heap_only`` yields states whose heap assigns every declared
-    location; ``zero_mask_only`` additionally drops all permissions (these
-    are the seed states for LHS case construction).  Deterministic order.
-    """
+    """All valid states of the universe on the granularity lattice, in a
+    deterministic order."""
     if budget is not None:
-        n = count_states(u, stable_only, total_heap_only, zero_mask_only)
+        n = count_states(u, stable_only)
         if n > budget:
             raise BudgetExceeded(n, budget)
     fracs = u.fraction_lattice()
@@ -323,19 +303,15 @@ def enumerate_states(
     for loc in locs:
         dom = u.domain(loc)
         opts: list[tuple[Fraction, Optional[Value]]] = []
-        if zero_mask_only:
-            opts = [(ZERO, v) for v in dom] if total_heap_only else [(ZERO, None)] + [(ZERO, v) for v in dom]
-        else:
-            for p in fracs:
-                if p == 0:
-                    if not total_heap_only:
-                        opts.append((ZERO, None))
-                    if not stable_only:
-                        opts.extend((ZERO, v) for v in dom)
-                else:
-                    opts.extend((p, v) for v in dom)
+        for p in fracs:
+            if p == 0:
+                opts.append((ZERO, None))
+                if not stable_only:
+                    opts.extend((ZERO, v) for v in dom)
+            else:
+                opts.extend((p, v) for v in dom)
         per_loc.append(opts)
-    preds = [] if zero_mask_only else u.predicate_instances()
+    preds = u.predicate_instances()
     pred_opts = [fracs for _ in preds]
     for combo in itertools.product(*per_loc, *pred_opts):
         mask: dict[ResourceId, Fraction] = {}

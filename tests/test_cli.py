@@ -55,16 +55,6 @@ def test_verify_missing_file_exit_2(capsys):
     assert run_cli("verify", "no-such-file.wnd") == 2
 
 
-def test_verify_threads_flag(tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    assert run_cli("verify", CORPUS / "proof_of_false.wnd", "--algorithm", "fia", "--json", a) == 0
-    assert run_cli(
-        "verify", CORPUS / "proof_of_false.wnd", "--algorithm", "fia", "--json", b, "--threads", "4"
-    ) == 0
-    assert a.read_text() == b.read_text()
-
-
 # -- check-derivation ----------------------------------------------------------------
 
 

@@ -313,12 +313,9 @@ def test_sound_and_combinable_audits_clean(corpus_dir):
 # -- report determinism ----------------------------------------------------------------
 
 
-def test_report_json_deterministic_across_runs_and_threads(corpus_dir):
+def test_report_json_deterministic_across_runs(corpus_dir):
     p = load_program(str(corpus_dir / "proof_of_false.wnd"))
-    docs = [
-        dumps_canonical(run(p, "fia", threads=t).to_json())
-        for t in (1, 1, 4)
-    ]
+    docs = [dumps_canonical(run(p, "fia").to_json()) for _ in range(3)]
     assert docs[0] == docs[1] == docs[2]
 
 
