@@ -134,6 +134,13 @@ def _pair_demands(u, a, pair: WitnessPair, store, outer_heap) -> list[State]:
         )
 
 
+def _known_demands(u, a, pair: WitnessPair, store, outer_heap, known: dict) -> list[State]:
+    """The pair's demands of ``a``, reusing those ``_extract_to_cover``
+    computed when the extraction left the pair unchanged."""
+    ds = known.get((pair.sigma_a, pair.sigma_b))
+    return ds if ds is not None else _pair_demands(u, a, pair, store, outer_heap)
+
+
 def _first_covered(sigma_a: State, ds: Sequence[State]) -> Optional[State]:
     for d in ds:
         if st.geq(sigma_a, d):
@@ -156,15 +163,19 @@ def _extract_to_cover(
     store: Store,
     outer_heap: dict,
     what: str,
-) -> tuple[Context, Optional[State]]:
+) -> tuple[Context, Optional[State], dict]:
     """Ensure every active pair covers some demand of ``a``, extracting one
     minimal stable state from the outer state if needed.  Returns the new
-    context and the extracted state (None when nothing was needed)."""
+    context, the extracted state (None when nothing was needed) and each
+    active pair's demands keyed by its states; a pair the extraction grew
+    has a new key, so its demands are computed again by whoever needs them."""
     needed: dict = {}
     values: dict = {}
+    known: dict = {}
     witness: Optional[WitnessPair] = None
     for pair in active:
         ds = _pair_demands(u, a, pair, store, outer_heap)
+        known[(pair.sigma_a, pair.sigma_b)] = ds
         if not ds:
             if isinstance(a, Pure):
                 raise PackageFailure(
@@ -186,7 +197,7 @@ def _extract_to_cover(
             if isinstance(rid, FieldLoc) and rid in outer_heap:
                 values[rid] = outer_heap[rid]
     if not needed:
-        return ctx, None
+        return ctx, None, known
     sigma_w = State.make(needed, values)
     if not st.geq(ctx.outer, sigma_w):
         assert witness is not None
@@ -195,7 +206,7 @@ def _extract_to_cover(
             f"outer state lacks {sigma_w} (witness pair {witness.sigma_a})"
         )
     try:
-        return apply_extract(ctx, sigma_w), sigma_w
+        return apply_extract(ctx, sigma_w), sigma_w, known
     except CheckFailure as e:
         raise PackageFailure(f"{what}: {e.message}")
 
@@ -247,7 +258,7 @@ def _prove(ctx, pc, b, u, store, outer_heap) -> tuple[Context, Derivation]:
         active = [p for p in ctx.pairs if pc_holds(pc, p.sigma_a, store)]
     except CheckFailure as e:
         raise PackageFailure(e.message)
-    ctx, extracted = _extract_to_cover(u, ctx, active, b, store, outer_heap, "prove")
+    ctx, extracted, known = _extract_to_cover(u, ctx, active, b, store, outer_heap, "prove")
     try:
         active = [p for p in ctx.pairs if pc_holds(pc, p.sigma_a, store)]
     except CheckFailure as e:
@@ -258,8 +269,7 @@ def _prove(ctx, pc, b, u, store, outer_heap) -> tuple[Context, Derivation]:
         if pair not in active:
             new_pairs.append(pair)
             continue
-        ds = _pair_demands(u, b, pair, store, outer_heap)
-        chosen = _first_covered(pair.sigma_a, ds)
+        chosen = _first_covered(pair.sigma_a, _known_demands(u, b, pair, store, outer_heap, known))
         if chosen is None:
             raise PackageFailure(
                 f"prove: {format_assertion(b)} still unsatisfied for pair "
@@ -306,9 +316,9 @@ def _run_script(ctx, script, conds, store, u, outer_heap, extracts, mutated) -> 
             ctx = _run_script(ctx, stmt.els, conds + (Not(stmt.cond),), store, u, outer_heap, extracts, mutated)
             continue
         if isinstance(stmt, SAssert):
-            ctx = _cover(u, ctx, conds, stmt.assertion, store, outer_heap, extracts, "assert")
+            ctx, known = _cover(u, ctx, conds, stmt.assertion, store, outer_heap, extracts, "assert")
             for pair in _active(ctx, conds, store):
-                ds = _pair_demands(u, stmt.assertion, pair, store, outer_heap)
+                ds = _known_demands(u, stmt.assertion, pair, store, outer_heap, known)
                 if _first_covered(pair.sigma_a, ds) is None:
                     raise PackageFailure(
                         f"assert {format_assertion(stmt.assertion)} fails for pair "
@@ -327,12 +337,13 @@ def _run_script(ctx, script, conds, store, u, outer_heap, extracts, mutated) -> 
     return ctx
 
 
-def _cover(u, ctx, conds, a, store, outer_heap, extracts, what) -> Context:
-    """Extract what the active pairs lack to cover ``a``, logging the extraction."""
-    ctx, ex = _extract_to_cover(u, ctx, _active(ctx, conds, store), a, store, outer_heap, what)
+def _cover(u, ctx, conds, a, store, outer_heap, extracts, what) -> tuple[Context, dict]:
+    """Extract what the active pairs lack to cover ``a``, logging the
+    extraction; returns the new context and the demands already known."""
+    ctx, ex, known = _extract_to_cover(u, ctx, _active(ctx, conds, store), a, store, outer_heap, what)
     if ex is not None:
         extracts.append(ex)
-    return ctx
+    return ctx, known
 
 
 def _map_active(ctx: Context, conds, store, step) -> Context:
@@ -376,10 +387,10 @@ def _forks(u, a: Assertion, base: State, pair: WitnessPair, store, what: str) ->
 
 def _script_fold(ctx, stmt: SFold, conds, store, u, outer_heap, extracts) -> Context:
     body = _instantiated_body(u, stmt.name, stmt.args)
-    ctx = _cover(u, ctx, conds, body, store, outer_heap, extracts, "fold")
+    ctx, known = _cover(u, ctx, conds, body, store, outer_heap, extracts, "fold")
 
     def fold(pair: WitnessPair) -> list[WitnessPair]:
-        chosen = _first_covered(pair.sigma_a, _pair_demands(u, body, pair, store, outer_heap))
+        chosen = _first_covered(pair.sigma_a, _known_demands(u, body, pair, store, outer_heap, known))
         if chosen is None:
             raise PackageFailure(f"fold {stmt.name}: body not available for pair ({pair.sigma_a})")
         token = _instance_token(stmt, pair, store, "fold")
@@ -410,14 +421,14 @@ def _script_unfold(ctx, stmt: SUnfold, conds, store, u) -> Context:
 def _script_apply(ctx, stmt: SApply, conds, store, u, outer_heap, extracts) -> Context:
     w = stmt.wand
     token = State.make({wand_key(w, store): Fraction(1)}, {})
-    ctx = _cover(u, ctx, conds, w.lhs, store, outer_heap, extracts, "apply (left-hand side)")
+    ctx, known = _cover(u, ctx, conds, w.lhs, store, outer_heap, extracts, "apply (left-hand side)")
 
     def apply(pair: WitnessPair) -> list[WitnessPair]:
         if not st.geq(pair.sigma_a, token):
             raise PackageFailure(
                 f"apply {format_assertion(w)}: no wand instance held by pair ({pair.sigma_a})"
             )
-        chosen = _first_covered(pair.sigma_a, _pair_demands(u, w.lhs, pair, store, outer_heap))
+        chosen = _first_covered(pair.sigma_a, _known_demands(u, w.lhs, pair, store, outer_heap, known))
         if chosen is None:
             raise PackageFailure(
                 f"apply {format_assertion(w)}: left-hand side not available for pair ({pair.sigma_a})"

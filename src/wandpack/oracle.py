@@ -204,22 +204,25 @@ def check_combinable(
             memo[key] = sat_fraction(sigma, a, total, p, store)
         return memo[key]
 
-    for fp in fracs:
-        for fq in fracs:
-            if fp + fq > 1:
-                continue
-            for s1 in sats:
-                left = st.mult(fp, s1)
-                if left is None:
-                    continue
-                for s2 in sats:
-                    right = st.mult(fq, s2)
-                    if right is None:
-                        continue
+    # scale each satisfying state once per fraction; addition commutes, so
+    # each unordered split is visited once: fp <= fq, and for fp == fq only
+    # state pairs i <= j.  A skipped quadruple's mirror combines to the same
+    # state and total and comes earlier in the full (fp, fq, s1, s2) order,
+    # so the first failure, and with it the counterexample, is unchanged.
+    scaled = [[m for s in sats if (m := st.mult(f, s)) is not None] for f in fracs]
+    for i, fp in enumerate(fracs):
+        for k in range(i, len(fracs)):
+            fq = fracs[k]
+            total = fp + fq
+            if total > 1:
+                break  # the lattice ascends
+            rights = scaled[k]
+            for j, left in enumerate(scaled[i]):
+                for right in rights[j:] if k == i else rights:
                     combined = st.add(left, right)
                     if combined is None:
                         continue
-                    if not recombines(combined, fp + fq):
+                    if not recombines(combined, total):
                         return False, (fp, fq, combined)
     return True, None
 
@@ -243,8 +246,8 @@ def check_mono_pure(e, p: EnumerationPlan, store: Store = {}) -> bool:
     assertions beyond the expression grammar.
     """
     u = p.universe
-    full = EnumerationPlan(u, stable_only=False, budget=p.budget)
-    pures = [s for s in full.states() if st.is_pure(s)]
+    every = EnumerationPlan(u, stable_only=False, budget=p.budget).states()
+    pures = [s for s in every if st.is_pure(s)]
 
     if callable(e) and not isinstance(e, tuple):
         holds = e
@@ -256,7 +259,7 @@ def check_mono_pure(e, p: EnumerationPlan, store: Store = {}) -> bool:
             except Unframed:
                 return False
 
-    for s in full.states():
+    for s in every:
         if not holds(s):
             continue
         for q in pures:

@@ -37,7 +37,7 @@ from .exprs import (
     PermOf,
     Var,
 )
-from .states import State
+from .states import State, StateError
 from .universe import (
     BOOL,
     INT,
@@ -173,13 +173,18 @@ class Parser:
         if t.kind != "number":
             self.error("expected a permission amount")
         self.next()
-        num = int(t.text)
         if self.accept("/"):
-            den = self.next()
-            if den.kind != "number":
-                self.error("expected a denominator")
-            return Fraction(num, int(den.text))
-        return Fraction(num)
+            return self._ratio(t)
+        return Fraction(int(t.text))
+
+    def _ratio(self, num: Token) -> Fraction:
+        """The fraction num/den, after num's "/"."""
+        den = self.next()
+        if den.kind != "number":
+            self.error("expected a denominator")
+        if int(den.text) == 0:
+            raise ParseError("zero denominator", den.line, den.col)
+        return Fraction(int(num.text), int(den.text))
 
     def parse_value(self) -> Value:
         t = self.peek()
@@ -259,10 +264,7 @@ class Parser:
         if t.kind == "number":
             self.next()
             if self.accept("/"):
-                den = self.next()
-                if den.kind != "number":
-                    self.error("expected a denominator")
-                return Lit(Fraction(int(t.text), int(den.text)))
+                return Lit(self._ratio(t))
             return Lit(int(t.text))
         if self.accept("true"):
             return Lit(True)
@@ -479,7 +481,7 @@ class Parser:
     # -- state literals --------------------------------------------------------
 
     def parse_state(self) -> State:
-        self.expect("{")
+        start = self.expect("{")
         mask: dict = {}
         heap: dict = {}
         while not self.at("}"):
@@ -527,7 +529,10 @@ class Parser:
             if not self.accept(","):
                 break
         self.expect("}")
-        return State.make(mask, heap)
+        try:
+            return State.make(mask, heap)
+        except StateError as e:
+            raise ParseError(str(e), start.line, start.col)
 
     # -- programs ----------------------------------------------------------------
 
@@ -722,33 +727,42 @@ def _assertion_contains_perm(a: Assertion) -> bool:
 # -- module-level conveniences ----------------------------------------------------
 
 
+def _nested(parse):
+    """Run one parse; input nested deeper than the interpreter's stack is a
+    parse error, not a crash."""
+    try:
+        return parse()
+    except RecursionError:
+        raise ParseError("input nested too deeply", 1, 1) from None
+
+
 def parse_expr_text(src: str) -> Expr:
     p = Parser(src)
-    e = p.parse_expr()
+    e = _nested(p.parse_expr)
     p.expect_eof()
     return e
 
 
 def parse_assertion_text(src: str) -> Assertion:
     p = Parser(src)
-    a = p.parse_assertion()
+    a = _nested(p.parse_assertion)
     p.expect_eof()
     return a
 
 
 def parse_universe_text(src: str) -> Universe:
-    return Parser(src).parse_universe()
+    return _nested(Parser(src).parse_universe)
 
 
 def parse_state_text(src: str) -> State:
     p = Parser(src)
-    s = p.parse_state()
+    s = _nested(p.parse_state)
     p.expect_eof()
     return s
 
 
 def parse_program_text(src: str) -> pr.Program:
-    return Parser(src).parse_program()
+    return _nested(Parser(src).parse_program)
 
 
 def format_universe(u: Universe) -> str:

@@ -6,6 +6,16 @@ agree on their common domain and no per-resource permission sum exceeds 1;
 the core of a state keeps the heap and zeroes the mask.  Heap values held
 at zero permission are valid (the state is merely unstable) — cores and
 verifier worlds rely on this.
+
+Normal form: a state's mask is a tuple of (resource id, positive
+``Fraction``) entries and its heap a tuple of (location, value) entries,
+both sorted by ``rid_key`` with no repeated key.  ``State.make`` is the
+public constructor and establishes this from any input.  The algebra
+below receives normal states only, so it builds its results with the
+plain ``State(mask, heap)`` constructor, keeping entry order where it can
+(scaling, filtering, subtraction) and sorting once where it cannot (the
+keys an addition brings in).  Nothing outside this module builds a
+``State`` that way.
 """
 
 from __future__ import annotations
@@ -60,8 +70,8 @@ class State:
                 m[rid] = amt
         h = dict(hitems)
         return State(
-            mask=tuple(sorted(m.items(), key=lambda kv: rid_key(kv[0]))),
-            heap=tuple(sorted(h.items(), key=lambda kv: rid_key(kv[0]))),
+            mask=tuple(sorted(m.items(), key=_entry_key)),
+            heap=tuple(sorted(h.items(), key=_entry_key)),
         )
 
     # -- accessors ----------------------------------------------------------
@@ -95,6 +105,10 @@ class State:
         owned = {rid for rid, _ in self.mask}
         parts += [f"{loc}@0={format_value(v)}" for loc, v in self.heap if loc not in owned]
         return "{" + ", ".join(parts) + "}"
+
+
+def _entry_key(entry: tuple) -> tuple:
+    return rid_key(entry[0])
 
 
 EMPTY = State.make()
@@ -133,17 +147,50 @@ def heaps_agree(a: State, b: State) -> bool:
 
 def add(a: State, b: State) -> Optional[State]:
     """Partial addition: None (undefined) when the states are incompatible."""
-    if not heaps_agree(a, b):
+    heap = _merged_heap(a.heap, b.heap)
+    if heap is None:
         return None
-    m = a.mask_dict()
+    if not b.mask:
+        return State(a.mask, heap)
+    if not a.mask:
+        return State(b.mask, heap)
+    m = dict(a.mask)
+    grew = False
     for rid, amt in b.mask:
-        tot = m.get(rid, ZERO) + amt
+        have = m.get(rid)
+        if have is None:
+            m[rid] = amt
+            grew = True
+            continue
+        tot = have + amt
         if tot > 1:
             return None
         m[rid] = tot
-    h = a.heap_dict()
-    h.update(b.heap)
-    return State.make(m, h)
+    # a's keys keep their order; only keys b brings in need a sort
+    mask = tuple(sorted(m.items(), key=_entry_key)) if grew else tuple(m.items())
+    return State(mask, heap)
+
+
+def _merged_heap(ah: tuple, bh: tuple) -> Optional[tuple]:
+    """The union of two sorted heaps, or None where they disagree."""
+    if not bh:
+        return ah
+    if not ah:
+        return bh
+    h = dict(ah)
+    grew = False
+    for loc, v in bh:
+        have = h.get(loc)
+        if have is None:
+            h[loc] = v
+            grew = True
+        elif have != v:
+            return None
+    if not grew:
+        return ah
+    if len(h) == len(bh):
+        return bh
+    return tuple(sorted(h.items(), key=_entry_key))
 
 
 def compatible(a: State, b: State) -> bool:
@@ -151,7 +198,7 @@ def compatible(a: State, b: State) -> bool:
 
 
 def core(a: State) -> State:
-    return State.make((), a.heap)
+    return State((), a.heap)
 
 
 def is_pure(a: State) -> bool:
@@ -188,8 +235,14 @@ def sub(a: State, b: State) -> State:
     if not geq(a, b):
         raise StateError("sub requires the first state to be >= the second")
     bm = b.mask_dict()
-    m = {rid: amt - bm.get(rid, ZERO) for rid, amt in a.mask}
-    return State.make(m, a.heap)
+    mask = []
+    for rid, amt in a.mask:
+        if rid in bm:
+            amt -= bm[rid]
+            if not amt:
+                continue
+        mask.append((rid, amt))
+    return State(tuple(mask), a.heap)
 
 
 # -- fractional-permission extras ---------------------------------------------
@@ -200,13 +253,13 @@ def mult(alpha: Fraction, s: State) -> Optional[State]:
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise StateError("scaling factor must be positive")
-    m = {}
+    mask = []
     for rid, amt in s.mask:
         scaled = alpha * amt
         if scaled > 1:
             return None
-        m[rid] = scaled
-    return State.make(m, s.heap)
+        mask.append((rid, scaled))
+    return State(tuple(mask), s.heap)
 
 
 def in_scaled(candidate: State, s: State) -> bool:
@@ -255,14 +308,15 @@ def restrict(sigma_a: State, sigma_w: State) -> State:
     """
     if not exists_compatible_scaled(sigma_a, sigma_w):
         return sigma_w
-    m = {rid: min(amt, 1 - sigma_a.mask_of(rid)) for rid, amt in sigma_w.mask}
-    return State.make(m, sigma_w.heap)
+    # every cap is positive: sigma_a holds less than 1 of each resource here
+    am = sigma_a.mask_dict()
+    mask = tuple((rid, min(amt, 1 - am.get(rid, ZERO))) for rid, amt in sigma_w.mask)
+    return State(mask, sigma_w.heap)
 
 
 def bin_mask(s: State) -> State:
     """Binary restriction: keep full-permission entries, zero the rest."""
-    m = {rid: amt for rid, amt in s.mask if amt == 1}
-    return State.make(m, s.heap)
+    return State(tuple(e for e in s.mask if e[1] == 1), s.heap)
 
 
 # -- enumeration --------------------------------------------------------------
@@ -298,33 +352,29 @@ def enumerate_states(
         if n > budget:
             raise BudgetExceeded(n, budget)
     fracs = u.fraction_lattice()
-    locs = u.sorted_locations()
-    per_loc: list[list[tuple[Fraction, Optional[Value]]]] = []
-    for loc in locs:
+    # each option is a (mask entry, heap entry) pair, None where absent;
+    # locations come sorted, so the entries of every state come out sorted
+    per_loc: list[list[tuple]] = []
+    for loc in u.sorted_locations():
         dom = u.domain(loc)
-        opts: list[tuple[Fraction, Optional[Value]]] = []
+        opts: list[tuple] = []
         for p in fracs:
             if p == 0:
-                opts.append((ZERO, None))
+                opts.append((None, None))
                 if not stable_only:
-                    opts.extend((ZERO, v) for v in dom)
+                    opts.extend((None, (loc, v)) for v in dom)
             else:
-                opts.extend((p, v) for v in dom)
+                opts.extend(((loc, p), (loc, v)) for v in dom)
         per_loc.append(opts)
-    preds = u.predicate_instances()
-    pred_opts = [fracs for _ in preds]
+    nlocs = len(per_loc)
+    # predicate instances follow the locations in rid_key order, and
+    # predicate_instances() lists them in that order already
+    pred_opts = [[None] + [(pid, p) for p in fracs if p > 0] for pid in u.predicate_instances()]
     for combo in itertools.product(*per_loc, *pred_opts):
-        mask: dict[ResourceId, Fraction] = {}
-        heap: dict[FieldLoc, Value] = {}
-        for loc, (p, v) in zip(locs, combo[: len(locs)]):
-            if p > 0:
-                mask[loc] = p
-            if v is not None:
-                heap[loc] = v
-        for pid, p in zip(preds, combo[len(locs):]):
-            if p > 0:
-                mask[pid] = p
-        yield State.make(mask, heap)
+        cells = combo[:nlocs]
+        mask = [m for m, _ in cells if m is not None]
+        mask.extend(e for e in combo[nlocs:] if e is not None)
+        yield State(tuple(mask), tuple(h for _, h in cells if h is not None))
 
 
 def minimal_elements(states: Iterable[State]) -> list[State]:

@@ -18,7 +18,7 @@ HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
 
-def random_universe(rng: random.Random, with_predicate: bool = False) -> Universe:
+def random_universe(rng: random.Random, with_predicate: bool = False, granularity: int = 2) -> Universe:
     nlocs = rng.choice([2, 2, 3])
     fields = ["f", "g", "h"][:nlocs]
     locations = {}
@@ -32,7 +32,7 @@ def random_universe(rng: random.Random, with_predicate: bool = False) -> Univers
     if with_predicate:
         fld = rng.choice(fields)
         predicates["Cell"] = PredicateDef("Cell", ("r",), Acc(Var("r"), fld, ONE))
-    return make_universe(["x"], locations, 2, predicates)
+    return make_universe(["x"], locations, granularity, predicates)
 
 
 def _loc_expr(loc: FieldLoc):

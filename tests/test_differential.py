@@ -35,7 +35,7 @@ from wandpack.exprs import Eq, FieldAcc, Lit, Var
 from wandpack.package_logic import CombinableR, init_witness_set
 from wandpack.parser import parse_assertion_text, parse_state_text, parse_universe_text
 
-from gen import identity_store, random_assertion, random_universe
+from gen import identity_store, random_assertion, random_universe, random_wand
 
 HALF = Fraction(1, 2)
 
@@ -223,3 +223,76 @@ def test_init_witness_set_enumerates_a_wand_lhs(monkeypatch):
     pairs = init_witness_set(a, U, True, STORE)
     assert calls
     assert [p.sigma_a for p in pairs] == expected
+
+
+# -- the combinability sweep ----------------------------------------------------------
+
+
+def reference_check_combinable(a, p, store):
+    """The full (fp, fq, s1, s2) sweep that ``check_combinable`` halves:
+    every ordered split and every ordered pair of satisfying states."""
+    fracs = [f for f in p.universe.fraction_lattice() if f > 0]
+    sats = orc.sat_states(a, p, store)
+    memo = {}
+    for fp in fracs:
+        for fq in fracs:
+            if fp + fq > 1:
+                continue
+            for s1 in sats:
+                left = st.mult(fp, s1)
+                if left is None:
+                    continue
+                for s2 in sats:
+                    right = st.mult(fq, s2)
+                    if right is None:
+                        continue
+                    combined = st.add(left, right)
+                    if combined is None:
+                        continue
+                    key = (combined, fp + fq)
+                    if key not in memo:
+                        memo[key] = orc.sat_fraction(combined, a, fp + fq, p, store)
+                    if not memo[key]:
+                        return False, (fp, fq, combined)
+    return True, None
+
+
+def assert_same_combinability(a, p, store) -> bool:
+    got = orc.check_combinable(a, p, store)
+    assert got == reference_check_combinable(a, p, store), a
+    return got[0]
+
+
+def test_combinable_sweep_matches_reference_on_known_cases(u1, u2, store1, store2):
+    assert not assert_same_combinability(parse_assertion_text("acc(x.f) || acc(x.g)"), orc.plan(u2), store2)
+    guard_dependent = parse_assertion_text(
+        "acc(x.f) * (x.f == y || x.f == z) * acc(x.f.g, 1/2) --* acc(y.g)"
+    )
+    assert not assert_same_combinability(guard_dependent, orc.plan(u1), store1)
+    # every equal split recombines; only 1/3 + 2/3, with the larger part
+    # taken from the state that sorts first, does not
+    thirds = parse_universe_text(
+        "universe v1\ngranularity 3\nrefs x\nloc x.f: int {0}\nloc x.g: int {0}\n"
+    )
+    unequal = parse_assertion_text("acc(x.f, 1/6) * acc(x.g, 2/3) || acc(x.f, 1/2) * acc(x.g, 1/3)")
+    assert not assert_same_combinability(unequal, orc.plan(thirds), STORE)
+    assert orc.check_combinable(unequal, orc.plan(thirds), STORE)[1][:2] == (Fraction(1, 3), Fraction(2, 3))
+
+
+# granularity 2 splits only into halves; granularity 3 adds the unequal
+# split 1/3 + 2/3, where both orders of the split states are swept
+@pytest.mark.parametrize("with_predicate,granularity,count", [(False, 2, 90), (True, 2, 30), (False, 3, 15)])
+def test_combinable_sweep_matches_reference_on_generated(with_predicate, granularity, count):
+    rng = random.Random(3407 + 10 * granularity + with_predicate)
+    queries = refuted = 0
+    while queries < count:
+        u = random_universe(rng, with_predicate=with_predicate, granularity=granularity)
+        if len(u.locations) != 2:
+            continue
+        store = identity_store(u)
+        w = random_wand(rng, u)
+        p = orc.plan(u)
+        for a in (w.rhs, Wand(w.lhs, w.rhs, True), w):
+            refuted += not assert_same_combinability(a, p, store)
+            queries += 1
+    assert refuted > 0

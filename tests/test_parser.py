@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as strat
 
 from wandpack.assertions import Imp, OrA, Pure, Star, Wand, format_assertion
 from wandpack.exprs import Not, format_expr
 from wandpack.parser import (
+    KEYWORDS,
     ParseError,
     format_state,
     format_universe,
@@ -11,6 +14,7 @@ from wandpack.parser import (
     parse_program_text,
     parse_state_text,
     parse_universe_text,
+    tokenize,
 )
 from wandpack.program import format_program
 
@@ -244,3 +248,59 @@ method m(x: Ref)
     stmts = p.methods[0].body
     assert stmts[0].pos == (4, 3)
     assert stmts[1].pos == (5, 3)
+
+
+# -- fuzzing: malformed text raises ParseError and nothing else ------------------------
+
+VOCABULARY = sorted(KEYWORDS) + [
+    "x", "y", "f", "g", "Cell", "v1", "0", "1", "2", "3", "10", '"u.universe"',
+    "--*", "--*c", "==>", ":=", "==", "!=", "||", "&&",
+    "(", ")", "{", "}", "[", "]", ".", ",", ":", ";", "=", "@", "?", "!", "*", "/",
+]
+SEEDS = ASSERTIONS + STATES + [U1_TEXT, U2_TEXT, "universe v1\ngranularity 2\nrefs x\nloc x.f: int {0}\npred P(r) = acc(r.f)"]
+
+
+def mutate(seed: str, edits) -> str:
+    """The seed's tokens with each edit applied: insert, replace or delete
+    one token at a position taken modulo the current length."""
+    toks = [t.text for t in tokenize(seed)]
+    for pos, op, word in edits:
+        if op == "insert":
+            toks.insert(pos % (len(toks) + 1), word)
+        elif toks and op == "replace":
+            toks[pos % len(toks)] = word
+        elif toks:
+            del toks[pos % len(toks)]
+    return " ".join(toks)
+
+
+# mutants of valid inputs reach deep into the grammar; arbitrary text and
+# token soup cover the tokenizer and the first rule of each parser
+edits = strat.lists(
+    strat.tuples(strat.integers(0, 500), strat.sampled_from(["insert", "replace", "delete"]), strat.sampled_from(VOCABULARY)),
+    min_size=1,
+    max_size=4,
+)
+texts = (
+    strat.builds(mutate, strat.sampled_from(SEEDS), edits)
+    | strat.text(max_size=80)
+    | strat.lists(strat.sampled_from(VOCABULARY), max_size=30).map(" ".join)
+)
+NESTED = "(" * 3000 + "true" + ")" * 3000
+
+
+@settings(max_examples=600, deadline=None)
+@given(texts)
+@example("{x.f @ 1/0 = 0}")
+@example("acc(x.f, 1/0)")
+@example("x.f == 1/0")
+@example("{x.f @ 3/2 = 0}")
+@example("{Cell(x) @ 2}")
+@example(NESTED)
+@example("universe v1 granularity 2 refs x loc x.f: int {0} pred P(r) = " + NESTED)
+def test_parsers_raise_only_parse_errors(text):
+    for parse in (parse_universe_text, parse_assertion_text, parse_state_text):
+        try:
+            parse(text)
+        except ParseError:
+            pass

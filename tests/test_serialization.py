@@ -1,20 +1,26 @@
 import json
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as strat
+
 import gen
 from wandpack.algorithms import package_combinable, package_sound
 from wandpack.package_logic import (
     check_derivation,
     extract_footprint,
 )
-from wandpack.parser import parse_state_text
+from wandpack.parser import ParseError, parse_assertion_text, parse_state_text, parse_universe_text
 from wandpack.serialization import (
+    SerializationError,
     derivation_doc,
     derivation_doc_parse,
     dumps_canonical,
     state_to_json,
     state_to_text,
 )
+
+from conftest import U1_TEXT
 
 
 def test_state_json_is_canonical():
@@ -48,3 +54,72 @@ def test_derivation_documents_round_trip_and_recheck():
         assert extract_footprint(conf2.context.outer, final.outer) == out.footprint
         checked += 1
     assert checked > 30
+
+
+# -- fuzzing: a malformed document raises only what check-derivation reports ------------
+
+# the errors `check-derivation` turns into a one-line message and exit 2
+DOC_ERRORS = (SerializationError, ParseError, KeyError, TypeError, ValueError, AttributeError)
+
+
+def _valid_doc() -> dict:
+    u = parse_universe_text(U1_TEXT)
+    store = {"x": "x", "y": "y", "z": "z"}
+    wand = parse_assertion_text("acc(x.f) * (x.f == y || x.f == z) --* acc(x.f) * acc(x.f.g)")
+    outer = parse_state_text("{x.f @ 1 = y, y.g @ 1 = 0, z.g @ 1 = 0}")
+    out = package_sound(outer, wand, (), store, u)
+    assert out.success
+    return json.loads(dumps_canonical(derivation_doc(u, store, wand, out.configuration, out.derivation)))
+
+
+VALID_DOC = _valid_doc()
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield from _paths(v, prefix + (k,))
+
+
+PATHS = list(_paths(VALID_DOC))[1:]
+fragments = strat.sampled_from(["{}", "{x.f @ 1/0 = y}", "{x.f @ 2 = y}", "acc(x.f", "extract", "atom", "(" * 2000])
+json_values = strat.recursive(
+    strat.none() | strat.booleans() | strat.integers() | strat.text(max_size=20) | fragments,
+    lambda inner: strat.lists(inner, max_size=4) | strat.dictionaries(strat.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _mutated(path, value, delete):
+    doc = json.loads(json.dumps(VALID_DOC))
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+documents = (
+    strat.builds(_mutated, strat.sampled_from(PATHS), fragments | json_values, strat.booleans())
+    | strat.dictionaries(strat.sampled_from(sorted(VALID_DOC)), json_values).map(
+        lambda d: {**d, "format": VALID_DOC["format"]}
+    )
+    | json_values
+)
+
+
+def test_valid_document_parses():
+    derivation_doc_parse(VALID_DOC)
+
+
+@settings(max_examples=500, deadline=None)
+@given(documents)
+def test_derivation_doc_parse_raises_only_declared_errors(doc):
+    try:
+        derivation_doc_parse(doc)
+    except DOC_ERRORS:
+        pass

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -242,3 +243,163 @@ def test_enumeration_counts():
 def test_minimal_elements():
     pool = [EMPTY, S("{x.f @ 1/2 = y}"), S("{x.f @ 1 = y}")]
     assert st.minimal_elements(pool) == [EMPTY]
+
+
+# -- normal form of the kernel's results ---------------------------------------------------
+#
+# The algebra builds its results without State.make's sorting and checks, on
+# the strength of its inputs being normal; each result must be exactly what
+# State.make would build, and equal a dict-based reference written here.
+# The oracle runs on this kernel too, so these keep it honest.
+
+RICH = parse_universe_text(
+    """
+    universe v1
+    granularity 2
+    refs x, y
+    loc x.f: int {0, 1}
+    loc y.f: int {0, 1}
+    pred Cell(r) = acc(r.f)
+    """
+)
+RICH_POOL = list(st.enumerate_states(RICH))
+mixed_states = states | strat.sampled_from(RICH_POOL)
+ALPHAS = [Fraction(1, 4), Fraction(1, 3), HALF, Fraction(2, 3), Fraction(1), Fraction(3, 2), Fraction(2)]
+
+
+def assert_normal(r):
+    made = st.State.make(r.mask, r.heap)
+    assert r.mask == made.mask and r.heap == made.heap
+    assert all(type(amt) is Fraction and amt > 0 for _, amt in r.mask)
+
+
+def ref_add(a, b):
+    ah, bh = a.heap_dict(), b.heap_dict()
+    if any(loc in bh and bh[loc] != v for loc, v in ah.items()):
+        return None
+    m = a.mask_dict()
+    for rid, amt in b.mask:
+        m[rid] = m.get(rid, 0) + amt
+    if any(amt > 1 for amt in m.values()):
+        return None
+    return st.State.make(m, {**ah, **bh})
+
+
+def ref_mult(alpha, s):
+    m = {rid: alpha * amt for rid, amt in s.mask}
+    if any(amt > 1 for amt in m.values()):
+        return None
+    return st.State.make(m, s.heap_dict())
+
+
+def ref_sub(a, b):
+    bm = b.mask_dict()
+    return st.State.make({rid: amt - bm.get(rid, 0) for rid, amt in a.mask}, a.heap_dict())
+
+
+def ref_restrict(sa, sw):
+    am, ah = sa.mask_dict(), sa.heap_dict()
+    agree = all(ah.get(loc, v) == v for loc, v in sw.heap)
+    if not agree or any(am.get(rid, 0) >= 1 for rid, _ in sw.mask):
+        return sw
+    return st.State.make({rid: min(amt, 1 - am.get(rid, 0)) for rid, amt in sw.mask}, sw.heap_dict())
+
+
+def ref_bin_mask(s):
+    return st.State.make({rid: amt for rid, amt in s.mask if amt == 1}, s.heap_dict())
+
+
+def check_binary_ops(a, b):
+    for got, want in [
+        (st.add(a, b), ref_add(a, b)),
+        (st.restrict(a, b), ref_restrict(a, b)),
+        (st.sub(a, b) if st.geq(a, b) else None, ref_sub(a, b) if st.geq(a, b) else None),
+    ]:
+        assert got == want
+        if got is not None:
+            assert_normal(got)
+
+
+def check_unary_ops(s):
+    for got, want in [(st.core(s), st.State.make({}, s.heap_dict())), (st.bin_mask(s), ref_bin_mask(s))]:
+        assert got == want
+        assert_normal(got)
+    for alpha in ALPHAS:
+        got = st.mult(alpha, s)
+        assert got == ref_mult(alpha, s)
+        if got is not None:
+            assert_normal(got)
+
+
+def test_kernel_results_normal_exhaustively(pool):
+    for a in pool:
+        check_unary_ops(a)
+        for b in pool:
+            check_binary_ops(a, b)
+
+
+@settings(max_examples=400)
+@given(mixed_states, mixed_states)
+def test_kernel_results_normal(a, b):
+    check_unary_ops(a)
+    check_binary_ops(a, b)
+    # sums of states reach the unions and subtractions enumeration never yields
+    ab = st.add(a, b)
+    if ab is not None:
+        check_binary_ops(ab, a)
+        check_binary_ops(ab, b)
+        check_unary_ops(ab)
+
+
+def ref_enumerate(u, stable_only=False):
+    """The enumeration order, with every state built by State.make."""
+    fracs = u.fraction_lattice()
+    locs = u.sorted_locations()
+    per_loc = []
+    for loc in locs:
+        opts = []
+        for p in fracs:
+            if p == 0:
+                opts.append((p, None))
+                if not stable_only:
+                    opts.extend((p, v) for v in u.domain(loc))
+            else:
+                opts.extend((p, v) for v in u.domain(loc))
+        per_loc.append(opts)
+    preds = u.predicate_instances()
+    for combo in itertools.product(*per_loc, *[fracs for _ in preds]):
+        mask, heap = {}, {}
+        for loc, (p, v) in zip(locs, combo[: len(locs)]):
+            if p > 0:
+                mask[loc] = p
+            if v is not None:
+                heap[loc] = v
+        for pid, p in zip(preds, combo[len(locs):]):
+            if p > 0:
+                mask[pid] = p
+        yield st.State.make(mask, heap)
+
+
+ENUM_TEXT = """
+universe v1
+granularity {g}
+refs y, x
+loc y.f: int {{0, 1}}
+loc x.f: int {{0}}
+pred Cell(r) = acc(r.f)
+"""
+# at granularity 2 a second, binary predicate: six instances in all
+APART = "pred Apart(r, s) = acc(r.f, 1/2) * acc(s.f, 1/2)\n"
+
+
+@pytest.mark.parametrize(
+    "text", [ENUM_TEXT.format(g=2) + APART, ENUM_TEXT.format(g=3)], ids=["granularity-2", "granularity-3"]
+)
+@pytest.mark.parametrize("stable_only", [False, True])
+def test_enumeration_normal_and_in_reference_order(text, stable_only):
+    u = parse_universe_text(text)
+    got = list(st.enumerate_states(u, stable_only=stable_only))
+    assert got == list(ref_enumerate(u, stable_only))
+    assert len(got) == st.count_states(u, stable_only)
+    for s in got:
+        assert_normal(s)
