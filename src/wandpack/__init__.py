@@ -13,7 +13,6 @@ from .algorithms import (
     FIA,
     SOUND,
     PackageOutcome,
-    cons_lhs,
     lhs_cases,
     package_combinable,
     package_fia,

@@ -134,13 +134,13 @@ def _cross_check(states: list[State], A: np.ndarray) -> None:
             assert want == idx[got], f"table disagrees with add() at ({i}, {j})"
 
 
-def check_axioms(u: Universe, budget: int = 10**6) -> list[AlgebraLawReport]:
+def check_axioms(u: Universe) -> list[AlgebraLawReport]:
     """Evaluate axioms (a)-(f) plus the monoid laws exhaustively.
 
-    Raises BudgetExceeded when the universe has more than ``budget``
-    states, or more than the quadratic table can hold.
+    Raises BudgetExceeded when the universe has more than 10^6 states (the
+    enumeration bound), or more than the quadratic table can hold.
     """
-    states = list(enumerate_states(u, budget=budget))
+    states = list(enumerate_states(u))
     n = len(states)
     if n > TABLE_BUDGET:
         raise BudgetExceeded(n, TABLE_BUDGET)

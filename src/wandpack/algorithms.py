@@ -22,13 +22,13 @@ from .assertions import (
     FRESH_FORK,
     Assertion,
     Imp,
-    OrA,
     Pure,
     Star,
     Wand,
     assertion_substitute,
     demands,
     format_assertion,
+    lhs_cases,
     wand_key,
     wf,
 )
@@ -78,48 +78,6 @@ class PackageOutcome:
     @property
     def success(self) -> bool:
         return self.status == "success"
-
-
-# -- consLHS ----------------------------------------------------------------------
-
-
-def cons_lhs(
-    states: Sequence[State], pc: tuple[Expr, ...], a: Assertion, u: Universe, store: Store
-) -> list[State]:
-    """Construct the minimal states satisfying ``a`` on top of each given
-    state: stars chain, implications extend the path condition, pure
-    atoms filter, resource atoms add each of their demands (forking over
-    the values of locations not yet held), and disjunctions split into
-    branch unions."""
-    if isinstance(a, Star):
-        return cons_lhs(cons_lhs(states, pc, a.left, u, store), pc, a.right, u, store)
-    if isinstance(a, Imp):
-        return cons_lhs(states, pc + (a.guard,), a.body, u, store)
-    if isinstance(a, OrA):
-        both = cons_lhs(states, pc, a.left, u, store) + cons_lhs(states, pc, a.right, u, store)
-        return sorted(set(both), key=state_key)
-    out = []
-    for s in states:
-        heap = s.heap_dict()
-        try:
-            if not all(eval_bool(g, heap, store) for g in pc):
-                out.append(s)
-                continue
-            if isinstance(a, Pure):
-                if eval_bool(a.expr, heap, store):
-                    out.append(s)
-                continue
-            ds = demands(u, a, heap, store, fresh=FRESH_FORK)
-        except Unframed:
-            continue
-        out.extend(g for d in ds if (g := st.add(s, d)) is not None)
-    return sorted(set(out), key=state_key)
-
-
-def lhs_cases(u: Universe, a: Assertion, store: Store) -> list[State]:
-    """The left-hand-side cases of the per-case baseline, built from ``a``'s
-    demands: each case holds only the locations it owns."""
-    return cons_lhs([EMPTY], (), a, u, store)
 
 
 # -- shared coverage / extraction machinery --------------------------------------
@@ -449,12 +407,10 @@ def _package_witnessed(
     store: Store,
     u: Universe,
     combinable: bool,
-    budget: int = 10**6,
-    self_check: bool = True,
 ) -> PackageOutcome:
     if not wf(wand):
         return PackageOutcome("failure", diagnostic="wand is not well-formed (self-framing)")
-    pairs = init_witness_set(wand.lhs, u, True, store, combinable=combinable, budget=budget)
+    pairs = init_witness_set(wand.lhs, u, True, store, combinable=combinable)
     conf0 = Configuration(wand.rhs, (), Context.make(outer, pairs))
     outer_heap = outer.heap_dict()
     try:
@@ -463,16 +419,13 @@ def _package_witnessed(
     except PackageFailure as e:
         return PackageOutcome("failure", diagnostic=e.message)
     footprint = extract_footprint(outer, ctx2.outer)
+    conf, derivation = conf0, tree
     if mutated:
         conf = Configuration(wand.rhs, (), ctx1)
-        derivation = tree
     else:
-        conf = conf0
-        derivation = tree
         for sigma in reversed(extracts):
             derivation = DExtract(sigma, derivation)
-    if self_check:
-        check_derivation(conf, derivation, u, store)  # internal consistency guard
+    check_derivation(conf, derivation, u, store)  # internal consistency guard
     return PackageOutcome(
         "success",
         footprint=footprint,
@@ -488,12 +441,11 @@ def package_sound(
     script: Sequence[ScriptStmt] = (),
     store: Store = {},
     u: Universe = None,
-    budget: int = 10**6,
 ) -> PackageOutcome:
     """Package a standard wand; the returned derivation re-validates."""
     if wand.combinable:
         return PackageOutcome("failure", diagnostic="sound algorithm expects a standard wand")
-    return _package_witnessed(outer, wand, script, store, u, combinable=False, budget=budget)
+    return _package_witnessed(outer, wand, script, store, u, combinable=False)
 
 
 def package_combinable(
@@ -502,12 +454,11 @@ def package_combinable(
     script: Sequence[ScriptStmt] = (),
     store: Store = {},
     u: Universe = None,
-    budget: int = 10**6,
 ) -> PackageOutcome:
     """Package a combinable wand through the lifted logic."""
     if not wand.combinable:
         return PackageOutcome("failure", diagnostic="combinable algorithm expects a --*c wand")
-    return _package_witnessed(outer, wand, script, store, u, combinable=True, budget=budget)
+    return _package_witnessed(outer, wand, script, store, u, combinable=True)
 
 
 def package_fia(
@@ -516,7 +467,6 @@ def package_fia(
     script: Sequence[ScriptStmt] = (),
     store: Store = {},
     u: Universe = None,
-    budget: int = 10**6,
 ) -> PackageOutcome:
     """The unsound baseline: one footprint per left-hand-side case.
 

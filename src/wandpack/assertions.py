@@ -14,7 +14,7 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import states as st
 from .exprs import (
@@ -196,14 +196,21 @@ def wand_key(w: Wand, store: Store) -> WandInst:
     return WandInst(format_assertion(close_assertion(w, store)))
 
 
-def contains_wand(a: Assertion) -> bool:
-    if isinstance(a, Wand):
-        return True
+def atoms(a: Assertion) -> Iterator[Assertion]:
+    """The leaves below ``a``'s stars, disjunctions and implications, left
+    to right: pure, accessibility, predicate and wand atoms (a wand's own
+    sides are not entered)."""
     if isinstance(a, (Star, OrA)):
-        return contains_wand(a.left) or contains_wand(a.right)
-    if isinstance(a, Imp):
-        return contains_wand(a.body)
-    return False
+        yield from atoms(a.left)
+        yield from atoms(a.right)
+    elif isinstance(a, Imp):
+        yield from atoms(a.body)
+    else:
+        yield a
+
+
+def contains_wand(a: Assertion) -> bool:
+    return any(isinstance(x, Wand) for x in atoms(a))
 
 
 def scale_assertion(a: Assertion, p: Fraction) -> Assertion:
@@ -465,7 +472,6 @@ def sat(
     a: Assertion,
     store: Store,
     diag: Optional[list[str]] = None,
-    budget: int = 10**6,
 ) -> bool:
     """Does sigma satisfy the assertion?
 
@@ -476,14 +482,14 @@ def sat(
     diagnostic when a list is supplied.
     """
     try:
-        return _sat(u, sigma, a, store, diag, budget)
+        return _sat(u, sigma, a, store, diag)
     except Unframed as e:
         if diag is not None:
             diag.append(f"unframed evaluation: {e.description}")
         return False
 
 
-def _sat(u, sigma: State, a: Assertion, store, diag, budget) -> bool:
+def _sat(u, sigma: State, a: Assertion, store, diag) -> bool:
     heap = sigma.heap_dict()
     mask = sigma.mask_dict()
     if isinstance(a, Pure):
@@ -502,15 +508,13 @@ def _sat(u, sigma: State, a: Assertion, store, diag, budget) -> bool:
         vals = tuple(eval_expr(x, heap, store, mask) for x in a.args)
         return sigma.mask_of(PredInst(a.name, vals)) >= a.frac
     if isinstance(a, Wand):
-        return wand_holds(u, sigma, a, store, budget=budget)
+        return wand_holds(u, sigma, a, store)
     if isinstance(a, Imp):
         if eval_bool(a.guard, heap, store, mask):
-            return _sat(u, sigma, a.body, store, diag, budget)
+            return _sat(u, sigma, a.body, store, diag)
         return True
     if isinstance(a, OrA):
-        return _sat(u, sigma, a.left, store, diag, budget) or _sat(
-            u, sigma, a.right, store, diag, budget
-        )
+        return _sat(u, sigma, a.left, store, diag) or _sat(u, sigma, a.right, store, diag)
     if isinstance(a, Star):
         ds = demands(u, a, heap, store, mask)
         return any(st.geq(sigma, d) for d in ds)
@@ -547,7 +551,7 @@ def lhs_states(u: Universe, a: Assertion, store: Store, budget: int = 10**6) -> 
         (
             s
             for s in st.enumerate_states(u, stable_only=True, budget=budget)
-            if sat(u, s, a, store, budget=budget)
+            if sat(u, s, a, store)
         ),
         key=state_key,
     )
@@ -560,26 +564,33 @@ def lhs_states(u: Universe, a: Assertion, store: Store, budget: int = 10**6) -> 
     return out
 
 
-def minimal_lhs_states(u: Universe, a: Assertion, store: Store) -> list[State]:
-    """The minimal stable lattice states satisfying a wand-free,
-    self-framing assertion, built from its demands instead of enumerated.
-
-    Equal to ``minimal_elements(lhs_states(u, a, store))``.  Each demand,
-    with fresh values forked over their domains, is lifted to the least
-    stable state on the universe's granularity lattice above it: amounts
-    round up to the lattice (an assertion may hold off-lattice amounts
-    such as 1/3), and predicate instances the universe does not declare
-    satisfy nothing.  A stable lattice state satisfies the assertion
-    exactly when it lies above one of the lifted demands.
-    """
+def lhs_cases(u: Universe, a: Assertion, store: Store) -> list[State]:
+    """The cases of a left-hand side: its demands from the empty state,
+    with fresh values forked over their domains, unpruned, deduplicated
+    and sorted.  Each case holds only the locations it owns.  An
+    assertion that reads an unframed location has no cases."""
     try:
-        ds = demands(u, a, {}, store, fresh=FRESH_FORK)
+        return sorted(set(_demands(u, a, {}, store, None, FRESH_FORK, None)), key=state_key)
     except Unframed:
         return []  # sat is False on every state
+
+
+def minimal_lhs_states(u: Universe, a: Assertion, store: Store) -> list[State]:
+    """The minimal stable lattice states satisfying a wand-free,
+    self-framing assertion, built from its cases instead of enumerated.
+
+    Equal to ``minimal_elements(lhs_states(u, a, store))``.  Each case is
+    lifted to the least stable state on the universe's granularity
+    lattice above it: amounts round up to the lattice (an assertion may
+    hold off-lattice amounts such as 1/3), and predicate instances the
+    universe does not declare satisfy nothing.  A stable lattice state
+    satisfies the assertion exactly when it lies above one of the lifted
+    cases.
+    """
     declared = set(u.predicate_instances())
     g = u.granularity
     lifted = []
-    for d in ds:
+    for d in lhs_cases(u, a, store):
         if any(isinstance(r, PredInst) and r not in declared for r, _ in d.mask):
             continue
         mask = {r: Fraction(math.ceil(amt * g), g) for r, amt in d.mask}
@@ -592,7 +603,6 @@ def wand_holds(
     sigma_w: State,
     w: Wand,
     store: Store,
-    budget: int = 10**6,
     lhs: Optional[Iterable[State]] = None,
 ) -> bool:
     """The semantic footprint reading of a wand atom.
@@ -601,12 +611,12 @@ def wand_holds(
     the result satisfies the RHS.  Combinable: the footprint is first
     passed through the compatibility-restriction transform.
     """
-    pool = lhs_states(u, w.lhs, store, budget) if lhs is None else lhs
+    pool = lhs_states(u, w.lhs, store) if lhs is None else lhs
     for sigma_a in pool:
         fp = st.restrict(sigma_a, sigma_w) if w.combinable else sigma_w
         combined = st.add(sigma_a, fp)
         if combined is None:
             continue
-        if not sat(u, combined, w.rhs, store, budget=budget):
+        if not sat(u, combined, w.rhs, store):
             return False
     return True

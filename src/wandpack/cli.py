@@ -164,7 +164,7 @@ def _cmd_check_derivation(args) -> int:
     for i, doc in enumerate(docs):
         try:
             u, store, wand, conf, deriv = derivation_doc_parse(doc)
-        except (SerializationError, KeyError, TypeError, ValueError, AttributeError) as e:
+        except (SerializationError, ParseError, KeyError, TypeError, ValueError, AttributeError) as e:
             what = f"missing field {e}" if isinstance(e, KeyError) else str(e)
             raise CliError(f"{args.file}: derivation {i}: malformed document: {what}")
         try:

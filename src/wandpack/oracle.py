@@ -5,6 +5,13 @@ granularity lattice: satisfaction sets, footprint validity (standard and
 restricted), minimal footprints, combinability, entailment, monotonic
 purity, and binarity.  This module is the independent check for every
 result the package algorithms produce — it never consults them.
+
+Every enumeration is bounded as ``states.enumerate_states`` bounds it: a
+universe of more than 10^6 states raises ``BudgetExceeded`` before any
+state is built.  Satisfying left-hand-side pools come from
+``assertions.lhs_states``, enumerated and looked up through its module
+at call time, never from the demand-built cases the package algorithms
+start from.
 """
 
 from __future__ import annotations
@@ -13,11 +20,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from . import assertions
 from . import states as st
-from .assertions import Assertion, Wand, sat, wand_holds
-from .exprs import Store, Unframed, eval_bool
-from .states import State, bin_mask, count_states, enumerate_states, state_key
-from .universe import Universe
+from .assertions import (
+    Assertion,
+    Wand,
+    assertion_substitute,
+    demands,
+    desugar_predicates,
+    sat,
+    wand_holds,
+)
+from .exprs import Lit, Store, Unframed, eval_bool
+from .states import State, bin_mask, enumerate_states, state_key
+from .universe import PredInst, Universe
 
 STANDARD = "standard"
 COMBINABLE = "combinable"
@@ -25,28 +41,25 @@ COMBINABLE = "combinable"
 
 @dataclass(frozen=True)
 class EnumerationPlan:
-    """A bounded enumeration request over one universe."""
+    """An enumeration request over one universe, bounded as
+    ``states.enumerate_states`` bounds every enumeration."""
 
     universe: Universe
     stable_only: bool = False
-    budget: int = 10**6
-
-    def cardinality(self) -> int:
-        return count_states(self.universe, self.stable_only)
 
     def states(self) -> list[State]:
-        return list(enumerate_states(self.universe, stable_only=self.stable_only, budget=self.budget))
+        return list(enumerate_states(self.universe, stable_only=self.stable_only))
 
 
-def plan(u: Universe, stable_only: bool = False, budget: int = 10**6) -> EnumerationPlan:
-    return EnumerationPlan(u, stable_only=stable_only, budget=budget)
+def plan(u: Universe, stable_only: bool = False) -> EnumerationPlan:
+    return EnumerationPlan(u, stable_only=stable_only)
 
 
 def sat_states(a: Assertion, p: EnumerationPlan, store: Store = {}) -> list[State]:
     """Exactly the enumerated states satisfying the assertion."""
     u = p.universe
     return sorted(
-        (s for s in p.states() if sat(u, s, a, store, budget=p.budget)),
+        (s for s in p.states() if sat(u, s, a, store)),
         key=state_key,
     )
 
@@ -74,22 +87,12 @@ def is_footprint(
     if not st.is_stable(sigma_w):
         raise ValueError("footprint candidates must be stable states")
     w = _as_kind(wand, kind)
-    return wand_holds(p.universe, sigma_w, w, store, budget=p.budget, lhs=lhs_pool)
-
-
-def lhs_states_of(w: Wand, p: EnumerationPlan, store: Store = {}) -> list[State]:
-    from .assertions import lhs_states
-
-    return lhs_states(p.universe, w.lhs, store, budget=p.budget)
+    return wand_holds(p.universe, sigma_w, w, store, lhs=lhs_pool)
 
 
 def desugar_state(s: State, p: EnumerationPlan) -> list[State]:
     """All realizations of a state with predicate tokens replaced by their
     (scaled) body demands, forking over undetermined body values."""
-    from .assertions import demands, desugar_predicates
-    from .exprs import Lit
-    from .universe import PredInst
-
     u = p.universe
     base_mask = {rid: amt for rid, amt in s.mask if not isinstance(rid, PredInst)}
     out = [State.make(base_mask, s.heap_dict())]
@@ -97,8 +100,6 @@ def desugar_state(s: State, p: EnumerationPlan) -> list[State]:
         if not isinstance(rid, PredInst):
             continue
         d = u.predicate(rid.name)
-        from .assertions import assertion_substitute
-
         body = assertion_substitute(d.body, {prm: Lit(v) for prm, v in zip(d.params, rid.args)})
         body = desugar_predicates(body, u)
         variants = []
@@ -131,8 +132,6 @@ def audit_footprint(
     audit of a wand-returning wand can flag a sound package; the audit is
     conservative in that direction, never the other.
     """
-    from .assertions import desugar_predicates
-
     w = _as_kind(wand, kind)
     plain = Wand(
         desugar_predicates(w.lhs, p.universe),
@@ -142,7 +141,7 @@ def audit_footprint(
     realizations = desugar_state(sigma_w, p)
     if not realizations:
         return False  # no realization of the token bodies exists
-    pool = lhs_states_of(plain, p, store)
+    pool = assertions.lhs_states(p.universe, plain.lhs, store)
     return all(
         is_footprint(fp, plain, kind, p, store, lhs_pool=pool) for fp in realizations
     )
@@ -160,8 +159,8 @@ def minimal_footprints(
     left-hand side outright (those that no satisfying state can join)."""
     u = p.universe
     w = _as_kind(wand, kind)
-    pool = lhs_states_of(w, p, store)
-    stable = EnumerationPlan(u, stable_only=True, budget=p.budget).states()
+    pool = assertions.lhs_states(u, w.lhs, store)
+    stable = EnumerationPlan(u, stable_only=True).states()
     found = []
     for s in stable:
         if compatible_with_lhs and not any(st.compatible(a, s) for a in pool):
@@ -179,7 +178,7 @@ def sat_fraction(sigma: State, a: Assertion, frac: Fraction, p: EnumerationPlan,
     lattice too.
     """
     whole = st.mult(Fraction(1) / frac, sigma) if frac != 1 else sigma
-    return whole is not None and sat(p.universe, whole, a, store, budget=p.budget)
+    return whole is not None and sat(p.universe, whole, a, store)
 
 
 def check_combinable(
@@ -196,7 +195,15 @@ def check_combinable(
     u = p.universe
     fracs = [f for f in u.fraction_lattice() if f > 0]
     sats = sat_states(a, p, store)
-    memo: dict[tuple[State, Fraction], bool] = {}
+    # scale each satisfying state once per fraction; addition commutes, so
+    # each unordered split is visited once: fp <= fq, and for fp == fq only
+    # state pairs i <= j.  A skipped quadruple's mirror combines to the same
+    # state and total and comes earlier in the full (fp, fq, s1, s2) order,
+    # so the first failure, and with it the counterexample, is unchanged.
+    scaled = [[m for s in sats if (m := st.mult(f, s)) is not None] for f in fracs]
+    # f * s recombines at total f to the satisfying s itself, so those
+    # splits (every fp == fq, i == j one among them) cost no sat call
+    memo = {(m, f): True for f, ms in zip(fracs, scaled) for m in ms}
 
     def recombines(sigma: State, total: Fraction) -> bool:
         key = (sigma, total)
@@ -204,12 +211,6 @@ def check_combinable(
             memo[key] = sat_fraction(sigma, a, total, p, store)
         return memo[key]
 
-    # scale each satisfying state once per fraction; addition commutes, so
-    # each unordered split is visited once: fp <= fq, and for fp == fq only
-    # state pairs i <= j.  A skipped quadruple's mirror combines to the same
-    # state and total and comes earlier in the full (fp, fq, s1, s2) order,
-    # so the first failure, and with it the counterexample, is unchanged.
-    scaled = [[m for s in sats if (m := st.mult(f, s)) is not None] for f in fracs]
     for i, fp in enumerate(fracs):
         for k in range(i, len(fracs)):
             fq = fracs[k]
@@ -231,7 +232,7 @@ def check_entailment(a: Assertion, b: Assertion, p: EnumerationPlan, store: Stor
     """Universal entailment over the enumerated states."""
     u = p.universe
     for s in p.states():
-        if sat(u, s, a, store, budget=p.budget) and not sat(u, s, b, store, budget=p.budget):
+        if sat(u, s, a, store) and not sat(u, s, b, store):
             return False
     return True
 
@@ -246,7 +247,7 @@ def check_mono_pure(e, p: EnumerationPlan, store: Store = {}) -> bool:
     assertions beyond the expression grammar.
     """
     u = p.universe
-    every = EnumerationPlan(u, stable_only=False, budget=p.budget).states()
+    every = EnumerationPlan(u, stable_only=False).states()
     pures = [s for s in every if st.is_pure(s)]
 
     if callable(e) and not isinstance(e, tuple):
@@ -273,9 +274,8 @@ def is_binary(a: Assertion, p: EnumerationPlan, store: Store = {}) -> bool:
     """Preserved under the binary restriction of masks: every satisfying
     state still satisfies after sub-full permissions are zeroed."""
     u = p.universe
-    full = EnumerationPlan(u, stable_only=False, budget=p.budget)
-    for s in full.states():
-        if sat(u, s, a, store, budget=p.budget):
-            if not sat(u, bin_mask(s), a, store, budget=p.budget):
+    for s in EnumerationPlan(u, stable_only=False).states():
+        if sat(u, s, a, store):
+            if not sat(u, bin_mask(s), a, store):
                 return False
     return True

@@ -220,7 +220,6 @@ def init_witness_set(
     minimal: bool,
     store: Store,
     combinable: bool = False,
-    budget: int = 10**6,
 ) -> tuple[WitnessPair, ...]:
     """Initial pairs (sigma_a, e), one per stable state satisfying the LHS.
 
@@ -239,7 +238,7 @@ def init_witness_set(
     else:
         from .assertions import lhs_states
 
-        sats = lhs_states(u, a, store, budget=budget)
+        sats = lhs_states(u, a, store)
         if minimal:
             sats = st.minimal_elements(sats)
     pairs = []
@@ -446,12 +445,11 @@ def build_canonical_derivation(
     wand,
     sigma_w: State,
     store: Store,
-    budget: int = 10**6,
 ) -> tuple[Configuration, Derivation]:
     """The completeness-probe derivation: extract the whole footprint at
     the root, then reduce the right-hand side with per-pair greedy (DFS)
     atom choices.  Checker acceptance of this tree realizes the footprint."""
-    pairs0 = init_witness_set(wand.lhs, u, True, store, combinable=wand.combinable, budget=budget)
+    pairs0 = init_witness_set(wand.lhs, u, True, store, combinable=wand.combinable)
     conf = Configuration(wand.rhs, (), Context.make(sigma_w, pairs0))
     # simulate the extraction to know each pair's final available state
     grown = grow_pairs(pairs0, EMPTY, sigma_w)

@@ -22,6 +22,7 @@ from .assertions import (
     Pure,
     Star,
     Wand,
+    atoms,
     contains_perm,
     contains_wand,
     format_assertion,
@@ -678,16 +679,7 @@ def _check_predicates(raw: list[tuple[str, tuple[str, ...], Assertion]]) -> dict
     if len(names) != len(raw):
         raise AssertionError_("duplicate predicate definition")
 
-    def mentions(a: Assertion) -> set[str]:
-        if isinstance(a, PredA):
-            return {a.name}
-        if isinstance(a, (Star, OrA)):
-            return mentions(a.left) | mentions(a.right)
-        if isinstance(a, Imp):
-            return mentions(a.body)
-        return set()
-
-    deps = {n: mentions(b) & names for n, _, b in raw}
+    deps = {n: {x.name for x in atoms(b) if isinstance(x, PredA)} & names for n, _, b in raw}
     # topological check: no (mutual) recursion
     resolved: set[str] = set()
     pending = dict(deps)

@@ -160,10 +160,9 @@ class Universe:
     def sorted_locations(self) -> list[FieldLoc]:
         return sorted(self.locations)
 
-    def fraction_lattice(self, include_zero: bool = True) -> list[Fraction]:
+    def fraction_lattice(self) -> list[Fraction]:
         g = self.granularity
-        start = 0 if include_zero else 1
-        return [Fraction(i, g) for i in range(start, g + 1)]
+        return [Fraction(i, g) for i in range(g + 1)]
 
     def predicate(self, name: str) -> PredicateDef:
         if name not in self.predicates:

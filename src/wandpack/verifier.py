@@ -22,6 +22,7 @@ from .assertions import (
     Assertion,
     Wand,
     AssertionError_,
+    atoms,
     close_assertion,
     demands,
     format_assertion,
@@ -191,22 +192,9 @@ def _check_assertion(a: Assertion, u, var_types, pos) -> None:
     # statement-level assertions may read whatever the world frames (an
     # unframed read is a verification error, not a type error), but every
     # wand must be self-framing for the package machinery to be sound
-    for w in _wands_in(a):
-        if not wf(w):
+    for w in atoms(a):
+        if isinstance(w, Wand) and not wf(w):
             raise ProgramError(f"wand is not self-framing: {format_assertion(w)}", pos)
-
-
-def _wands_in(a: Assertion):
-    from .assertions import Imp, OrA, Star
-
-    if isinstance(a, Wand):
-        yield a
-        return
-    if isinstance(a, (Star, OrA)):
-        yield from _wands_in(a.left)
-        yield from _wands_in(a.right)
-    elif isinstance(a, Imp):
-        yield from _wands_in(a.body)
 
 
 def _check_expr(e, u, var_types, pos, want=None) -> str:
@@ -296,7 +284,6 @@ def run(
     program: Program,
     algorithm: str,
     audit: bool = False,
-    budget: int = 10**6,
 ) -> Report:
     """Verify every method of the program under the chosen package algorithm."""
     if algorithm not in ALGORITHMS:
@@ -308,7 +295,7 @@ def run(
         mreport = MethodReport(name=m.name, verified=True)
         report.methods.append(mreport)
         try:
-            worlds = _initial_worlds(m, u, budget)
+            worlds = _initial_worlds(m, u)
         except VerificationError as e:
             mreport.verified = False
             report.verified = False
@@ -316,7 +303,7 @@ def run(
                 StmtReport(m.pos, "requires", "error", 0, _error_json(e))
             )
             continue
-        env = _Env(u, algorithm, audit, budget, mreport)
+        env = _Env(u, algorithm, audit, mreport)
         for stmt in m.body:
             kind = type(stmt).__name__.lower()
             try:
@@ -351,11 +338,10 @@ class _Env:
     u: Universe
     algorithm: str
     audit: bool
-    budget: int
     mreport: MethodReport
 
 
-def _initial_worlds(m: Method, u: Universe, budget: int) -> list[World]:
+def _initial_worlds(m: Method, u: Universe) -> list[World]:
     stores = [dict()]
     for prm in m.params:
         stores = [dict(s, **{prm: r}) for s in stores for r in u.ref_values()]
@@ -470,7 +456,7 @@ def _package(w: World, stmt: Package, env: _Env) -> tuple[list[World], PackageRe
     u = env.u
     store = w.store()
     packager = PACKAGERS[env.algorithm]
-    outcome: PackageOutcome = packager(w.state, stmt.wand, stmt.script, store, u, budget=env.budget)
+    outcome: PackageOutcome = packager(w.state, stmt.wand, stmt.script, store, u)
     if not outcome.success:
         raise VerificationError(f"package failed: {outcome.diagnostic}", w, stmt.pos)
     try:
@@ -493,7 +479,7 @@ def _package(w: World, stmt: Package, env: _Env) -> tuple[list[World], PackageRe
         record.derivation = derivation_doc(u, store, stmt.wand, outcome.configuration, outcome.derivation)
     if env.audit:
         kind = COMBINABLE if stmt.wand.combinable else orc.STANDARD
-        plan = orc.plan(u, budget=env.budget)
+        plan = orc.plan(u)
         closed = close_assertion(stmt.wand, store)
         record.audit = [
             {

@@ -74,6 +74,9 @@ def test_check_corrupted_derivation(tmp_path, capsys):
     assert "REJECTED" in capsys.readouterr().out
 
 
+SHIPPED = json.loads((CORPUS / "derivations" / "two_footprints_half_xb.json").read_text())
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -85,8 +88,14 @@ def test_check_corrupted_derivation(tmp_path, capsys):
         '{"format": "wandpack-derivation-1", "universe": "universe v1\\ngranularity 2\\nrefs x", "store": "ab"}',
         '{"format": "wandpack-derivation-1", "universe": "universe v1\\ngranularity 2\\nrefs x", "store": {},'
         ' "wand": "acc(x.f) --* acc(x.f)", "config": {"pairs": [5]}}',
+        # parse errors inside a document are reported with the document
+        json.dumps({**SHIPPED, "config": {**SHIPPED["config"], "outer": "{x.b @ 1/0 = false}"}}),
+        json.dumps({**SHIPPED, "universe": SHIPPED["universe"] + "loc y.f: int {0}\n"}),
     ],
-    ids=["not-json", "no-format", "not-an-object", "missing-field", "bad-store", "store-string", "pair-not-object"],
+    ids=[
+        "not-json", "no-format", "not-an-object", "missing-field", "bad-store", "store-string",
+        "pair-not-object", "zero-denominator", "undeclared-ref",
+    ],
 )
 def test_check_malformed_derivation_exit_2(tmp_path, capsys, text):
     bad = tmp_path / "bad.json"
@@ -96,6 +105,9 @@ def test_check_malformed_derivation_exit_2(tmp_path, capsys, text):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(bad) in lines[0]
+    if text != "{not json":
+        assert "derivation 0: malformed document" in lines[0]
 
 
 # -- oracle ------------------------------------------------------------------------------

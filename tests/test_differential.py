@@ -7,7 +7,9 @@ entail the standard one.  Small enough to run on every test invocation.
 
 The witness-set checks compare the demand-built minimal LHS states with
 the enumeration they replace: the minimal elements of every enumerated
-stable state satisfying the LHS.
+stable state satisfying the LHS.  The per-case baseline's LHS cases are
+compared with the separate interpreter that built them before they came
+from the same demand walk.
 """
 
 import itertools
@@ -20,6 +22,7 @@ import wandpack.oracle as orc
 import wandpack.states as st
 from wandpack.algorithms import package_combinable, package_sound
 from wandpack.assertions import (
+    FRESH_FORK,
     Acc,
     Imp,
     OrA,
@@ -27,11 +30,14 @@ from wandpack.assertions import (
     Star,
     Wand,
     contains_wand,
+    demands,
+    lhs_cases,
     lhs_states,
     minimal_lhs_states,
     wf,
 )
-from wandpack.exprs import Eq, FieldAcc, Lit, Var
+from wandpack.exprs import Eq, FieldAcc, Lit, Unframed, Var, eval_bool
+from wandpack.states import EMPTY, state_key
 from wandpack.package_logic import CombinableR, init_witness_set
 from wandpack.parser import parse_assertion_text, parse_state_text, parse_universe_text
 
@@ -223,6 +229,64 @@ def test_init_witness_set_enumerates_a_wand_lhs(monkeypatch):
     pairs = init_witness_set(a, U, True, STORE)
     assert calls
     assert [p.sigma_a for p in pairs] == expected
+
+
+# -- left-hand-side cases of the per-case baseline ------------------------------------
+
+
+def reference_cons_lhs(states, pc, a, u, store):
+    """Construct the minimal states satisfying ``a`` on top of each given
+    state: stars chain, implications extend the path condition, pure
+    atoms filter, resource atoms add each of their demands (forking over
+    the values of locations not yet held), and disjunctions split into
+    branch unions."""
+    if isinstance(a, Star):
+        return reference_cons_lhs(reference_cons_lhs(states, pc, a.left, u, store), pc, a.right, u, store)
+    if isinstance(a, Imp):
+        return reference_cons_lhs(states, pc + (a.guard,), a.body, u, store)
+    if isinstance(a, OrA):
+        both = reference_cons_lhs(states, pc, a.left, u, store) + reference_cons_lhs(states, pc, a.right, u, store)
+        return sorted(set(both), key=state_key)
+    out = []
+    for s in states:
+        heap = s.heap_dict()
+        try:
+            if not all(eval_bool(g, heap, store) for g in pc):
+                out.append(s)
+                continue
+            if isinstance(a, Pure):
+                if eval_bool(a.expr, heap, store):
+                    out.append(s)
+                continue
+            ds = demands(u, a, heap, store, fresh=FRESH_FORK)
+        except Unframed:
+            continue
+        out.extend(g for d in ds if (g := st.add(s, d)) is not None)
+    return sorted(set(out), key=state_key)
+
+
+@pytest.mark.parametrize("granularity", [2, 3])
+def test_lhs_cases_match_reference_on_generated(granularity):
+    rng = random.Random(4711 + granularity)
+    compared = differences = 0
+    for i in range(150):
+        u = random_universe(rng, with_predicate=i % 3 == 0, granularity=granularity)
+        store = identity_store(u)
+        a, framed = random_assertion(rng, u, rng.choice([0, 1, 2, 3]))
+        b, _ = random_assertion(rng, u, 2, framed=framed)
+        for lhs in (a, Star(a, b)):
+            if wf(lhs):
+                differences += lhs_cases(u, lhs, store) != reference_cons_lhs([EMPTY], (), lhs, u, store)
+                compared += 1
+    assert compared > 250 and differences == 0
+
+
+def test_lhs_cases_of_a_non_self_framing_lhs_are_empty():
+    # the reference dropped only the branch that read x.g unframed
+    a = parse_assertion_text("acc(x.f) || x.g == 0")
+    assert not wf(a)
+    assert reference_cons_lhs([EMPTY], (), a, U, STORE) == [parse_state_text("{x.f @ 1 = 0}")]
+    assert lhs_cases(U, a, STORE) == []
 
 
 # -- the combinability sweep ----------------------------------------------------------

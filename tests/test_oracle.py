@@ -41,9 +41,23 @@ def test_sat_states_false_empty(u1, store1):
     assert orc.sat_states(A("false"), orc.plan(u1), store1) == []
 
 
-def test_budget_enforced(u1, store1):
-    with pytest.raises(BudgetExceeded):
-        orc.plan(u1, budget=5).states()
+def test_budget_enforced():
+    # the bound is fixed at 10^6 states; this universe has 405^4 stable
+    # ones, so the count refuses it before any state is enumerated
+    big = parse_universe_text(
+        """
+        universe v1
+        granularity 100
+        refs x, y
+        loc x.f: int {0, 1, 2, 3}
+        loc x.g: int {0, 1, 2, 3}
+        loc y.f: int {0, 1, 2, 3}
+        loc y.g: int {0, 1, 2, 3}
+        """
+    )
+    for stable_only in (False, True):
+        with pytest.raises(BudgetExceeded):
+            orc.plan(big, stable_only=stable_only).states()
 
 
 # -- footprints --------------------------------------------------------------------
