@@ -1,10 +1,12 @@
 """The state model is a separation algebra — checked, not assumed.
 
 Every axiom (neutrality, commutativity, associativity, the three core
-laws, stability closure, positivity, cancellativity) is evaluated over
-all state tuples of a small universe.  Pair and triple quantification
-run over a vectorized addition table cross-checked against the public
-add operation.
+laws, stability closure, positivity, cancellativity) is decided over
+all state tuples of a small universe, on a vectorized addition table
+cross-checked against the public add operation.  Associativity is
+decided by Light's test on a generating set of that table: the states m
+with (x+m)+y = x+(m+y) for all x, y are closed under addition, so it is
+exact to check only the generators, not every triple.
 """
 
 import time
@@ -24,4 +26,5 @@ print(f"universe with {len(u.sorted_locations())} locations, granularity {u.gran
 started = time.monotonic()
 for report in check_axioms(u):
     print(f"  {report.axiom:18s} {'pass' if report.passed else 'FAIL'}")
-print(f"checked exhaustively in {time.monotonic() - started:.2f}s")
+print(f"checked over every tuple in {time.monotonic() - started:.2f}s "
+      f"(associativity by Light's test on a generating set, not {n ** 3} triples)")

@@ -1,10 +1,17 @@
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import wandpack.algebra as algebra
 import wandpack.states as st
 from wandpack.algebra import AXIOMS, all_pass, check_axioms
-from wandpack.parser import parse_universe_text
-from wandpack.states import EMPTY, BudgetExceeded
+from wandpack.parser import parse_state_text, parse_universe_text
+from wandpack.states import EMPTY, BudgetExceeded, enumerate_states
 
 from conftest import TINY_TEXT, U2_TEXT
 
@@ -59,8 +66,6 @@ def test_failing_report_replays_through_public_ops(monkeypatch):
     # break the public operation the reports replay against: a model whose
     # neutral element is wrong must produce a counterexample that fails
     # again when re-run through the public API
-    import wandpack.algebra as algebra
-
     u = parse_universe_text(TINY_TEXT)
     real_add = st.add
 
@@ -72,26 +77,151 @@ def test_failing_report_replays_through_public_ops(monkeypatch):
             return None
         return out
 
-    monkeypatch.setattr(algebra.st, "add", broken_add)
-    monkeypatch.setattr(algebra, "_cross_check", lambda *a, **k: None)
-    monkeypatch.setattr(algebra, "_build_add_table", _broken_table(u, broken_add))
-    reports = check_axioms(u)
-    neutral = next(r for r in reports if r.axiom == "neutral")
+    neutral = _run_broken(monkeypatch, u, broken_add)["neutral"]
     assert not neutral.passed
     (cex,) = neutral.counterexample
     assert broken_add(EMPTY, cex) != cex  # replayable through the (broken) op
 
 
 def _broken_table(u, add):
-    def build(states, _u):
-        n = len(states)
-        idx = {s: i for i, s in enumerate(states)}
-        A = np.full((n + 1, n + 1), n, dtype=np.int32)
-        for i, a in enumerate(states):
-            for j, b in enumerate(states):
-                out = add(a, b)
-                if out is not None:
-                    A[i, j] = idx[out]
-        return A
+    states = list(enumerate_states(u))
+    idx = {s: i for i, s in enumerate(states)}
+    n = len(states)
+    A = np.full((n + 1, n + 1), n, dtype=np.int32)
+    for i, a in enumerate(states):
+        for j, b in enumerate(states):
+            out = add(a, b)
+            if out is not None:
+                A[i, j] = idx[out]
+    return lambda *_: A
 
-    return build
+
+def _run_broken(monkeypatch, u, add):
+    monkeypatch.setattr(algebra.st, "add", add)
+    monkeypatch.setattr(algebra, "_cross_check", lambda *a, **k: None)
+    monkeypatch.setattr(algebra, "_build_add_table", _broken_table(u, add))
+    return {r.axiom: r for r in check_axioms(u)}
+
+
+# -- associativity: Light's test on a generating set -------------------------------
+
+
+def _scan_associative(A):
+    """The triple scan Light's test replaces, over the whole totalised table."""
+    return all(np.array_equal(A[A[i]], A[i][A]) for i in range(len(A)))
+
+
+def _table(text):
+    u = parse_universe_text(text)
+    states = list(enumerate_states(u))
+    P, H = algebra._encode(states, u)
+    return algebra._build_add_table(P, H, u)
+
+
+@pytest.mark.parametrize("text, mutants", [(TINY_TEXT, 2000), (U2_TEXT, 1000)], ids=["tiny", "u2"])
+def test_light_test_matches_triple_scan_on_mutated_tables(text, mutants):
+    base = _table(text)
+    n = len(base) - 1
+    rng = random.Random(n)
+    verdicts = []
+    for _ in range(mutants):
+        A = base.copy()
+        for _ in range(rng.randint(1, 3)):
+            i, j, v = rng.randrange(n), rng.randrange(n), rng.randrange(n + 1)
+            A[i, j] = v
+            if rng.random() < 0.5:  # keep commutativity in half the edits
+                A[j, i] = v
+        verdict = algebra._table_associative(A)
+        assert verdict == _scan_associative(A)
+        verdicts.append(verdict)
+    assert algebra._table_associative(base)
+    assert 0 < sum(verdicts) < len(verdicts)  # both verdicts occur
+
+
+def test_closure_extends_past_the_irreducible_entries():
+    # Z_3 plus an absorbing sentinel 3: every element is a sum of two others,
+    # so no element is irreducible and the closure of {sentinel} must grow
+    A = np.full((4, 4), 3, dtype=np.int32)
+    for i in range(3):
+        for j in range(3):
+            A[i, j] = (i + j) % 3
+    assert algebra._generators(A) == [3, 0, 1]
+    assert algebra._table_associative(A)
+    A[1, 1] = 0  # 1+1 = 0 breaks (1+1)+2 = 1+(1+2)
+    assert not algebra._table_associative(A) and not _scan_associative(A)
+
+
+def _replays(add, a, b, c):
+    ab, bc = add(a, b), add(b, c)
+    lhs = add(ab, c) if ab is not None else None
+    rhs = add(a, bc) if bc is not None else None
+    return lhs != rhs
+
+
+def test_broken_add_associativity_counterexample_matches_exhaustive(monkeypatch):
+    u = parse_universe_text(TINY_TEXT)
+    real_add = st.add
+    half_f = parse_state_text("{x.f @ 1/2 = 0}")
+
+    def broken_add(a, b):  # half_f absorbs every non-empty right summand
+        return None if a == half_f and b != EMPTY else real_add(a, b)
+
+    states = list(enumerate_states(u))
+    first = next(
+        (a, b, c)
+        for a in states
+        for b in states
+        for c in states
+        if _replays(broken_add, a, b, c)
+    )
+    report = _run_broken(monkeypatch, u, broken_add)["associativity"]
+    assert not report.passed
+    assert report.counterexample == first
+    assert _replays(broken_add, *report.counterexample)
+
+
+def test_core_b_decided_on_table_replays_failures(monkeypatch):
+    u = parse_universe_text(TINY_TEXT)
+    real_add = st.add
+    half_g = parse_state_text("{x.g @ 1/2 = 0}")
+
+    def broken_add(a, b):  # half_g vanishes into any state holding x.g
+        if b == half_g and st.geq(a, st.core(b)) and a != EMPTY:
+            return a
+        return real_add(a, b)
+
+    states = list(enumerate_states(u))
+    first = next(
+        (x, c)
+        for x in states
+        for c in states
+        if broken_add(x, c) == x and not st.geq(st.core(x), c)
+    )
+    report = _run_broken(monkeypatch, u, broken_add)["core-b"]
+    assert not report.passed
+    assert report.counterexample == first
+
+
+def test_cross_check_survives_python_O():
+    script = """
+import numpy as np
+import wandpack.algebra as algebra
+from wandpack.parser import parse_universe_text
+build = algebra._build_add_table
+def corrupt(*args):
+    A = build(*args)
+    A[0, 0] = len(A) - 1  # the table says e (+) e is undefined
+    return A
+algebra._build_add_table = corrupt
+algebra.check_axioms(parse_universe_text(%r))
+""" % TINY_TEXT
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "table disagrees with add() at (0, 0)" in proc.stderr
