@@ -50,7 +50,7 @@ from .package_logic import (
     init_witness_set,
     pc_holds,
 )
-from .program import SApply, SAssert, SFold, SIf, SUnfold, ScriptStmt
+from .program import Apply, AssertStmt, Fold, If, Stmt, Unfold
 from .states import EMPTY, State, state_key
 from .universe import FieldLoc, PredInst, Universe
 
@@ -248,7 +248,7 @@ def _prove(ctx, pc, b, u, store, outer_heap) -> tuple[Context, Derivation]:
 
 def run_script(
     ctx: Context,
-    script: Sequence[ScriptStmt],
+    script: Sequence[Stmt],
     store: Store,
     u: Universe,
     outer_heap: Optional[dict] = None,
@@ -269,11 +269,11 @@ def run_script(
 
 def _run_script(ctx, script, conds, store, u, outer_heap, extracts, mutated) -> Context:
     for stmt in script:
-        if isinstance(stmt, SIf):
+        if isinstance(stmt, If):
             ctx = _run_script(ctx, stmt.then, conds + (stmt.cond,), store, u, outer_heap, extracts, mutated)
             ctx = _run_script(ctx, stmt.els, conds + (Not(stmt.cond),), store, u, outer_heap, extracts, mutated)
             continue
-        if isinstance(stmt, SAssert):
+        if isinstance(stmt, AssertStmt):
             ctx, known = _cover(u, ctx, conds, stmt.assertion, store, outer_heap, extracts, "assert")
             for pair in _active(ctx, conds, store):
                 ds = _known_demands(u, stmt.assertion, pair, store, outer_heap, known)
@@ -283,11 +283,11 @@ def _run_script(ctx, script, conds, store, u, outer_heap, extracts, mutated) -> 
                         f"({pair.sigma_a}, {pair.sigma_b})"
                     )
             continue
-        if isinstance(stmt, SFold):
+        if isinstance(stmt, Fold):
             ctx = _script_fold(ctx, stmt, conds, store, u, outer_heap, extracts)
-        elif isinstance(stmt, SUnfold):
+        elif isinstance(stmt, Unfold):
             ctx = _script_unfold(ctx, stmt, conds, store, u)
-        elif isinstance(stmt, SApply):
+        elif isinstance(stmt, Apply):
             ctx = _script_apply(ctx, stmt, conds, store, u, outer_heap, extracts)
         else:
             raise PackageFailure(f"unknown script statement {stmt!r}")
@@ -343,7 +343,7 @@ def _forks(u, a: Assertion, base: State, pair: WitnessPair, store, what: str) ->
     ]
 
 
-def _script_fold(ctx, stmt: SFold, conds, store, u, outer_heap, extracts) -> Context:
+def _script_fold(ctx, stmt: Fold, conds, store, u, outer_heap, extracts) -> Context:
     body = _instantiated_body(u, stmt.name, stmt.args)
     ctx, known = _cover(u, ctx, conds, body, store, outer_heap, extracts, "fold")
 
@@ -360,7 +360,7 @@ def _script_fold(ctx, stmt: SFold, conds, store, u, outer_heap, extracts) -> Con
     return _map_active(ctx, conds, store, fold)
 
 
-def _script_unfold(ctx, stmt: SUnfold, conds, store, u) -> Context:
+def _script_unfold(ctx, stmt: Unfold, conds, store, u) -> Context:
     body = _instantiated_body(u, stmt.name, stmt.args)
 
     def unfold(pair: WitnessPair) -> list[WitnessPair]:
@@ -376,7 +376,7 @@ def _script_unfold(ctx, stmt: SUnfold, conds, store, u) -> Context:
     return _map_active(ctx, conds, store, unfold)
 
 
-def _script_apply(ctx, stmt: SApply, conds, store, u, outer_heap, extracts) -> Context:
+def _script_apply(ctx, stmt: Apply, conds, store, u, outer_heap, extracts) -> Context:
     w = stmt.wand
     token = State.make({wand_key(w, store): Fraction(1)}, {})
     ctx, known = _cover(u, ctx, conds, w.lhs, store, outer_heap, extracts, "apply (left-hand side)")
@@ -403,7 +403,7 @@ def _script_apply(ctx, stmt: SApply, conds, store, u, outer_heap, extracts) -> C
 def _package_witnessed(
     outer: State,
     wand: Wand,
-    script: Sequence[ScriptStmt],
+    script: Sequence[Stmt],
     store: Store,
     u: Universe,
     combinable: bool,
@@ -438,7 +438,7 @@ def _package_witnessed(
 def package_sound(
     outer: State,
     wand: Wand,
-    script: Sequence[ScriptStmt] = (),
+    script: Sequence[Stmt] = (),
     store: Store = {},
     u: Universe = None,
 ) -> PackageOutcome:
@@ -451,7 +451,7 @@ def package_sound(
 def package_combinable(
     outer: State,
     wand: Wand,
-    script: Sequence[ScriptStmt] = (),
+    script: Sequence[Stmt] = (),
     store: Store = {},
     u: Universe = None,
 ) -> PackageOutcome:
@@ -464,7 +464,7 @@ def package_combinable(
 def package_fia(
     outer: State,
     wand: Wand,
-    script: Sequence[ScriptStmt] = (),
+    script: Sequence[Stmt] = (),
     store: Store = {},
     u: Universe = None,
 ) -> PackageOutcome:

@@ -466,30 +466,21 @@ def _demands(u, a, heap, store, mask, fresh, fallback) -> list[State]:
 # -- satisfaction ---------------------------------------------------------------
 
 
-def sat(
-    u: Universe,
-    sigma: State,
-    a: Assertion,
-    store: Store,
-    diag: Optional[list[str]] = None,
-) -> bool:
+def sat(u: Universe, sigma: State, a: Assertion, store: Store) -> bool:
     """Does sigma satisfy the assertion?
 
     Stars are decided through demand sets (equivalent to the existential
     split for this fragment); top-level wand atoms use the semantic
     footprint quantification over the enumerated left-hand-side states.
-    Unframed expression evaluation makes the assertion false, recording a
-    diagnostic when a list is supplied.
+    Unframed expression evaluation makes the assertion false.
     """
     try:
-        return _sat(u, sigma, a, store, diag)
-    except Unframed as e:
-        if diag is not None:
-            diag.append(f"unframed evaluation: {e.description}")
+        return _sat(u, sigma, a, store)
+    except Unframed:
         return False
 
 
-def _sat(u, sigma: State, a: Assertion, store, diag) -> bool:
+def _sat(u, sigma: State, a: Assertion, store) -> bool:
     heap = sigma.heap_dict()
     mask = sigma.mask_dict()
     if isinstance(a, Pure):
@@ -499,11 +490,7 @@ def _sat(u, sigma: State, a: Assertion, store, diag) -> bool:
         if base == NULL:
             return False  # null carries no locations
         loc = FieldLoc(base, a.field)
-        if not u.has_location(loc):
-            if diag is not None:
-                diag.append(f"accessibility over undeclared location {loc}")
-            return False
-        return sigma.mask_of(loc) >= a.amount
+        return u.has_location(loc) and sigma.mask_of(loc) >= a.amount
     if isinstance(a, PredA):
         vals = tuple(eval_expr(x, heap, store, mask) for x in a.args)
         return sigma.mask_of(PredInst(a.name, vals)) >= a.frac
@@ -511,10 +498,10 @@ def _sat(u, sigma: State, a: Assertion, store, diag) -> bool:
         return wand_holds(u, sigma, a, store)
     if isinstance(a, Imp):
         if eval_bool(a.guard, heap, store, mask):
-            return _sat(u, sigma, a.body, store, diag)
+            return _sat(u, sigma, a.body, store)
         return True
     if isinstance(a, OrA):
-        return _sat(u, sigma, a.left, store, diag) or _sat(u, sigma, a.right, store, diag)
+        return _sat(u, sigma, a.left, store) or _sat(u, sigma, a.right, store)
     if isinstance(a, Star):
         ds = demands(u, a, heap, store, mask)
         return any(st.geq(sigma, d) for d in ds)

@@ -105,10 +105,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ParseError, UniverseError, CliError, ProgramError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except BudgetExceeded as e:
+    except (ParseError, UniverseError, CliError, ProgramError, BudgetExceeded, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -60,6 +60,8 @@ KEYWORDS = {
     "apply", "fold", "unfold", "acc", "perm", "ref", "int", "bool", "Ref",
     "Int", "Bool", "true", "false", "null", "write", "none", "wand",
 }
+# the statements a package's proof script admits
+_SCRIPT_KEYWORDS = ("assert", "fold", "unfold", "apply", "if")
 
 _TOKEN_RE = re.compile(
     r"""
@@ -573,22 +575,26 @@ class Parser:
         requires = None
         if self.accept("requires"):
             requires = self.parse_assertion()
-        body = self._block()
+        body = self._block(script=False)
         return pr.Method(name, tuple(params), requires, tuple(body), (t.line, t.col))
 
-    def _block(self) -> list[pr.Stmt]:
+    def _block(self, script: bool) -> list[pr.Stmt]:
         self.expect("{")
         out = []
         while not self.at("}"):
-            out.append(self._stmt())
+            out.append(self._stmt(script))
             while self.accept(";"):
                 pass
         self.expect("}")
         return out
 
-    def _stmt(self) -> pr.Stmt:
+    def _stmt(self, script: bool) -> pr.Stmt:
+        """One statement of a method body or, when ``script``, of a
+        package's proof script."""
         t = self.peek()
         pos = (t.line, t.col)
+        if script and not any(self.at(k) for k in _SCRIPT_KEYWORDS):
+            self.error("expected a proof-script statement")
         if self.accept("inhale"):
             return pr.Inhale(self.parse_assertion(), pos)
         if self.accept("exhale"):
@@ -607,24 +613,26 @@ class Parser:
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
-            then = self._block()
+            then = self._block(script)
             els: list[pr.Stmt] = []
             if self.accept("else"):
-                els = self._block()
+                els = self._block(script)
             return pr.If(cond, tuple(then), tuple(els), pos)
         if self.accept("package"):
             wand = self.parse_assertion()
             if not isinstance(wand, Wand):
                 raise ParseError("package takes a wand", pos[0], pos[1])
-            script: tuple[pr.ScriptStmt, ...] = ()
-            if self.at("{"):
-                script = tuple(self._script_block())
-            return pr.Package(wand, script, pos)
+            body = tuple(self._block(script=True)) if self.at("{") else ()
+            return pr.Package(wand, body, pos)
         if self.accept("apply"):
             wand = self.parse_assertion()
             if not isinstance(wand, Wand):
                 raise ParseError("apply takes a wand", pos[0], pos[1])
             return pr.Apply(wand, pos)
+        if script and (self.accept("fold") or self.accept("unfold")):
+            kind = pr.Fold if t.text == "fold" else pr.Unfold
+            name = self.expect_ident().text
+            return kind(name, self._call_args(), pos)
         # assignment or heap write
         target = self._postfix()
         if isinstance(target, Var):
@@ -634,43 +642,6 @@ class Parser:
             self.expect(":=")
             return pr.HeapWrite(target.base, target.field, self.parse_expr(), pos)
         self.error("expected a statement")
-
-    def _script_block(self) -> list[pr.ScriptStmt]:
-        self.expect("{")
-        out = []
-        while not self.at("}"):
-            out.append(self._script_stmt())
-            while self.accept(";"):
-                pass
-        self.expect("}")
-        return out
-
-    def _script_stmt(self) -> pr.ScriptStmt:
-        t = self.peek()
-        pos = (t.line, t.col)
-        if self.accept("assert"):
-            return pr.SAssert(self.parse_assertion(), pos)
-        if self.accept("fold"):
-            name = self.expect_ident().text
-            return pr.SFold(name, self._call_args(), pos)
-        if self.accept("unfold"):
-            name = self.expect_ident().text
-            return pr.SUnfold(name, self._call_args(), pos)
-        if self.accept("apply"):
-            wand = self.parse_assertion()
-            if not isinstance(wand, Wand):
-                raise ParseError("apply takes a wand", pos[0], pos[1])
-            return pr.SApply(wand, pos)
-        if self.accept("if"):
-            self.expect("(")
-            cond = self.parse_expr()
-            self.expect(")")
-            then = self._script_block()
-            els: list[pr.ScriptStmt] = []
-            if self.accept("else"):
-                els = self._script_block()
-            return pr.SIf(cond, tuple(then), tuple(els), pos)
-        self.error("expected a proof-script statement")
 
 
 def _check_predicates(raw: list[tuple[str, tuple[str, ...], Assertion]]) -> dict[str, PredicateDef]:

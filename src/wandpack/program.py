@@ -1,51 +1,18 @@
-"""Program AST: methods over a universe, with package/apply ghost operations."""
+"""Program AST: methods over a universe, with package/apply ghost operations.
+
+A package's proof script is a block of the same statements a method body
+uses, restricted by the parser to ``assert``, ``apply`` and ``if``, plus
+the script-only ``fold`` and ``unfold``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .assertions import Assertion, Wand, format_assertion
 from .exprs import Expr, format_expr
 
 Pos = tuple[int, int]  # (line, column)
-
-
-@dataclass(frozen=True)
-class SAssert:
-    assertion: Assertion
-    pos: Pos = (0, 0)
-
-
-@dataclass(frozen=True)
-class SFold:
-    name: str
-    args: tuple[Expr, ...]
-    pos: Pos = (0, 0)
-
-
-@dataclass(frozen=True)
-class SUnfold:
-    name: str
-    args: tuple[Expr, ...]
-    pos: Pos = (0, 0)
-
-
-@dataclass(frozen=True)
-class SApply:
-    wand: Wand
-    pos: Pos = (0, 0)
-
-
-@dataclass(frozen=True)
-class SIf:
-    cond: Expr
-    then: tuple["ScriptStmt", ...]
-    els: tuple["ScriptStmt", ...]
-    pos: Pos = (0, 0)
-
-
-ScriptStmt = Union[SAssert, SFold, SUnfold, SApply, SIf]
 
 
 @dataclass(frozen=True)
@@ -100,7 +67,7 @@ class If:
 @dataclass(frozen=True)
 class Package:
     wand: Wand
-    script: tuple[ScriptStmt, ...] = ()
+    script: tuple["Stmt", ...] = ()
     pos: Pos = (0, 0)
 
 
@@ -110,7 +77,21 @@ class Apply:
     pos: Pos = (0, 0)
 
 
-Stmt = Union[Inhale, Exhale, AssertStmt, VarDecl, Assign, HeapWrite, If, Package, Apply]
+@dataclass(frozen=True)
+class Fold:
+    name: str
+    args: tuple[Expr, ...]
+    pos: Pos = (0, 0)
+
+
+@dataclass(frozen=True)
+class Unfold:
+    name: str
+    args: tuple[Expr, ...]
+    pos: Pos = (0, 0)
+
+
+Stmt = Union[Inhale, Exhale, AssertStmt, VarDecl, Assign, HeapWrite, If, Package, Apply, Fold, Unfold]
 
 
 @dataclass(frozen=True)
@@ -130,29 +111,6 @@ class Program:
 
 
 # -- printing -------------------------------------------------------------------
-
-
-def format_script(stmts, indent: str) -> list[str]:
-    out = []
-    for s in stmts:
-        if isinstance(s, SAssert):
-            out.append(f"{indent}assert {format_assertion(s.assertion)}")
-        elif isinstance(s, SFold):
-            out.append(f"{indent}fold {s.name}({', '.join(format_expr(a) for a in s.args)})")
-        elif isinstance(s, SUnfold):
-            out.append(f"{indent}unfold {s.name}({', '.join(format_expr(a) for a in s.args)})")
-        elif isinstance(s, SApply):
-            out.append(f"{indent}apply {format_assertion(s.wand)}")
-        elif isinstance(s, SIf):
-            out.append(f"{indent}if ({format_expr(s.cond)}) {{")
-            out.extend(format_script(s.then, indent + "  "))
-            if s.els:
-                out.append(f"{indent}}} else {{")
-                out.extend(format_script(s.els, indent + "  "))
-            out.append(f"{indent}}}")
-        else:
-            raise TypeError(f"unknown script statement {s!r}")
-    return out
 
 
 def format_stmts(stmts, indent: str) -> list[str]:
@@ -181,12 +139,15 @@ def format_stmts(stmts, indent: str) -> list[str]:
             head = f"{indent}package {format_assertion(s.wand)}"
             if s.script:
                 out.append(head + " {")
-                out.extend(format_script(s.script, indent + "  "))
+                out.extend(format_stmts(s.script, indent + "  "))
                 out.append(f"{indent}}}")
             else:
                 out.append(head)
         elif isinstance(s, Apply):
             out.append(f"{indent}apply {format_assertion(s.wand)}")
+        elif isinstance(s, (Fold, Unfold)):
+            args = ", ".join(format_expr(a) for a in s.args)
+            out.append(f"{indent}{type(s).__name__.lower()} {s.name}({args})")
         else:
             raise TypeError(f"unknown statement {s!r}")
     return out

@@ -37,7 +37,7 @@ from .parser import (
     format_state,
     format_universe,
 )
-from .states import State
+from .states import State, StateError, validate
 from .universe import Universe
 
 DERIVATION_FORMAT = "wandpack-derivation-1"
@@ -191,6 +191,13 @@ def derivation_doc_parse(doc: dict):
             parse_state_text(cfg.get("extracted", "{}")),
         ),
     )
+    anchors = [p.transformer.anchor for p in pairs if isinstance(p.transformer, CombinableR)]
+    sides = [s for p in pairs for s in (p.sigma_a, p.sigma_b)]
+    for s in [conf.context.outer, conf.context.extracted, *sides, *anchors]:
+        try:
+            validate(s, u)
+        except StateError as e:
+            raise SerializationError(f"state {state_to_text(s)}: {e}") from None
     deriv = derivation_from_json(doc["derivation"])
     return u, store, wand, conf, deriv
 

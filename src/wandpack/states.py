@@ -94,9 +94,6 @@ class State:
     def heap_dict(self) -> dict[FieldLoc, Value]:
         return dict(self.heap)
 
-    def is_empty(self) -> bool:
-        return not self.mask and not self.heap
-
     def __str__(self) -> str:
         parts = [f"{rid}@{amt}" + (f"={format_value(self.heap_value(rid))}"
                                    if isinstance(rid, FieldLoc) and self.heap_value(rid) is not None

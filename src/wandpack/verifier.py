@@ -36,6 +36,7 @@ from .program import (
     AssertStmt,
     Assign,
     Exhale,
+    Fold,
     HeapWrite,
     If,
     Inhale,
@@ -43,6 +44,7 @@ from .program import (
     Package,
     Program,
     Stmt,
+    Unfold,
     VarDecl,
 )
 from .serialization import derivation_doc, state_to_json, state_to_text
@@ -235,21 +237,8 @@ def _check_stmts(stmts: Sequence[Stmt], u, var_types: dict) -> None:
         elif isinstance(s, (Package, Apply)):
             _check_assertion(s.wand, u, var_types, s.pos)
             if isinstance(s, Package):
-                _check_script(s.script, u, var_types)
-        else:
-            raise ProgramError(f"unknown statement {s!r}")
-
-
-def _check_script(script, u, var_types) -> None:
-    from .program import SApply, SAssert, SFold, SIf, SUnfold
-
-    for s in script:
-        if isinstance(s, SAssert):
-            try:
-                typecheck(s.assertion, u, var_types)
-            except (AssertionError_, ExprError) as e:
-                raise ProgramError(str(e), s.pos)
-        elif isinstance(s, (SFold, SUnfold)):
+                _check_stmts(s.script, u, var_types)
+        elif isinstance(s, (Fold, Unfold)):
             try:
                 d = u.predicate(s.name)
             except Exception as e:
@@ -258,15 +247,8 @@ def _check_script(script, u, var_types) -> None:
                 raise ProgramError(f"{s.name} expects {len(d.params)} arguments", s.pos)
             for x in s.args:
                 _check_expr(x, u, var_types, s.pos, want=REF)
-        elif isinstance(s, SApply):
-            try:
-                typecheck(s.wand, u, var_types)
-            except (AssertionError_, ExprError) as e:
-                raise ProgramError(str(e), s.pos)
-        elif isinstance(s, SIf):
-            _check_expr(s.cond, u, var_types, s.pos, want=BOOL)
-            _check_script(s.then, u, var_types)
-            _check_script(s.els, u, var_types)
+        else:
+            raise ProgramError(f"unknown statement {s!r}")
 
 
 # -- execution ----------------------------------------------------------------------
@@ -404,7 +386,6 @@ def _exec_stmt(stmt: Stmt, worlds: list[World], env: _Env) -> list[World]:
             except Unframed as e:
                 raise VerificationError(f"unframed condition: {e.description}", w, stmt.pos)
             (then_worlds if cond else else_worlds).append(w)
-        env_worlds = []
         sub_then = then_worlds
         for s in stmt.then:
             sub_then = _exec_stmt(s, sub_then, env)

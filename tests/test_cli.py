@@ -91,10 +91,15 @@ SHIPPED = json.loads((CORPUS / "derivations" / "two_footprints_half_xb.json").re
         # parse errors inside a document are reported with the document
         json.dumps({**SHIPPED, "config": {**SHIPPED["config"], "outer": "{x.b @ 1/0 = false}"}}),
         json.dumps({**SHIPPED, "universe": SHIPPED["universe"] + "loc y.f: int {0}\n"}),
+        # states the document's universe cannot hold
+        json.dumps({**SHIPPED, "config": {**SHIPPED["config"], "outer": "{x.b @ 1 = false, x.f @ 1 = 7}"}}),
+        json.dumps({**SHIPPED, "config": {**SHIPPED["config"], "outer": "{x.b @ 1 = false, x.f @ 1 = 0, z.q @ 1 = 3}"}}),
+        json.dumps({**SHIPPED, "config": {**SHIPPED["config"], "pairs": [{"available": "{x.g @ 1/2 = 5}", "assembled": "{}"}]}}),
     ],
     ids=[
         "not-json", "no-format", "not-an-object", "missing-field", "bad-store", "store-string",
-        "pair-not-object", "zero-denominator", "undeclared-ref",
+        "pair-not-object", "zero-denominator", "undeclared-ref", "value-outside-domain",
+        "undeclared-location", "pair-value-outside-domain",
     ],
 )
 def test_check_malformed_derivation_exit_2(tmp_path, capsys, text):
@@ -108,6 +113,26 @@ def test_check_malformed_derivation_exit_2(tmp_path, capsys, text):
     assert str(bad) in lines[0]
     if text != "{not json":
         assert "derivation 0: malformed document" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", CORPUS),
+        ("check-derivation", CORPUS),
+        ("oracle", "combinable", "--universe", CORPUS, "--assertion", "acc(x.f)"),
+        ("verify", "BINARY"),
+        ("laws", "BINARY"),
+    ],
+    ids=["verify-directory", "check-directory", "oracle-directory", "verify-not-utf8", "laws-not-utf8"],
+)
+def test_unreadable_input_exit_2(tmp_path, capsys, args):
+    binary = tmp_path / "binary.wnd"
+    binary.write_bytes(b"program v1\n\xff\xfe\n")
+    assert run_cli(*(binary if a == "BINARY" else a for a in args)) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error: ")
 
 
 # -- oracle ------------------------------------------------------------------------------

@@ -199,6 +199,58 @@ def test_program_round_trip(corpus_dir):
         assert format_program(parse_program_text(printed)) == printed
 
 
+# a package script using every script form; the printed text is the
+# parsed program's fixpoint
+SCRIPT_PROGRAM = """program v1
+universe "preds.universe"
+
+method m(x: Ref, y: Ref)
+  requires acc(x.f) * (acc(y.f) --* Cell(y))
+{
+  package acc(y.f) --* Cell(x) * Cell(y) {
+    fold Cell(x)
+    if (x == y) {
+      assert Cell(x)
+    } else {
+      apply acc(y.f) --* Cell(y)
+      if (x.f == 0) {
+        unfold Cell(x)
+        fold Cell(x)
+      }
+    }
+  }
+  assert acc(x.f, 1/2) || x == y
+}
+"""
+
+
+def test_script_program_round_trip():
+    p = parse_program_text(SCRIPT_PROGRAM)
+    assert format_program(p) == SCRIPT_PROGRAM
+    script = p.methods[0].body[0].script
+    assert [type(s).__name__ for s in script] == ["Fold", "If"]
+    assert [type(s).__name__ for s in script[1].els] == ["Apply", "If"]
+    assert [type(s).__name__ for s in script[1].els[1].then] == ["Unfold", "Fold"]
+
+
+@pytest.mark.parametrize(
+    "stmt, message, pos",
+    [
+        ("package acc(x.f) --* acc(x.f) {\n    inhale acc(x.f)\n  }", "expected a proof-script statement", (5, 5)),
+        ("package acc(x.f) --* acc(x.f) {\n    var y: Int := 0\n  }", "expected a proof-script statement", (5, 5)),
+        ("package acc(x.f) --* acc(x.f) {\n    if (true) { exhale acc(x.f) }\n  }", "expected a proof-script statement", (5, 17)),
+        ("package acc(x.f) --* acc(x.f) {\n    package acc(x.f) --* acc(x.f)\n  }", "expected a proof-script statement", (5, 5)),
+        ("fold Cell(x)", "expected an expression", (4, 3)),
+        ("unfold Cell(x)", "expected an expression", (4, 3)),
+    ],
+    ids=["inhale-in-script", "var-in-script", "exhale-in-script-if", "package-in-script", "fold-in-body", "unfold-in-body"],
+)
+def test_script_statement_errors(stmt, message, pos):
+    with pytest.raises(ParseError) as e:
+        parse_program_text(f"program v1\nmethod m(x: Ref)\n{{\n  {stmt}\n}}\n")
+    assert (e.value.message, e.value.line, e.value.col) == (message, *pos)
+
+
 def test_empty_method_parses_to_noop_body():
     p = parse_program_text(
         """
@@ -257,7 +309,9 @@ VOCABULARY = sorted(KEYWORDS) + [
     "--*", "--*c", "==>", ":=", "==", "!=", "||", "&&",
     "(", ")", "{", "}", "[", "]", ".", ",", ":", ";", "=", "@", "?", "!", "*", "/",
 ]
-SEEDS = ASSERTIONS + STATES + [U1_TEXT, U2_TEXT, "universe v1\ngranularity 2\nrefs x\nloc x.f: int {0}\npred P(r) = acc(r.f)"]
+SEEDS = ASSERTIONS + STATES + [
+    U1_TEXT, U2_TEXT, "universe v1\ngranularity 2\nrefs x\nloc x.f: int {0}\npred P(r) = acc(r.f)", SCRIPT_PROGRAM,
+]
 
 
 def mutate(seed: str, edits) -> str:
@@ -299,7 +353,7 @@ NESTED = "(" * 3000 + "true" + ")" * 3000
 @example(NESTED)
 @example("universe v1 granularity 2 refs x loc x.f: int {0} pred P(r) = " + NESTED)
 def test_parsers_raise_only_parse_errors(text):
-    for parse in (parse_universe_text, parse_assertion_text, parse_state_text):
+    for parse in (parse_universe_text, parse_assertion_text, parse_state_text, parse_program_text):
         try:
             parse(text)
         except ParseError:

@@ -226,6 +226,29 @@ def test_typecheck_rejects_bad_program():
         run(p, "sound")
 
 
+@pytest.mark.parametrize("stmt", ["apply (x.f == 0 --* acc(x.f))", "assert (x.f == 0 --* acc(x.f))"])
+def test_script_wand_must_be_self_framing(stmt):
+    # a script statement gets the program's static check, even on a branch
+    # no pair reaches
+    p = program(
+        f"""
+        program v1
+        method m(x: Ref)
+          requires acc(x.f)
+        {{
+          package acc(x.f) --* acc(x.f) {{
+            if (false) {{
+              {stmt}
+            }}
+          }}
+        }}
+        """,
+        SINGLETON_U,
+    )
+    with pytest.raises(ProgramError, match="wand is not self-framing"):
+        run(p, "sound")
+
+
 def test_apply_without_instance_fails():
     p = program(
         """
