@@ -47,7 +47,7 @@ from .package_logic import (
     check_derivation,
     ctx_heap,
     extract_footprint,
-    init_witness_set,
+    initial_configuration,
     pc_holds,
 )
 from .program import Apply, AssertStmt, Fold, If, Stmt, Unfold
@@ -257,8 +257,10 @@ def run_script(
 
     Returns the new context, the states extracted from the outer state (in
     order), and whether any statement reshaped available states in a way
-    the core rules cannot express (fold/unfold/apply) — in that case an
-    emitted derivation must start from the post-script configuration.
+    the core rules cannot express (fold/unfold/apply).  A package's
+    derivation starts from the returned context, so the package algorithms
+    read only that; the extractions and the flag serve callers that replay
+    a package stage by stage.
     """
     heap = dict(outer_heap or ctx.outer.heap_dict())
     extracts: list[State] = []
@@ -400,37 +402,38 @@ def _script_apply(ctx, stmt: Apply, conds, store, u, outer_heap, extracts) -> Co
 # -- the package algorithms -----------------------------------------------------------
 
 
+def recheck_package(
+    conf: Configuration, script: Sequence[Stmt], d: Derivation, u: Universe, store: Store
+) -> State:
+    """Re-check a package derivation from the package's initial configuration:
+    run the proof script, check the tree from the context the script leaves,
+    and return the footprint.  Raises CheckFailure at the first failure."""
+    try:
+        ctx, _, _ = run_script(conf.context, script, store, u)
+    except PackageFailure as e:
+        raise CheckFailure(e.message, ("script",))
+    final = check_derivation(Configuration(conf.assertion, conf.pc, ctx), d, u, store)
+    return extract_footprint(conf.context.outer, final.outer)
+
+
 def _package_witnessed(
-    outer: State,
-    wand: Wand,
-    script: Sequence[Stmt],
-    store: Store,
-    u: Universe,
-    combinable: bool,
+    outer: State, wand: Wand, script: Sequence[Stmt], store: Store, u: Universe
 ) -> PackageOutcome:
     if not wf(wand):
         return PackageOutcome("failure", diagnostic="wand is not well-formed (self-framing)")
-    pairs = init_witness_set(wand.lhs, u, True, store, combinable=combinable)
-    conf0 = Configuration(wand.rhs, (), Context.make(outer, pairs))
+    conf = initial_configuration(u, wand, store, outer)
     outer_heap = outer.heap_dict()
     try:
-        ctx1, extracts, mutated = run_script(conf0.context, script, store, u, outer_heap)
+        ctx1, _, _ = run_script(conf.context, script, store, u, outer_heap)
         ctx2, tree = prove_rhs(ctx1, (), wand.rhs, u, store, outer_heap)
     except PackageFailure as e:
         return PackageOutcome("failure", diagnostic=e.message)
-    footprint = extract_footprint(outer, ctx2.outer)
-    conf, derivation = conf0, tree
-    if mutated:
-        conf = Configuration(wand.rhs, (), ctx1)
-    else:
-        for sigma in reversed(extracts):
-            derivation = DExtract(sigma, derivation)
-    check_derivation(conf, derivation, u, store)  # internal consistency guard
+    recheck_package(conf, script, tree, u, store)  # internal consistency guard
     return PackageOutcome(
         "success",
-        footprint=footprint,
+        footprint=extract_footprint(outer, ctx2.outer),
         post_states=(ctx2.outer,),
-        derivation=derivation,
+        derivation=tree,
         configuration=conf,
     )
 
@@ -445,7 +448,7 @@ def package_sound(
     """Package a standard wand; the returned derivation re-validates."""
     if wand.combinable:
         return PackageOutcome("failure", diagnostic="sound algorithm expects a standard wand")
-    return _package_witnessed(outer, wand, script, store, u, combinable=False)
+    return _package_witnessed(outer, wand, script, store, u)
 
 
 def package_combinable(
@@ -458,7 +461,7 @@ def package_combinable(
     """Package a combinable wand through the lifted logic."""
     if not wand.combinable:
         return PackageOutcome("failure", diagnostic="combinable algorithm expects a --*c wand")
-    return _package_witnessed(outer, wand, script, store, u, combinable=True)
+    return _package_witnessed(outer, wand, script, store, u)
 
 
 def package_fia(

@@ -2,7 +2,7 @@
 
 Subcommands:
   verify            verify a program file under fia / sound / combinable
-  check-derivation  re-validate a serialized derivation document
+  check-derivation  rebuild a package from its derivation document and re-check it
   oracle            brute-force queries: footprint / combinable / entail / minimal
   laws              run the separation-algebra law suite on a universe
 
@@ -18,9 +18,9 @@ import time
 from pathlib import Path
 
 from . import algebra, oracle
-from .algorithms import COMBINABLE, FIA, SOUND
+from .algorithms import COMBINABLE, FIA, SOUND, recheck_package
 from .assertions import Wand, format_assertion
-from .package_logic import CheckFailure, check_derivation, extract_footprint
+from .package_logic import CheckFailure
 from .parser import (
     ParseError,
     parse_assertion_text,
@@ -30,7 +30,7 @@ from .parser import (
 )
 from .serialization import (
     SerializationError,
-    derivation_doc_parse,
+    derivation_doc_read,
     dumps_canonical,
     state_to_text,
 )
@@ -43,16 +43,22 @@ class CliError(Exception):
     pass
 
 
+def _read(path) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise CliError(f"{path}: {e}")
+
+
 def load_universe(path: str) -> Universe:
-    return parse_universe_text(Path(path).read_text())
+    return parse_universe_text(_read(path))
 
 
 def load_program(path: str):
-    p = parse_program_text(Path(path).read_text())
+    p = parse_program_text(_read(path))
     if not p.universe_ref:
         raise CliError(f"{path}: program declares no universe")
-    upath = Path(path).parent / p.universe_ref
-    u = parse_universe_text(upath.read_text())
+    u = parse_universe_text(_read(Path(path).parent / p.universe_ref))
     return p.__class__(p.universe_ref, p.methods, u)
 
 
@@ -70,16 +76,19 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="verify a program file")
+    pv.set_defaults(run=_cmd_verify)
     pv.add_argument("file")
     pv.add_argument("--algorithm", choices=[FIA, SOUND, COMBINABLE], default=SOUND)
     pv.add_argument("--emit-derivation", metavar="PATH")
     pv.add_argument("--json", metavar="PATH")
     pv.add_argument("--audit", action="store_true", help="re-check every packaged footprint with the oracle")
 
-    pc = sub.add_parser("check-derivation", help="re-validate a derivation document")
+    pc = sub.add_parser("check-derivation", help="re-check a derivation document")
+    pc.set_defaults(run=_cmd_check_derivation)
     pc.add_argument("file")
 
     po = sub.add_parser("oracle", help="brute-force semantic queries")
+    po.set_defaults(run=_cmd_oracle)
     osub = po.add_subparsers(dest="query", required=True)
     of = osub.add_parser("footprint", help="is a state a footprint of a wand")
     of.add_argument("--universe", required=True)
@@ -100,26 +109,15 @@ def main(argv=None) -> int:
     om.add_argument("--compatible-only", action="store_true")
 
     pl = sub.add_parser("laws", help="run the algebra law suite on a universe")
+    pl.set_defaults(run=_cmd_laws)
     pl.add_argument("file")
 
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
-    except (ParseError, UniverseError, CliError, ProgramError, BudgetExceeded, OSError, UnicodeDecodeError) as e:
+        return args.run(args)
+    except (ParseError, UniverseError, CliError, ProgramError, BudgetExceeded, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-
-def _dispatch(args) -> int:
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "check-derivation":
-        return _cmd_check_derivation(args)
-    if args.command == "oracle":
-        return _cmd_oracle(args)
-    if args.command == "laws":
-        return _cmd_laws(args)
-    raise CliError(f"unknown command {args.command!r}")
 
 
 def _cmd_verify(args) -> int:
@@ -151,8 +149,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_check_derivation(args) -> int:
     try:
-        payload = json.loads(Path(args.file).read_text())
-    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        payload = json.loads(_read(args.file))
+    except ValueError as e:
         raise CliError(f"{args.file}: not JSON: {e}")
     docs = payload if isinstance(payload, list) else [payload]
     if not docs:
@@ -160,16 +158,15 @@ def _cmd_check_derivation(args) -> int:
         return 2
     for i, doc in enumerate(docs):
         try:
-            u, store, wand, conf, deriv = derivation_doc_parse(doc)
+            u, store, _, conf, deriv, script = derivation_doc_read(doc)
         except (SerializationError, ParseError, KeyError, TypeError, ValueError, AttributeError) as e:
             what = f"missing field {e}" if isinstance(e, KeyError) else str(e)
             raise CliError(f"{args.file}: derivation {i}: malformed document: {what}")
         try:
-            final = check_derivation(conf, deriv, u, store)
+            fp = recheck_package(conf, script, deriv, u, store)
         except CheckFailure as e:
             print(f"derivation {i}: REJECTED: {e}")
             return 1
-        fp = extract_footprint(conf.context.outer, final.outer)
         print(f"derivation {i}: ACCEPTED, footprint {state_to_text(fp)}")
     return 0
 

@@ -50,9 +50,6 @@ class Identity:
     def __call__(self, s: State) -> State:
         return s
 
-    def describe(self) -> str:
-        return "identity"
-
 
 @dataclass(frozen=True)
 class CombinableR:
@@ -62,9 +59,6 @@ class CombinableR:
 
     def __call__(self, s: State) -> State:
         return st.restrict(self.anchor, s)
-
-    def describe(self) -> str:
-        return f"restrict@{self.anchor}"
 
 
 Transformer = Union[Identity, CombinableR]
@@ -207,13 +201,6 @@ def ctx_heap(pair: WitnessPair) -> dict:
     return combined.heap_dict()
 
 
-def atom_satisfied_by(
-    u: Universe, choice: State, atom: Assertion, heap: Mapping, store: Store
-) -> bool:
-    ds = demands(u, atom, heap, store)
-    return any(st.geq(choice, d) for d in ds)
-
-
 def init_witness_set(
     a: Assertion,
     u: Universe,
@@ -246,6 +233,14 @@ def init_witness_set(
         t: Transformer = CombinableR(s) if combinable else Identity()
         pairs.append(WitnessPair(s, EMPTY, t))
     return Context.make(EMPTY, pairs).pairs
+
+
+def initial_configuration(u: Universe, wand, store: Store, outer: State) -> Configuration:
+    """Where every package derivation starts: the right-hand side to prove,
+    no path condition, and the outer state beside the witness set of the
+    left-hand side's minimal states."""
+    pairs = init_witness_set(wand.lhs, u, True, store, combinable=wand.combinable)
+    return Configuration(wand.rhs, (), Context.make(outer, pairs))
 
 
 def extract_footprint(initial: State, final: State) -> State:
@@ -308,7 +303,7 @@ def check_derivation(conf: Configuration, d: Derivation, u: Universe, store: Sto
 def _check(b: Assertion, pc, ctx: Context, d: Derivation, u, store, path) -> Context:
     here = path + (rule_tag(d),)
     if isinstance(d, DExtract):
-        return _check_extract(b, pc, ctx, d, u, store, here)
+        return _check(b, pc, apply_extract(ctx, d.sigma_w, here), d.child, u, store, here)
     if isinstance(b, Star):
         if not isinstance(d, DStar):
             raise CheckFailure(f"star assertion needs a star rule, got {rule_tag(d)}", here)
@@ -345,10 +340,6 @@ def apply_extract(ctx: Context, sigma_w: State, path=()) -> Context:
     return Context.make(new_outer, new_pairs, new_extracted)
 
 
-def _check_extract(b, pc, ctx: Context, d: DExtract, u, store, path) -> Context:
-    return _check(b, pc, apply_extract(ctx, d.sigma_w, path), d.child, u, store, path)
-
-
 def _check_atom(b, pc, ctx: Context, d: DAtom, u, store, path) -> Context:
     new_pairs = []
     for pair in ctx.pairs:
@@ -363,8 +354,7 @@ def _check_atom(b, pc, ctx: Context, d: DAtom, u, store, path) -> Context:
                 f"choice {choice} is not contained in the available state {pair.sigma_a}", path
             )
         try:
-            heap = ctx_heap(pair)
-            ok = atom_satisfied_by(u, choice, b, heap, store)
+            ok = any(st.geq(choice, dm) for dm in demands(u, b, ctx_heap(pair), store))
         except Unframed as e:
             raise CheckFailure(f"atom {format_assertion(b)} unframed: {e.description}", path)
         if not ok:
@@ -449,10 +439,9 @@ def build_canonical_derivation(
     """The completeness-probe derivation: extract the whole footprint at
     the root, then reduce the right-hand side with per-pair greedy (DFS)
     atom choices.  Checker acceptance of this tree realizes the footprint."""
-    pairs0 = init_witness_set(wand.lhs, u, True, store, combinable=wand.combinable)
-    conf = Configuration(wand.rhs, (), Context.make(sigma_w, pairs0))
+    conf = initial_configuration(u, wand, store, sigma_w)
     # simulate the extraction to know each pair's final available state
-    grown = grow_pairs(pairs0, EMPTY, sigma_w)
+    grown = grow_pairs(conf.context.pairs, EMPTY, sigma_w)
     atoms = _linearize(wand.rhs)
     per_pair: dict[tuple, list[Optional[State]]] = {}
     for pair in grown:

@@ -713,6 +713,14 @@ def parse_assertion_text(src: str) -> Assertion:
     return a
 
 
+def parse_script_text(src: str) -> tuple[pr.Stmt, ...]:
+    """A package's proof script written as a ``{ ... }`` block."""
+    p = Parser(src)
+    body = _nested(lambda: p._block(script=True))
+    p.expect_eof()
+    return tuple(body)
+
+
 def parse_universe_text(src: str) -> Universe:
     return _nested(Parser(src).parse_universe)
 

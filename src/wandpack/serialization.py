@@ -1,47 +1,46 @@
-"""JSON forms for states, configurations, and derivations.
+"""JSON forms for states and derivations.
 
-Derivation documents are self-contained: they embed the universe (in its
-canonical text form), the store, the wand, the starting configuration and
-the rule tree, so `check-derivation` can re-validate them standalone.
-All dumps are canonical (sorted keys, stable ordering) so golden files
-and reports are byte-reproducible.
+A derivation document stores a package's inputs beside its rule tree:
+the universe (in its canonical text form), the store, the wand, the outer
+state before the proof script, and the script as a ``{ ... }`` block.
+It holds no configuration.  Reading a document rebuilds the package's
+initial configuration from those inputs, so ``check-derivation`` re-runs
+the script and checks the tree without trusting a starting point the
+document could forge.  All dumps are canonical (sorted keys, stable
+ordering) so golden files and reports are byte-reproducible.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .assertions import Wand, format_assertion
-from .exprs import format_expr
 from .package_logic import (
-    CombinableR,
     Configuration,
-    Context,
     DAtom,
     DDisjunction,
     Derivation,
     DExtract,
     DImplication,
     DStar,
-    Identity,
-    WitnessPair,
+    initial_configuration,
     rule_tag,
 )
 from .parser import (
     parse_assertion_text,
-    parse_expr_text,
+    parse_script_text,
     parse_state_text,
     parse_universe_text,
     format_state,
     format_universe,
 )
+from .program import Package, Stmt, format_stmts
 from .states import State, StateError, validate
-from .universe import Universe
+from .universe import REF, Universe, UniverseError, value_type
 
-DERIVATION_FORMAT = "wandpack-derivation-1"
-REPORT_FORMAT = "wandpack-report-1"
+DERIVATION_FORMAT = "wandpack-derivation-2"
 
 
 class SerializationError(Exception):
@@ -62,31 +61,7 @@ def state_to_json(s: State) -> dict:
     return {"mask": mask, "heap": heap}
 
 
-def state_to_text(s: State) -> str:
-    return format_state(s)
-
-
-def _pair_to_json(p: WitnessPair) -> dict:
-    d = {
-        "available": state_to_text(p.sigma_a),
-        "assembled": state_to_text(p.sigma_b),
-    }
-    if isinstance(p.transformer, CombinableR):
-        d["transformer"] = {"kind": "restrict", "anchor": state_to_text(p.transformer.anchor)}
-    else:
-        d["transformer"] = {"kind": "identity"}
-    return d
-
-
-def _pair_from_json(d: dict) -> WitnessPair:
-    t = d.get("transformer", {"kind": "identity"})
-    if t["kind"] == "restrict":
-        tr = CombinableR(parse_state_text(t["anchor"]))
-    elif t["kind"] == "identity":
-        tr = Identity()
-    else:
-        raise SerializationError(f"unknown transformer kind {t['kind']!r}")
-    return WitnessPair(parse_state_text(d["available"]), parse_state_text(d["assembled"]), tr)
+state_to_text = format_state
 
 
 def derivation_to_json(d: Derivation) -> dict:
@@ -153,26 +128,27 @@ def derivation_doc(
     wand: Wand,
     conf: Configuration,
     deriv: Derivation,
+    script: Sequence[Stmt] = (),
 ) -> dict:
+    """The document of a package that started from ``conf`` and ran ``script``."""
     return {
         "format": DERIVATION_FORMAT,
         "universe": format_universe(u),
         "store": dict(sorted(store.items())),
         "wand": format_assertion(wand),
-        "kind": "combinable" if wand.combinable else "standard",
-        "config": {
-            "assertion": format_assertion(conf.assertion),
-            "pc": [format_expr(e) for e in conf.pc],
-            "outer": state_to_text(conf.context.outer),
-            "extracted": state_to_text(conf.context.extracted),
-            "pairs": [_pair_to_json(p) for p in conf.context.pairs],
-        },
+        "outer": state_to_text(conf.context.outer),
+        "script": " ".join(["{", *(line.strip() for line in format_stmts(script, "")), "}"]),
         "derivation": derivation_to_json(deriv),
     }
 
 
-def derivation_doc_parse(doc: dict):
-    """Returns (universe, store, wand, configuration, derivation)."""
+def derivation_doc_read(doc: dict):
+    """Returns (universe, store, wand, initial configuration, derivation, script).
+
+    The wand and script get a ``package`` statement's static check, each
+    store variable typed by its value, before the configuration is rebuilt."""
+    from .verifier import ProgramError, check_stmts  # the verifier writes documents
+
     if not isinstance(doc, dict) or doc.get("format") != DERIVATION_FORMAT:
         raise SerializationError("not a derivation document")
     u = parse_universe_text(doc["universe"])
@@ -180,26 +156,26 @@ def derivation_doc_parse(doc: dict):
     wand = parse_assertion_text(doc["wand"])
     if not isinstance(wand, Wand):
         raise SerializationError("document wand is not a wand assertion")
-    cfg = doc["config"]
-    pairs = [_pair_from_json(p) for p in cfg["pairs"]]
-    conf = Configuration(
-        parse_assertion_text(cfg["assertion"]),
-        tuple(parse_expr_text(e) for e in cfg["pc"]),
-        Context.make(
-            parse_state_text(cfg["outer"]),
-            pairs,
-            parse_state_text(cfg.get("extracted", "{}")),
-        ),
-    )
-    anchors = [p.transformer.anchor for p in pairs if isinstance(p.transformer, CombinableR)]
-    sides = [s for p in pairs for s in (p.sigma_a, p.sigma_b)]
-    for s in [conf.context.outer, conf.context.extracted, *sides, *anchors]:
-        try:
-            validate(s, u)
-        except StateError as e:
-            raise SerializationError(f"state {state_to_text(s)}: {e}") from None
-    deriv = derivation_from_json(doc["derivation"])
-    return u, store, wand, conf, deriv
+    script = parse_script_text(doc["script"])
+    outer = parse_state_text(doc["outer"])
+    for x, v in store.items():
+        if value_type(v) == REF and v not in u.ref_values():
+            raise SerializationError(f"store value {v!r} of {x} is not a reference the universe declares")
+    try:
+        check_stmts([Package(wand, script)], u, {x: value_type(v) for x, v in store.items()})
+        validate(outer, u)
+    except ProgramError as e:
+        raise SerializationError(e.message) from None
+    except (StateError, UniverseError) as e:
+        raise SerializationError(str(e)) from None
+    conf = initial_configuration(u, wand, store, outer)
+    return u, store, wand, conf, derivation_from_json(doc["derivation"]), script
+
+
+def derivation_doc_parse(doc: dict):
+    """Returns (universe, store, wand, initial configuration, derivation):
+    ``derivation_doc_read`` without the script."""
+    return derivation_doc_read(doc)[:5]
 
 
 def dumps_canonical(doc) -> str:

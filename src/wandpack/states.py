@@ -25,14 +25,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional
 
+from .exprs import ExprError
 from .universe import (
+    REF,
     FieldLoc,
+    PredInst,
     ResourceId,
     Universe,
+    UniverseError,
     Value,
     format_value,
     rid_key,
     value_key,
+    WandInst,
 )
 
 ONE = Fraction(1)
@@ -120,18 +125,38 @@ def state_key(s: State) -> tuple:
 
 
 def validate(s: State, u: Universe) -> None:
-    """Check a state against its universe (domains, declaredness, validity)."""
+    """Check a state against its universe: every resource is a declared
+    location, a declared predicate instance or a closed wand over declared
+    references and fields, and every heap value lies in its domain."""
+    declared = set(u.predicate_instances())
     for rid, amt in s.mask:
         if isinstance(rid, FieldLoc):
             if not u.has_location(rid):
                 raise StateError(f"mask entry for undeclared location {rid}")
             if amt > 0 and s.heap_value(rid) is None:
                 raise StateError(f"owned location {rid} has no heap value")
+        elif isinstance(rid, PredInst) and rid not in declared:
+            raise StateError(f"undeclared predicate instance {rid}")
+        elif isinstance(rid, WandInst):
+            _validate_wand(rid, u)
     for loc, v in s.heap:
         if not u.has_location(loc):
             raise StateError(f"heap entry for undeclared location {loc}")
         if v not in u.domain(loc):
             raise StateError(f"value {format_value(v)} outside domain of {loc}")
+
+
+def _validate_wand(rid: WandInst, u: Universe) -> None:
+    from .assertions import AssertionError_, Wand, typecheck  # both import this module
+    from .parser import ParseError, parse_assertion_text
+
+    try:
+        w = parse_assertion_text(rid.key)
+        if not isinstance(w, Wand):
+            raise StateError("not a wand")
+        typecheck(w, u, dict.fromkeys(u.refs, REF))
+    except (StateError, ParseError, AssertionError_, ExprError, UniverseError) as e:
+        raise StateError(f"{rid} is not a closed wand over the universe: {e}") from None
 
 
 # -- separation algebra ------------------------------------------------------

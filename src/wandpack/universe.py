@@ -9,9 +9,10 @@ granularity only restricts which amounts enumeration visits.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Union
 
 NULL = "null"
 
@@ -171,19 +172,12 @@ class Universe:
 
     def predicate_instances(self) -> list[PredInst]:
         """All predicate-instance resources over non-null reference args."""
-        out: list[PredInst] = []
-        refs = tuple(sorted(self.refs))
-        for name in sorted(self.predicates):
-            params = self.predicates[name].params
-            out.extend(_arg_tuples(name, params, refs))
-        return out
-
-
-def _arg_tuples(name: str, params: Sequence[str], refs: Sequence[str]) -> list[PredInst]:
-    insts = [()]
-    for _ in params:
-        insts = [t + (r,) for t in insts for r in refs]
-    return [PredInst(name, t) for t in insts]
+        refs = sorted(self.refs)
+        return [
+            PredInst(name, args)
+            for name in sorted(self.predicates)
+            for args in itertools.product(refs, repeat=len(self.predicates[name].params))
+        ]
 
 
 def make_universe(

@@ -183,7 +183,7 @@ def typecheck_program(p: Program) -> None:
             var_types[prm] = REF
         if m.requires is not None:
             _check_assertion(m.requires, u, var_types, m.pos)
-        _check_stmts(m.body, u, dict(var_types))
+        check_stmts(m.body, u, dict(var_types))
 
 
 def _check_assertion(a: Assertion, u, var_types, pos) -> None:
@@ -209,7 +209,7 @@ def _check_expr(e, u, var_types, pos, want=None) -> str:
     return t
 
 
-def _check_stmts(stmts: Sequence[Stmt], u, var_types: dict) -> None:
+def check_stmts(stmts: Sequence[Stmt], u, var_types: dict) -> None:
     for s in stmts:
         if isinstance(s, (Inhale, Exhale, AssertStmt)):
             _check_assertion(s.assertion, u, var_types, s.pos)
@@ -232,12 +232,12 @@ def _check_stmts(stmts: Sequence[Stmt], u, var_types: dict) -> None:
             _check_expr(s.expr, u, var_types, s.pos, want=ft)
         elif isinstance(s, If):
             _check_expr(s.cond, u, var_types, s.pos, want=BOOL)
-            _check_stmts(s.then, u, dict(var_types))
-            _check_stmts(s.els, u, dict(var_types))
+            check_stmts(s.then, u, dict(var_types))
+            check_stmts(s.els, u, dict(var_types))
         elif isinstance(s, (Package, Apply)):
             _check_assertion(s.wand, u, var_types, s.pos)
             if isinstance(s, Package):
-                _check_stmts(s.script, u, var_types)
+                check_stmts(s.script, u, var_types)
         elif isinstance(s, (Fold, Unfold)):
             try:
                 d = u.predicate(s.name)
@@ -457,7 +457,8 @@ def _package(w: World, stmt: Package, env: _Env) -> tuple[list[World], PackageRe
     else:
         fps = [outcome.footprint]
         record.footprints = [state_to_json(outcome.footprint)]
-        record.derivation = derivation_doc(u, store, stmt.wand, outcome.configuration, outcome.derivation)
+        conf, tree = outcome.configuration, outcome.derivation
+        record.derivation = derivation_doc(u, store, stmt.wand, conf, tree, stmt.script)
     if env.audit:
         kind = COMBINABLE if stmt.wand.combinable else orc.STANDARD
         plan = orc.plan(u)

@@ -11,6 +11,7 @@ from wandpack.algorithms import (
     package_fia,
     package_sound,
     prove_rhs,
+    recheck_package,
     run_script,
 )
 from wandpack.assertions import wand_key
@@ -330,11 +331,12 @@ def test_fold_script_gains_instance(store1):
 
     desugared = desugar_predicates(wand, u)
     assert orc.is_footprint(out.footprint, desugared, "standard", orc.plan(u), store)
-    # the emitted derivation starts from the post-script configuration,
-    # whose pairs all hold the folded instance
-    check_derivation(out.configuration, out.derivation, u, store)
-    assert out.configuration.context.pairs
-    for pair in out.configuration.context.pairs:
+    # the derivation re-checks from the initial configuration through the
+    # script, whose pairs then all hold the folded instance
+    assert recheck_package(out.configuration, script, out.derivation, u, store) == out.footprint
+    after, _, _ = run_script(out.configuration.context, script, store, u)
+    assert after.pairs
+    for pair in after.pairs:
         assert any(rid.__class__.__name__ == "PredInst" for rid, _ in pair.sigma_a.mask)
 
 

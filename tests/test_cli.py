@@ -2,7 +2,12 @@ import json
 
 import pytest
 
-from wandpack.cli import main
+from wandpack.algorithms import prove_rhs
+from wandpack.cli import load_universe, main
+from wandpack.package_logic import Configuration, Context, init_witness_set
+from wandpack.parser import parse_assertion_text, parse_state_text
+from wandpack.serialization import derivation_doc, dumps_canonical, state_to_json
+from wandpack.universe import FieldLoc
 
 from conftest import CORPUS
 
@@ -47,7 +52,7 @@ def test_verify_json_and_derivation_outputs(tmp_path):
     assert report["format"] == "wandpack-report-1"
     assert report["verified"] is True
     derivs = json.loads(dj.read_text())
-    assert derivs and derivs[0]["format"] == "wandpack-derivation-1"
+    assert derivs and derivs[0]["format"] == "wandpack-derivation-2"
     assert run_cli("check-derivation", dj) == 0
 
 
@@ -74,7 +79,78 @@ def test_check_corrupted_derivation(tmp_path, capsys):
     assert "REJECTED" in capsys.readouterr().out
 
 
+def test_check_rejects_a_tree_proved_for_one_case(tmp_path, capsys):
+    # the tree serves only the x.f == y case; the package's own witness set
+    # also holds x.f == z, which needs z.g as well
+    u = load_universe(CORPUS / "pointers.universe")
+    store = {"x": "x", "y": "y", "z": "z"}
+    wand = parse_assertion_text("acc(x.f) * (x.f == y || x.f == z) --* acc(x.f) * acc(x.f.g)")
+    outer = parse_state_text("{x.f @ 1 = y, y.g @ 1 = 0, z.g @ 1 = 0}")
+    pairs = init_witness_set(wand.lhs, u, True, store)
+    ctx = Context.make(outer, [p for p in pairs if p.sigma_a.heap_value(FieldLoc("x", "f")) == "y"])
+    _, tree = prove_rhs(ctx, (), wand.rhs, u, store)
+    forged = tmp_path / "forged.json"
+    forged.write_text(dumps_canonical(derivation_doc(u, store, wand, Configuration(wand.rhs, (), ctx), tree)))
+    assert run_cli("check-derivation", forged) == 1
+    assert "REJECTED" in capsys.readouterr().out
+
+
+CELL_UNIVERSE = """universe v1
+granularity 2
+refs x
+loc x.f: int {0, 1}
+pred Cell(r) = acc(r.f)
+"""
+
+CELL_PROGRAM = """program v1
+universe "cell.universe"
+
+method m(x: Ref)
+  requires acc(x.f)
+{
+  package acc(x.f, 1/2) --* Cell(x) {
+    fold Cell(x)
+  }
+}
+"""
+
+
+def test_checked_footprints_are_the_reported_ones(tmp_path, capsys):
+    (tmp_path / "cell.universe").write_text(CELL_UNIVERSE)
+    (tmp_path / "cell.wnd").write_text(CELL_PROGRAM)
+    names = ("basic", "combinable", "preds", "proof_of_false", "two_footprints")
+    programs = [CORPUS / f"{n}.wnd" for n in names] + [tmp_path / "cell.wnd"]
+    report, derivs = tmp_path / "r.json", tmp_path / "d.json"
+    checked = []
+    for program in programs:
+        for algorithm in ("sound", "combinable"):
+            run_cli("verify", program, "--algorithm", algorithm, "--json", report, "--emit-derivation", derivs)
+            packages = [p for m in json.loads(report.read_text())["methods"] for p in m["packages"]]
+            reported = [p["footprints"][0] for p in packages if p["derivation"]]
+            if not reported:
+                continue
+            capsys.readouterr()
+            assert run_cli("check-derivation", derivs) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert [state_to_json(parse_state_text(x.split(", footprint ")[1])) for x in lines] == reported
+            checked += reported
+    assert len(checked) == 12
+    assert {"mask": {"x.f": "1/2"}, "heap": {"x.f": 1}} in checked
+
+
+def test_decode_errors_name_the_file(tmp_path, capsys):
+    universe = tmp_path / "bad.universe"
+    universe.write_bytes(b"universe v1\ngranularity 2\n\xff\n")
+    program = tmp_path / "p.wnd"
+    program.write_text('program v1\nuniverse "bad.universe"\nmethod m() {\n}\n')
+    for args in (("verify", program), ("laws", universe)):
+        assert run_cli(*args) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {universe}: 'utf-8' codec can't decode")
+
+
 SHIPPED = json.loads((CORPUS / "derivations" / "two_footprints_half_xb.json").read_text())
+HEADER = '"format": "wandpack-derivation-2", "universe": "universe v1\\ngranularity 2\\nrefs x"'
 
 
 @pytest.mark.parametrize(
@@ -83,23 +159,36 @@ SHIPPED = json.loads((CORPUS / "derivations" / "two_footprints_half_xb.json").re
         "{not json",
         '{"kind": "standard"}',
         "[1]",
-        '{"format": "wandpack-derivation-1", "universe": "universe v1\\ngranularity 2\\nrefs x", "store": {}}',
-        '{"format": "wandpack-derivation-1", "universe": "universe v1\\ngranularity 2\\nrefs x", "store": 5}',
-        '{"format": "wandpack-derivation-1", "universe": "universe v1\\ngranularity 2\\nrefs x", "store": "ab"}',
-        '{"format": "wandpack-derivation-1", "universe": "universe v1\\ngranularity 2\\nrefs x", "store": {},'
-        ' "wand": "acc(x.f) --* acc(x.f)", "config": {"pairs": [5]}}',
+        "{" + HEADER + ', "store": {}}',
+        "{" + HEADER + ', "store": 5}',
+        "{" + HEADER + ', "store": "ab"}',
+        json.dumps({**SHIPPED, "format": "wandpack-derivation-1"}),
         # parse errors inside a document are reported with the document
-        json.dumps({**SHIPPED, "config": {**SHIPPED["config"], "outer": "{x.b @ 1/0 = false}"}}),
+        json.dumps({**SHIPPED, "outer": "{x.b @ 1/0 = false}"}),
         json.dumps({**SHIPPED, "universe": SHIPPED["universe"] + "loc y.f: int {0}\n"}),
         # states the document's universe cannot hold
-        json.dumps({**SHIPPED, "config": {**SHIPPED["config"], "outer": "{x.b @ 1 = false, x.f @ 1 = 7}"}}),
-        json.dumps({**SHIPPED, "config": {**SHIPPED["config"], "outer": "{x.b @ 1 = false, x.f @ 1 = 0, z.q @ 1 = 3}"}}),
-        json.dumps({**SHIPPED, "config": {**SHIPPED["config"], "pairs": [{"available": "{x.g @ 1/2 = 5}", "assembled": "{}"}]}}),
+        json.dumps({**SHIPPED, "outer": "{x.b @ 1 = false, x.f @ 1 = 7}"}),
+        json.dumps({**SHIPPED, "outer": "{x.b @ 1 = false, x.f @ 1 = 0, z.q @ 1 = 3}"}),
+        json.dumps({**SHIPPED, "outer": "{x.b @ 1 = false, x.f @ 1 = 0, Nope(x) @ 1}"}),
+        json.dumps({**SHIPPED, "outer": "{x.b @ 1 = false, x.f @ 1 = 0, wand[acc(q.z) --* acc(q.z)] @ 1}"}),
+        # stores, wands and scripts the package statement's static check rejects
+        json.dumps({**SHIPPED, "store": {}}),
+        json.dumps({**SHIPPED, "store": {"x": "q"}}),
+        json.dumps({**SHIPPED, "wand": "acc(x.nope) --* acc(x.b)"}),
+        json.dumps({**SHIPPED, "wand": "x.b --* acc(x.b)"}),
+        json.dumps({**SHIPPED, "script": "{ fold }"}),
+        json.dumps({**SHIPPED, "script": "{ inhale acc(x.f) }"}),
+        json.dumps({**SHIPPED, "script": "{ fold Nope(x) }"}),
+        json.dumps(
+            {**SHIPPED, "universe": SHIPPED["universe"] + "pred Cell(r) = acc(r.f)\n", "script": "{ fold Cell(x, x) }"}
+        ),
     ],
     ids=[
-        "not-json", "no-format", "not-an-object", "missing-field", "bad-store", "store-string",
-        "pair-not-object", "zero-denominator", "undeclared-ref", "value-outside-domain",
-        "undeclared-location", "pair-value-outside-domain",
+        "not-json", "no-format", "not-an-object", "missing-field", "bad-store", "store-string", "format-1",
+        "zero-denominator", "undeclared-ref", "value-outside-domain", "undeclared-location",
+        "undeclared-predicate-instance", "wand-over-undeclared-location", "store-missing-variable",
+        "store-undeclared-reference", "wand-ill-typed", "wand-not-self-framing", "script-parse-error",
+        "script-method-statement", "script-undeclared-predicate", "script-wrong-arity",
     ],
 )
 def test_check_malformed_derivation_exit_2(tmp_path, capsys, text):

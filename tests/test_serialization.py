@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import random
 
@@ -6,6 +8,7 @@ from hypothesis import strategies as strat
 
 import gen
 from wandpack.algorithms import package_combinable, package_sound
+from wandpack.cli import main
 from wandpack.package_logic import (
     check_derivation,
     extract_footprint,
@@ -123,3 +126,12 @@ def test_derivation_doc_parse_raises_only_declared_errors(doc):
         derivation_doc_parse(doc)
     except DOC_ERRORS:
         pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(documents)
+def test_check_derivation_exits_0_1_or_2(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["check-derivation", str(path)]) in (0, 1, 2)
