@@ -85,7 +85,6 @@ from .states import (
     enumerate_states,
     exists_compatible_scaled,
     geq,
-    in_scaled,
     is_stable,
     mult,
     restrict,

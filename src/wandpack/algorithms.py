@@ -25,14 +25,13 @@ from .assertions import (
     Pure,
     Star,
     Wand,
-    assertion_substitute,
     demands,
     format_assertion,
     lhs_cases,
     wand_key,
     wf,
 )
-from .exprs import Expr, Not, Store, Unframed, eval_bool, eval_expr
+from .exprs import Expr, Not, Store, Unframed, eval_bool, eval_expr, substitute
 from .package_logic import (
     CheckFailure,
     Configuration,
@@ -319,7 +318,7 @@ def _instantiated_body(u: Universe, name: str, args) -> Assertion:
     d = u.predicate(name)
     if len(d.params) != len(args):
         raise PackageFailure(f"{name} expects {len(d.params)} arguments")
-    return assertion_substitute(d.body, dict(zip(d.params, args)))
+    return substitute(d.body, dict(zip(d.params, args)))
 
 
 def _instance_token(stmt, pair: WitnessPair, store, what: str) -> State:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -24,12 +23,15 @@ from .exprs import (
     Not,
     Store,
     Unframed,
+    children,
     contains_perm,
     eval_bool,
     eval_expr,
     format_expr,
     free_vars,
     infer_type,
+    map_children,
+    node,
     substitute,
 )
 from .states import EMPTY, State, state_key
@@ -40,44 +42,44 @@ class AssertionError_(Exception):
     """Static assertion problem (types, arities, predicate misuse)."""
 
 
-@dataclass(frozen=True)
+@node
 class Pure:
     expr: Expr
 
 
-@dataclass(frozen=True)
+@node
 class Acc:
     ref_expr: Expr
     field: str
     amount: Fraction = Fraction(1)
 
 
-@dataclass(frozen=True)
+@node
 class PredA:
     name: str
     args: tuple[Expr, ...]
     frac: Fraction = Fraction(1)
 
 
-@dataclass(frozen=True)
+@node
 class Star:
     left: "Assertion"
     right: "Assertion"
 
 
-@dataclass(frozen=True)
+@node
 class Imp:
     guard: Expr
     body: "Assertion"
 
 
-@dataclass(frozen=True)
+@node
 class OrA:
     left: "Assertion"
     right: "Assertion"
 
 
-@dataclass(frozen=True)
+@node
 class Wand:
     lhs: "Assertion"
     rhs: "Assertion"
@@ -144,47 +146,13 @@ def _fmt(a: Assertion, prec: int) -> str:
 # -- structural helpers --------------------------------------------------------
 
 
-def assertion_free_vars(a: Assertion) -> set[str]:
-    if isinstance(a, Pure):
-        return free_vars(a.expr)
-    if isinstance(a, Acc):
-        return free_vars(a.ref_expr)
-    if isinstance(a, PredA):
-        return set().union(*(free_vars(x) for x in a.args)) if a.args else set()
-    if isinstance(a, (Star, OrA)):
-        return assertion_free_vars(a.left) | assertion_free_vars(a.right)
-    if isinstance(a, Imp):
-        return free_vars(a.guard) | assertion_free_vars(a.body)
-    if isinstance(a, Wand):
-        return assertion_free_vars(a.lhs) | assertion_free_vars(a.rhs)
-    raise AssertionError_(f"unknown assertion node {a!r}")
-
-
-def assertion_substitute(a: Assertion, binding: Mapping[str, Expr]) -> Assertion:
-    if isinstance(a, Pure):
-        return Pure(substitute(a.expr, binding))
-    if isinstance(a, Acc):
-        return Acc(substitute(a.ref_expr, binding), a.field, a.amount)
-    if isinstance(a, PredA):
-        return PredA(a.name, tuple(substitute(x, binding) for x in a.args), a.frac)
-    if isinstance(a, Star):
-        return Star(assertion_substitute(a.left, binding), assertion_substitute(a.right, binding))
-    if isinstance(a, OrA):
-        return OrA(assertion_substitute(a.left, binding), assertion_substitute(a.right, binding))
-    if isinstance(a, Imp):
-        return Imp(substitute(a.guard, binding), assertion_substitute(a.body, binding))
-    if isinstance(a, Wand):
-        return Wand(assertion_substitute(a.lhs, binding), assertion_substitute(a.rhs, binding), a.combinable)
-    raise AssertionError_(f"unknown assertion node {a!r}")
-
-
 def close_assertion(a: Assertion, store: Store) -> Assertion:
     """Substitute store values for free variables (used for wand keys)."""
-    fv = assertion_free_vars(a)
+    fv = free_vars(a)
     missing = [v for v in sorted(fv) if v not in store]
     if missing:
         raise AssertionError_(f"cannot close assertion, unbound: {', '.join(missing)}")
-    return assertion_substitute(a, {v: Lit(store[v]) for v in fv})
+    return substitute(a, {v: Lit(store[v]) for v in fv})
 
 
 def wand_key(w: Wand, store: Store) -> WandInst:
@@ -217,21 +185,13 @@ def scale_assertion(a: Assertion, p: Fraction) -> Assertion:
     """Multiply every resource amount through by p (fractional reading)."""
     if p <= 0 or p > 1:
         raise AssertionError_("scale factor must be in (0, 1]")
-    if isinstance(a, Pure):
-        return a
     if isinstance(a, Acc):
         return Acc(a.ref_expr, a.field, a.amount * p)
     if isinstance(a, PredA):
         return PredA(a.name, a.args, a.frac * p)
-    if isinstance(a, Star):
-        return Star(scale_assertion(a.left, p), scale_assertion(a.right, p))
-    if isinstance(a, OrA):
-        return OrA(scale_assertion(a.left, p), scale_assertion(a.right, p))
-    if isinstance(a, Imp):
-        return Imp(a.guard, scale_assertion(a.body, p))
     if isinstance(a, Wand):
         raise AssertionError_("wand atoms cannot be scaled syntactically")
-    raise AssertionError_(f"unknown assertion node {a!r}")
+    return map_children(a, lambda c: scale_assertion(c, p))
 
 
 def desugar_predicates(a: Assertion, u: Universe) -> Assertion:
@@ -240,18 +200,9 @@ def desugar_predicates(a: Assertion, u: Universe) -> Assertion:
         d = u.predicate(a.name)
         if len(d.params) != len(a.args):
             raise AssertionError_(f"{a.name} expects {len(d.params)} arguments")
-        body = assertion_substitute(d.body, dict(zip(d.params, a.args)))
-        body = desugar_predicates(body, u)
+        body = desugar_predicates(substitute(d.body, dict(zip(d.params, a.args))), u)
         return body if a.frac == 1 else scale_assertion(body, a.frac)
-    if isinstance(a, Star):
-        return Star(desugar_predicates(a.left, u), desugar_predicates(a.right, u))
-    if isinstance(a, OrA):
-        return OrA(desugar_predicates(a.left, u), desugar_predicates(a.right, u))
-    if isinstance(a, Imp):
-        return Imp(a.guard, desugar_predicates(a.body, u))
-    if isinstance(a, Wand):
-        return Wand(desugar_predicates(a.lhs, u), desugar_predicates(a.rhs, u), a.combinable)
-    return a
+    return map_children(a, lambda c: desugar_predicates(c, u))
 
 
 def typecheck(a: Assertion, u: Universe, var_types: Mapping[str, str]) -> None:
@@ -312,24 +263,15 @@ def _expr_path(e: Expr) -> Optional[Path]:
 
 
 def _expr_framed(e: Expr, framed: frozenset, allow_perm: bool) -> bool:
-    from .exprs import BoolOp, Eq, FieldAcc, Ite, PermOf, Var
+    from .exprs import FieldAcc, PermOf
 
-    if isinstance(e, (Var, Lit)):
-        return True
     if isinstance(e, FieldAcc):
         p = _expr_path(e)
-        return p is not None and p in framed and _expr_framed(e.base, framed, allow_perm)
-    if isinstance(e, PermOf):
-        return allow_perm and _expr_framed(e.base, framed, allow_perm)
-    if isinstance(e, Eq):
-        return _expr_framed(e.left, framed, allow_perm) and _expr_framed(e.right, framed, allow_perm)
-    if isinstance(e, Not):
-        return _expr_framed(e.arg, framed, allow_perm)
-    if isinstance(e, BoolOp):
-        return _expr_framed(e.left, framed, allow_perm) and _expr_framed(e.right, framed, allow_perm)
-    if isinstance(e, Ite):
-        return all(_expr_framed(x, framed, allow_perm) for x in (e.cond, e.then, e.other))
-    return False
+        if p is None or p not in framed:
+            return False
+    elif isinstance(e, PermOf) and not allow_perm:
+        return False
+    return all(_expr_framed(c, framed, allow_perm) for c in children(e))
 
 
 def _wf_walk(a: Assertion, framed: frozenset, allow_perm: bool) -> tuple[bool, frozenset]:
@@ -529,7 +471,7 @@ def lhs_states(u: Universe, a: Assertion, store: Store, budget: int = 10**6) -> 
     Quantifying over stable states suffices for well-formed assertions:
     extra heap values at zero permission can never flip them.
     """
-    read = tuple(sorted((v, store[v]) for v in assertion_free_vars(a) if v in store))
+    read = tuple(sorted((v, store[v]) for v in free_vars(a) if v in store))
     key = (id(u), format_assertion(a), read, budget)
     hit = _LHS_CACHE.get(key)
     if hit is not None:

@@ -124,7 +124,7 @@ def _cmd_verify(args) -> int:
     program = load_program(args.file)
     started = time.monotonic()
     report = run(program, args.algorithm, audit=args.audit)
-    report.elapsed_seconds = time.monotonic() - started
+    elapsed = time.monotonic() - started
     doc = report.to_json()
     if args.json:
         Path(args.json).write_text(dumps_canonical(doc))
@@ -141,7 +141,7 @@ def _cmd_verify(args) -> int:
                 if s.error.get("world"):
                     print(f"  in world: {s.error['world']['state']}")
     verdict = "VERIFIED" if report.verified else "REJECTED"
-    print(f"{verdict} ({args.algorithm}, {report.elapsed_seconds:.2f}s)")
+    print(f"{verdict} ({args.algorithm}, {elapsed:.2f}s)")
     if args.audit:
         print(f"audit violations: {report.audit_violations}")
     return 0 if report.verified else 1
@@ -154,8 +154,7 @@ def _cmd_check_derivation(args) -> int:
         raise CliError(f"{args.file}: not JSON: {e}")
     docs = payload if isinstance(payload, list) else [payload]
     if not docs:
-        print("error: no derivations in file", file=sys.stderr)
-        return 2
+        raise CliError(f"{args.file}: no derivations in file")
     for i, doc in enumerate(docs):
         try:
             u, store, _, conf, deriv, script = derivation_doc_read(doc)

@@ -8,7 +8,7 @@ a hard error (well-formedness, verification).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -31,48 +31,92 @@ class Unframed(Exception):
         self.description = description
 
 
-@dataclass(frozen=True)
+# -- the shape of the syntax tree ---------------------------------------------------
+# Expression and assertion nodes are frozen dataclasses declared with
+# ``@node``.  A field annotated with ``Expr`` or ``Assertion`` (alone or as a
+# tuple of them) holds children; every other field is data.  Walkers that do
+# the same thing at most nodes recurse through ``children`` and
+# ``map_children`` and name only the nodes where they differ.
+
+CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
+def node(cls):
+    """Declare a syntax-tree class and record its child fields."""
+    cls = dataclass(frozen=True)(cls)
+    CHILD_FIELDS[cls] = tuple(
+        f.name for f in fields(cls) if "Expr" in f.type or "Assertion" in f.type
+    )
+    return cls
+
+
+def children(n) -> list:
+    """The expression and assertion nodes directly below ``n``, in field
+    order; a tuple field gives each of its items."""
+    out = []
+    for name in CHILD_FIELDS[type(n)]:
+        v = getattr(n, name)
+        if type(v) is tuple:
+            out.extend(v)
+        else:
+            out.append(v)
+    return out
+
+
+def map_children(n, fn):
+    """``n`` rebuilt with ``fn`` applied to each child."""
+    names = CHILD_FIELDS[type(n)]
+    if not names:
+        return n
+    kw = vars(n).copy()  # a node's fields, and nothing else
+    for name in names:
+        v = kw[name]
+        kw[name] = tuple(map(fn, v)) if type(v) is tuple else fn(v)
+    return type(n)(**kw)
+
+
+@node
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@node
 class Lit:
     value: Union[Value, Fraction]
 
 
-@dataclass(frozen=True)
+@node
 class FieldAcc:
     base: "Expr"
     field: str
 
 
-@dataclass(frozen=True)
+@node
 class Eq:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@node
 class Not:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@node
 class BoolOp:
     op: str  # "and" | "or" | "implies"
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@node
 class Ite:
     cond: "Expr"
     then: "Expr"
     other: "Expr"
 
 
-@dataclass(frozen=True)
+@node
 class PermOf:
     """Permission introspection: the mask amount held for base.field."""
 
@@ -152,64 +196,32 @@ def eval_bool(e: Expr, heap, store: Store, mask=None) -> bool:
     return _as_bool(eval_expr(e, heap, store, mask))
 
 
-def free_vars(e: Expr) -> set[str]:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Lit):
-        return set()
-    if isinstance(e, (FieldAcc, PermOf)):
-        return free_vars(e.base)
-    if isinstance(e, Eq):
-        return free_vars(e.left) | free_vars(e.right)
-    if isinstance(e, Not):
-        return free_vars(e.arg)
-    if isinstance(e, BoolOp):
-        return free_vars(e.left) | free_vars(e.right)
-    if isinstance(e, Ite):
-        return free_vars(e.cond) | free_vars(e.then) | free_vars(e.other)
-    raise ExprError(f"unknown expression node {e!r}")
+def free_vars(n) -> set[str]:
+    """The variables an expression or assertion reads."""
+    # a loop, not a recursion: lhs_states computes this on every call
+    out = set()
+    stack = [n]
+    while stack:
+        x = stack.pop()
+        if type(x) is Var:
+            out.add(x.name)
+        else:
+            stack.extend(children(x))
+    return out
 
 
-def substitute(e: Expr, binding: Mapping[str, Expr]) -> Expr:
-    if isinstance(e, Var):
-        return binding.get(e.name, e)
-    if isinstance(e, Lit):
-        return e
-    if isinstance(e, FieldAcc):
-        return FieldAcc(substitute(e.base, binding), e.field)
-    if isinstance(e, PermOf):
-        return PermOf(substitute(e.base, binding), e.field)
-    if isinstance(e, Eq):
-        return Eq(substitute(e.left, binding), substitute(e.right, binding))
-    if isinstance(e, Not):
-        return Not(substitute(e.arg, binding))
-    if isinstance(e, BoolOp):
-        return BoolOp(e.op, substitute(e.left, binding), substitute(e.right, binding))
-    if isinstance(e, Ite):
-        return Ite(
-            substitute(e.cond, binding),
-            substitute(e.then, binding),
-            substitute(e.other, binding),
-        )
-    raise ExprError(f"unknown expression node {e!r}")
+def substitute(n, binding: Mapping[str, Expr]):
+    """An expression or assertion with the variables ``binding`` names
+    replaced."""
+
+    def sub(x):
+        return binding.get(x.name, x) if type(x) is Var else map_children(x, sub)
+
+    return sub(n)
 
 
-def contains_perm(e: Expr) -> bool:
-    if isinstance(e, PermOf):
-        return True
-    if isinstance(e, (Var, Lit)):
-        return False
-    if isinstance(e, FieldAcc):
-        return contains_perm(e.base)
-    if isinstance(e, Eq):
-        return contains_perm(e.left) or contains_perm(e.right)
-    if isinstance(e, Not):
-        return contains_perm(e.arg)
-    if isinstance(e, BoolOp):
-        return contains_perm(e.left) or contains_perm(e.right)
-    if isinstance(e, Ite):
-        return any(contains_perm(x) for x in (e.cond, e.then, e.other))
-    return False
+def contains_perm(n) -> bool:
+    return type(n) is PermOf or any(map(contains_perm, children(n)))
 
 
 def infer_type(e: Expr, u: Universe, var_types: Mapping[str, str]) -> str:

@@ -25,13 +25,12 @@ from . import states as st
 from .assertions import (
     Assertion,
     Wand,
-    assertion_substitute,
     demands,
     desugar_predicates,
     sat,
     wand_holds,
 )
-from .exprs import Lit, Store, Unframed, eval_bool
+from .exprs import Lit, Store, Unframed, eval_bool, substitute
 from .states import State, bin_mask, enumerate_states, state_key
 from .universe import PredInst, Universe
 
@@ -100,7 +99,7 @@ def desugar_state(s: State, p: EnumerationPlan) -> list[State]:
         if not isinstance(rid, PredInst):
             continue
         d = u.predicate(rid.name)
-        body = assertion_substitute(d.body, {prm: Lit(v) for prm, v in zip(d.params, rid.args)})
+        body = substitute(d.body, {prm: Lit(v) for prm, v in zip(d.params, rid.args)})
         body = desugar_predicates(body, u)
         variants = []
         for dm in demands(u, body, {}, {}, fresh="fork"):
@@ -170,17 +169,6 @@ def minimal_footprints(
     return st.minimal_elements(found)
 
 
-def sat_fraction(sigma: State, a: Assertion, frac: Fraction, p: EnumerationPlan, store: Store = {}) -> bool:
-    """sigma satisfies a fraction ``frac`` of the assertion.
-
-    Decided exactly by inverting the scaling (masks divide exactly with
-    rational arithmetic), so it works for states off the enumeration
-    lattice too.
-    """
-    whole = st.mult(Fraction(1) / frac, sigma) if frac != 1 else sigma
-    return whole is not None and sat(p.universe, whole, a, store)
-
-
 def check_combinable(
     a: Assertion, p: EnumerationPlan, store: Store = {}
 ) -> tuple[bool, Optional[tuple[Fraction, Fraction, State]]]:
@@ -206,9 +194,12 @@ def check_combinable(
     memo = {(m, f): True for f, ms in zip(fracs, scaled) for m in ms}
 
     def recombines(sigma: State, total: Fraction) -> bool:
+        # sigma satisfies the fraction ``total`` of the assertion: decided
+        # exactly by inverting the scaling, off the lattice too
         key = (sigma, total)
         if key not in memo:
-            memo[key] = sat_fraction(sigma, a, total, p, store)
+            whole = st.mult(1 / total, sigma) if total != 1 else sigma
+            memo[key] = whole is not None and sat(u, whole, a, store)
         return memo[key]
 
     for i, fp in enumerate(fracs):

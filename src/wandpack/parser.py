@@ -665,26 +665,10 @@ def _check_predicates(raw: list[tuple[str, tuple[str, ...], Assertion]]) -> dict
     for name, params, body in raw:
         if contains_wand(body):
             raise AssertionError_(f"predicate {name} contains a wand")
-        if _assertion_contains_perm(body):
+        if contains_perm(body):
             raise AssertionError_(f"predicate {name} uses perm()")
         out[name] = PredicateDef(name, params, body)
     return out
-
-
-def _assertion_contains_perm(a: Assertion) -> bool:
-    if isinstance(a, Pure):
-        return contains_perm(a.expr)
-    if isinstance(a, Acc):
-        return contains_perm(a.ref_expr)
-    if isinstance(a, PredA):
-        return any(contains_perm(x) for x in a.args)
-    if isinstance(a, (Star, OrA)):
-        return _assertion_contains_perm(a.left) or _assertion_contains_perm(a.right)
-    if isinstance(a, Imp):
-        return contains_perm(a.guard) or _assertion_contains_perm(a.body)
-    if isinstance(a, Wand):
-        return _assertion_contains_perm(a.lhs) or _assertion_contains_perm(a.rhs)
-    return False
 
 
 # -- module-level conveniences ----------------------------------------------------

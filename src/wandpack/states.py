@@ -284,29 +284,6 @@ def mult(alpha: Fraction, s: State) -> Optional[State]:
     return State(tuple(mask), s.heap)
 
 
-def in_scaled(candidate: State, s: State) -> bool:
-    """candidate in scaled(s): candidate = alpha (*) s for some alpha in (0,1].
-
-    Decided exactly: the heaps must match, the mask supports must match,
-    and all per-resource ratios must agree on a single alpha in (0,1].
-    """
-    if candidate.heap != s.heap:
-        return False
-    cm, sm = candidate.mask_dict(), s.mask_dict()
-    if set(cm) != set(sm):
-        return False
-    if not sm:
-        return True  # alpha (*) s = s for the permission-free state
-    alpha = None
-    for rid, amt in sm.items():
-        ratio = cm[rid] / amt
-        if alpha is None:
-            alpha = ratio
-        elif alpha != ratio:
-            return False
-    return alpha is not None and 0 < alpha <= 1
-
-
 def exists_compatible_scaled(sigma_a: State, sigma_w: State) -> bool:
     """Is some scaled copy of sigma_w compatible with sigma_a?
 

@@ -11,7 +11,7 @@ everything — the path is unreachable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -49,7 +49,7 @@ from .program import (
 )
 from .serialization import derivation_doc, state_to_json, state_to_text
 from .states import EMPTY, State, state_key
-from .universe import BOOL, NULL, REF, FieldLoc, Universe, value_key
+from .universe import BOOL, NULL, REF, FieldLoc, Universe, UniverseError, value_key
 
 ALGORITHMS = (FIA, SOUND, COMBINABLE)
 
@@ -129,43 +129,9 @@ class Report:
     verified: bool
     methods: list[MethodReport] = field(default_factory=list)
     audit_violations: int = 0
-    elapsed_seconds: float = 0.0  # human summary only, never serialized
 
     def to_json(self) -> dict:
-        return {
-            "format": "wandpack-report-1",
-            "algorithm": self.algorithm,
-            "verified": self.verified,
-            "audit_violations": self.audit_violations,
-            "methods": [
-                {
-                    "name": m.name,
-                    "verified": m.verified,
-                    "statements": [
-                        {
-                            "pos": list(s.pos),
-                            "kind": s.kind,
-                            "status": s.status,
-                            "worlds": s.worlds,
-                            "error": s.error,
-                        }
-                        for s in m.statements
-                    ],
-                    "packages": [
-                        {
-                            "pos": list(p.pos),
-                            "algorithm": p.algorithm,
-                            "wand": p.wand,
-                            "footprints": p.footprints,
-                            "derivation": p.derivation,
-                            "audit": p.audit,
-                        }
-                        for p in m.packages
-                    ],
-                }
-                for m in self.methods
-            ],
-        }
+        return {"format": "wandpack-report-1", **asdict(self)}
 
 
 # -- static checks ------------------------------------------------------------------
@@ -189,7 +155,7 @@ def typecheck_program(p: Program) -> None:
 def _check_assertion(a: Assertion, u, var_types, pos) -> None:
     try:
         typecheck(a, u, var_types)
-    except (AssertionError_, ExprError) as e:
+    except (AssertionError_, ExprError, UniverseError) as e:
         raise ProgramError(str(e), pos)
     # statement-level assertions may read whatever the world frames (an
     # unframed read is a verification error, not a type error), but every

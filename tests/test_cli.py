@@ -157,6 +157,7 @@ HEADER = '"format": "wandpack-derivation-2", "universe": "universe v1\\ngranular
     "text",
     [
         "{not json",
+        "[]",
         '{"kind": "standard"}',
         "[1]",
         "{" + HEADER + ', "store": {}}',
@@ -184,7 +185,7 @@ HEADER = '"format": "wandpack-derivation-2", "universe": "universe v1\\ngranular
         ),
     ],
     ids=[
-        "not-json", "no-format", "not-an-object", "missing-field", "bad-store", "store-string", "format-1",
+        "not-json", "empty-list", "no-format", "not-an-object", "missing-field", "bad-store", "store-string", "format-1",
         "zero-denominator", "undeclared-ref", "value-outside-domain", "undeclared-location",
         "undeclared-predicate-instance", "wand-over-undeclared-location", "store-missing-variable",
         "store-undeclared-reference", "wand-ill-typed", "wand-not-self-framing", "script-parse-error",
@@ -200,7 +201,9 @@ def test_check_malformed_derivation_exit_2(tmp_path, capsys, text):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert str(bad) in lines[0]
-    if text != "{not json":
+    if text == "[]":
+        assert "no derivations in file" in lines[0]
+    elif text != "{not json":
         assert "derivation 0: malformed document" in lines[0]
 
 

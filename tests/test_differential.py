@@ -9,37 +9,63 @@ The witness-set checks compare the demand-built minimal LHS states with
 the enumeration they replace: the minimal elements of every enumerated
 stable state satisfying the LHS.  The per-case baseline's LHS cases are
 compared with the separate interpreter that built them before they came
-from the same demand walk.
+from the same demand walk.  The walkers built on the generic child
+traversal are compared with the hand-written recursions they replaced.
 """
 
 import itertools
 import random
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from typing import Mapping
 
 import pytest
 
+import wandpack.assertions as asr
+import wandpack.exprs as ex
 import wandpack.oracle as orc
 import wandpack.states as st
 from wandpack.algorithms import package_combinable, package_sound
 from wandpack.assertions import (
     FRESH_FORK,
     Acc,
+    Assertion,
+    AssertionError_,
     Imp,
     OrA,
+    PredA,
     Pure,
     Star,
     Wand,
+    _expr_path,
     contains_wand,
     demands,
     lhs_cases,
     lhs_states,
     minimal_lhs_states,
+    sat,
     wf,
 )
-from wandpack.exprs import Eq, FieldAcc, Lit, Unframed, Var, eval_bool
-from wandpack.states import EMPTY, state_key
+from wandpack.exprs import (
+    BoolOp,
+    Eq,
+    Expr,
+    ExprError,
+    FieldAcc,
+    Ite,
+    Lit,
+    Not,
+    PermOf,
+    Store,
+    Unframed,
+    Var,
+    eval_bool,
+)
+from wandpack.oracle import EnumerationPlan
+from wandpack.states import EMPTY, State, state_key
 from wandpack.package_logic import CombinableR, init_witness_set
 from wandpack.parser import parse_assertion_text, parse_state_text, parse_universe_text
+from wandpack.universe import Universe, UniverseError
 
 from gen import identity_store, random_assertion, random_universe, random_wand
 
@@ -292,6 +318,17 @@ def test_lhs_cases_of_a_non_self_framing_lhs_are_empty():
 # -- the combinability sweep ----------------------------------------------------------
 
 
+def sat_fraction(sigma: State, a: Assertion, frac: Fraction, p: EnumerationPlan, store: Store = {}) -> bool:
+    """sigma satisfies a fraction ``frac`` of the assertion.
+
+    Decided exactly by inverting the scaling (masks divide exactly with
+    rational arithmetic), so it works for states off the enumeration
+    lattice too.
+    """
+    whole = st.mult(Fraction(1) / frac, sigma) if frac != 1 else sigma
+    return whole is not None and sat(p.universe, whole, a, store)
+
+
 def reference_check_combinable(a, p, store):
     """The full (fp, fq, s1, s2) sweep that ``check_combinable`` halves:
     every ordered split and every ordered pair of satisfying states."""
@@ -315,7 +352,7 @@ def reference_check_combinable(a, p, store):
                         continue
                     key = (combined, fp + fq)
                     if key not in memo:
-                        memo[key] = orc.sat_fraction(combined, a, fp + fq, p, store)
+                        memo[key] = sat_fraction(combined, a, fp + fq, p, store)
                     if not memo[key]:
                         return False, (fp, fq, combined)
     return True, None
@@ -360,3 +397,301 @@ def test_combinable_sweep_matches_reference_on_generated(with_predicate, granula
             refuted += not assert_same_combinability(a, p, store)
             queries += 1
     assert refuted > 0
+
+
+# -- the syntax-tree traversal ----------------------------------------------------------
+# The nine structural recursions that ``exprs.children`` and
+# ``exprs.map_children`` replaced, verbatim, as references.  They keep their
+# names; the code under test is reached through its modules (``ex``, ``asr``).
+
+
+def free_vars(e: Expr) -> set[str]:
+    if isinstance(e, Var):
+        return {e.name}
+    if isinstance(e, Lit):
+        return set()
+    if isinstance(e, (FieldAcc, PermOf)):
+        return free_vars(e.base)
+    if isinstance(e, Eq):
+        return free_vars(e.left) | free_vars(e.right)
+    if isinstance(e, Not):
+        return free_vars(e.arg)
+    if isinstance(e, BoolOp):
+        return free_vars(e.left) | free_vars(e.right)
+    if isinstance(e, Ite):
+        return free_vars(e.cond) | free_vars(e.then) | free_vars(e.other)
+    raise ExprError(f"unknown expression node {e!r}")
+
+
+def substitute(e: Expr, binding: Mapping[str, Expr]) -> Expr:
+    if isinstance(e, Var):
+        return binding.get(e.name, e)
+    if isinstance(e, Lit):
+        return e
+    if isinstance(e, FieldAcc):
+        return FieldAcc(substitute(e.base, binding), e.field)
+    if isinstance(e, PermOf):
+        return PermOf(substitute(e.base, binding), e.field)
+    if isinstance(e, Eq):
+        return Eq(substitute(e.left, binding), substitute(e.right, binding))
+    if isinstance(e, Not):
+        return Not(substitute(e.arg, binding))
+    if isinstance(e, BoolOp):
+        return BoolOp(e.op, substitute(e.left, binding), substitute(e.right, binding))
+    if isinstance(e, Ite):
+        return Ite(
+            substitute(e.cond, binding),
+            substitute(e.then, binding),
+            substitute(e.other, binding),
+        )
+    raise ExprError(f"unknown expression node {e!r}")
+
+
+def contains_perm(e: Expr) -> bool:
+    if isinstance(e, PermOf):
+        return True
+    if isinstance(e, (Var, Lit)):
+        return False
+    if isinstance(e, FieldAcc):
+        return contains_perm(e.base)
+    if isinstance(e, Eq):
+        return contains_perm(e.left) or contains_perm(e.right)
+    if isinstance(e, Not):
+        return contains_perm(e.arg)
+    if isinstance(e, BoolOp):
+        return contains_perm(e.left) or contains_perm(e.right)
+    if isinstance(e, Ite):
+        return any(contains_perm(x) for x in (e.cond, e.then, e.other))
+    return False
+
+
+def assertion_free_vars(a: Assertion) -> set[str]:
+    if isinstance(a, Pure):
+        return free_vars(a.expr)
+    if isinstance(a, Acc):
+        return free_vars(a.ref_expr)
+    if isinstance(a, PredA):
+        return set().union(*(free_vars(x) for x in a.args)) if a.args else set()
+    if isinstance(a, (Star, OrA)):
+        return assertion_free_vars(a.left) | assertion_free_vars(a.right)
+    if isinstance(a, Imp):
+        return free_vars(a.guard) | assertion_free_vars(a.body)
+    if isinstance(a, Wand):
+        return assertion_free_vars(a.lhs) | assertion_free_vars(a.rhs)
+    raise AssertionError_(f"unknown assertion node {a!r}")
+
+
+def assertion_substitute(a: Assertion, binding: Mapping[str, Expr]) -> Assertion:
+    if isinstance(a, Pure):
+        return Pure(substitute(a.expr, binding))
+    if isinstance(a, Acc):
+        return Acc(substitute(a.ref_expr, binding), a.field, a.amount)
+    if isinstance(a, PredA):
+        return PredA(a.name, tuple(substitute(x, binding) for x in a.args), a.frac)
+    if isinstance(a, Star):
+        return Star(assertion_substitute(a.left, binding), assertion_substitute(a.right, binding))
+    if isinstance(a, OrA):
+        return OrA(assertion_substitute(a.left, binding), assertion_substitute(a.right, binding))
+    if isinstance(a, Imp):
+        return Imp(substitute(a.guard, binding), assertion_substitute(a.body, binding))
+    if isinstance(a, Wand):
+        return Wand(assertion_substitute(a.lhs, binding), assertion_substitute(a.rhs, binding), a.combinable)
+    raise AssertionError_(f"unknown assertion node {a!r}")
+
+
+def scale_assertion(a: Assertion, p: Fraction) -> Assertion:
+    """Multiply every resource amount through by p (fractional reading)."""
+    if p <= 0 or p > 1:
+        raise AssertionError_("scale factor must be in (0, 1]")
+    if isinstance(a, Pure):
+        return a
+    if isinstance(a, Acc):
+        return Acc(a.ref_expr, a.field, a.amount * p)
+    if isinstance(a, PredA):
+        return PredA(a.name, a.args, a.frac * p)
+    if isinstance(a, Star):
+        return Star(scale_assertion(a.left, p), scale_assertion(a.right, p))
+    if isinstance(a, OrA):
+        return OrA(scale_assertion(a.left, p), scale_assertion(a.right, p))
+    if isinstance(a, Imp):
+        return Imp(a.guard, scale_assertion(a.body, p))
+    if isinstance(a, Wand):
+        raise AssertionError_("wand atoms cannot be scaled syntactically")
+    raise AssertionError_(f"unknown assertion node {a!r}")
+
+
+def desugar_predicates(a: Assertion, u: Universe) -> Assertion:
+    """Replace predicate atoms by their bodies, fractions multiplied through."""
+    if isinstance(a, PredA):
+        d = u.predicate(a.name)
+        if len(d.params) != len(a.args):
+            raise AssertionError_(f"{a.name} expects {len(d.params)} arguments")
+        body = assertion_substitute(d.body, dict(zip(d.params, a.args)))
+        body = desugar_predicates(body, u)
+        return body if a.frac == 1 else scale_assertion(body, a.frac)
+    if isinstance(a, Star):
+        return Star(desugar_predicates(a.left, u), desugar_predicates(a.right, u))
+    if isinstance(a, OrA):
+        return OrA(desugar_predicates(a.left, u), desugar_predicates(a.right, u))
+    if isinstance(a, Imp):
+        return Imp(a.guard, desugar_predicates(a.body, u))
+    if isinstance(a, Wand):
+        return Wand(desugar_predicates(a.lhs, u), desugar_predicates(a.rhs, u), a.combinable)
+    return a
+
+
+def _expr_framed(e: Expr, framed: frozenset, allow_perm: bool) -> bool:
+    from wandpack.exprs import BoolOp, Eq, FieldAcc, Ite, PermOf, Var
+
+    if isinstance(e, (Var, Lit)):
+        return True
+    if isinstance(e, FieldAcc):
+        p = _expr_path(e)
+        return p is not None and p in framed and _expr_framed(e.base, framed, allow_perm)
+    if isinstance(e, PermOf):
+        return allow_perm and _expr_framed(e.base, framed, allow_perm)
+    if isinstance(e, Eq):
+        return _expr_framed(e.left, framed, allow_perm) and _expr_framed(e.right, framed, allow_perm)
+    if isinstance(e, Not):
+        return _expr_framed(e.arg, framed, allow_perm)
+    if isinstance(e, BoolOp):
+        return _expr_framed(e.left, framed, allow_perm) and _expr_framed(e.right, framed, allow_perm)
+    if isinstance(e, Ite):
+        return all(_expr_framed(x, framed, allow_perm) for x in (e.cond, e.then, e.other))
+    return False
+
+
+def _assertion_contains_perm(a: Assertion) -> bool:
+    if isinstance(a, Pure):
+        return contains_perm(a.expr)
+    if isinstance(a, Acc):
+        return contains_perm(a.ref_expr)
+    if isinstance(a, PredA):
+        return any(contains_perm(x) for x in a.args)
+    if isinstance(a, (Star, OrA)):
+        return _assertion_contains_perm(a.left) or _assertion_contains_perm(a.right)
+    if isinstance(a, Imp):
+        return contains_perm(a.guard) or _assertion_contains_perm(a.body)
+    if isinstance(a, Wand):
+        return _assertion_contains_perm(a.lhs) or _assertion_contains_perm(a.rhs)
+    return False
+
+
+def reference_wf(a, allow_perm: bool) -> bool:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(asr, "_expr_framed", _expr_framed)
+        mp.setattr(asr, "contains_perm", contains_perm)
+        return wf(a, allow_perm)
+
+
+NODE_CLASSES = {
+    c
+    for m in (ex, asr)
+    for c in vars(m).values()
+    if isinstance(c, type) and is_dataclass(c) and c.__module__ == m.__name__
+}
+ASSERTION_CLASSES = tuple(c for c in NODE_CLASSES if c.__module__ == asr.__name__)
+
+
+def sub_node_fields(n):
+    """(name, sub-nodes) for each field of ``n`` whose value is a node or a
+    tuple of nodes, read from the values, not from the declarations."""
+    for f in fields(n):
+        v = getattr(n, f.name)
+        items = list(v) if type(v) is tuple else [v]
+        if items and all(type(x) in NODE_CLASSES for x in items):
+            yield f.name, items
+
+
+def subtrees(n):
+    yield n
+    for _, items in sub_node_fields(n):
+        for x in items:
+            yield from subtrees(x)
+
+
+X, Y = Var("x"), Var("y")
+XF = FieldAcc(X, "f")
+GUARD = BoolOp("implies", Eq(XF, Y), Not(Eq(PermOf(Y, "g"), Lit(HALF))))
+CHOICE = Ite(
+    BoolOp("and", Eq(XF, Y), Lit(True)),
+    Eq(FieldAcc(Y, "g"), Lit(0)),
+    BoolOp("or", Lit(False), Eq(FieldAcc(XF, "g"), Lit(0))),
+)
+BODY = Star(Acc(X, "f"), Imp(GUARD, OrA(PredA("Pair", (X, XF), HALF), Pure(CHOICE))))
+SAMPLES = [
+    Wand(Star(Acc(X, "f", HALF), PredA("Cell", (Y,))), Wand(Acc(XF, "g"), BODY, True)),
+    Star(Acc(Y, "f"), PredA("Pair", (Y, FieldAcc(Y, "f")))),
+    OrA(PredA("Cell", (X, Y)), PredA("Nope", (X,))),  # wrong arity, undeclared
+    Imp(Eq(PermOf(X, "f"), Lit(Fraction(1))), Pure(Eq(XF, Lit("y")))),
+]
+PAIR_U = parse_universe_text(
+    """
+    universe v1
+    granularity 2
+    refs x, y
+    loc x.f: ref {x, y}
+    loc x.g: int {0}
+    loc y.f: ref {x, y}
+    loc y.g: int {0}
+    pred Cell(r) = acc(r.g)
+    pred Pair(r, s) = acc(r.f, 1/2) * (r.f == s ==> Cell(s))
+    """
+)
+BINDING = {"x": FieldAcc(Y, "f"), "y": Lit("x")}
+
+
+def outcome(f, *args):
+    try:
+        return "value", f(*args)
+    except (AssertionError_, UniverseError) as e:
+        return "raise", type(e), str(e)
+
+
+def assert_walkers_agree(root, u):
+    """The traversal gives what the walkers it replaced gave, on ``root``
+    and on every node below it."""
+    acc_paths = {(_expr_path(n.ref_expr), n.field) for n in subtrees(root) if isinstance(n, Acc)}
+    framings = (frozenset(), frozenset(p for p in acc_paths if p[0] is not None))
+    for n in subtrees(root):
+        if isinstance(n, ASSERTION_CLASSES):
+            assert ex.free_vars(n) == assertion_free_vars(n)
+            assert ex.substitute(n, BINDING) == assertion_substitute(n, BINDING)
+            assert ex.contains_perm(n) == _assertion_contains_perm(n)
+            assert outcome(asr.scale_assertion, n, HALF) == outcome(scale_assertion, n, HALF)
+            assert outcome(asr.desugar_predicates, n, u) == outcome(desugar_predicates, n, u)
+            for allow_perm in (False, True):
+                assert wf(n, allow_perm) == reference_wf(n, allow_perm)
+        else:
+            assert ex.free_vars(n) == free_vars(n)
+            assert ex.substitute(n, BINDING) == substitute(n, BINDING)
+            assert ex.contains_perm(n) == contains_perm(n)
+            for framed, allow_perm in itertools.product(framings, (False, True)):
+                assert asr._expr_framed(n, framed, allow_perm) == _expr_framed(n, framed, allow_perm)
+
+
+def test_children_cover_every_sub_node_field():
+    nodes = [n for root in SAMPLES for n in subtrees(root)]
+    assert {type(n) for n in nodes} == NODE_CLASSES == set(ex.CHILD_FIELDS)
+    for n in nodes:
+        held = list(sub_node_fields(n))
+        assert [name for name, _ in held] == list(ex.CHILD_FIELDS[type(n)])
+        assert ex.children(n) == [x for _, items in held for x in items]
+
+
+def test_traversal_matches_replaced_walkers_on_every_node_class():
+    for root in SAMPLES:
+        assert_walkers_agree(root, PAIR_U)
+    assert ex.free_vars(SAMPLES[0]) == {"x", "y"} and ex.contains_perm(SAMPLES[0])
+    assert asr.desugar_predicates(SAMPLES[1], PAIR_U) == parse_assertion_text(
+        "acc(y.f) * (acc(y.f, 1/2) * (y.f == y.f ==> acc(y.f.g)))"
+    )
+
+
+@pytest.mark.parametrize("with_predicate", [False, True])
+@pytest.mark.parametrize("granularity", [2, 3])
+def test_traversal_matches_replaced_walkers_on_generated(with_predicate, granularity):
+    rng = random.Random(6089 + 10 * granularity + with_predicate)
+    for _ in range(750):
+        u = random_universe(rng, with_predicate=with_predicate, granularity=granularity)
+        assert_walkers_agree(random_wand(rng, u), u)

@@ -147,25 +147,6 @@ def test_mult_distributes_over_add(pool):
             assert lhs == rhs
 
 
-def test_in_scaled_examples():
-    assert st.in_scaled(S("{x.f @ 1/2 = y}"), S("{x.f @ 1 = y}"))
-    s = S("{x.f @ 1 = y}")
-    assert st.in_scaled(s, s)
-    # inconsistent ratios across the support
-    assert not st.in_scaled(
-        S("{x.f @ 1/2 = y, x.g @ 1 = 0}"), S("{x.f @ 1 = y, x.g @ 1 = 0}")
-    )
-
-
-def test_in_scaled_agrees_with_alpha_sampling(pool):
-    alphas = [Fraction(i, 4) for i in range(1, 5)]
-    for s in pool[:: max(1, len(pool) // 16)]:
-        for a in pool[:: max(1, len(pool) // 16)]:
-            sampled = any(st.mult(al, s) == a for al in alphas)
-            if sampled:
-                assert st.in_scaled(a, s)
-
-
 def test_exists_compatible_scaled_closed_form_vs_search(pool):
     # the closed form must agree with direct alpha search over a fine lattice
     alphas = [Fraction(i, 8) for i in range(1, 9)]

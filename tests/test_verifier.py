@@ -226,6 +226,25 @@ def test_typecheck_rejects_bad_program():
         run(p, "sound")
 
 
+@pytest.mark.parametrize(
+    "stmt", ["inhale Nope(x)", "assert Nope(x)", "package Nope(x) --* acc(x.f)", "apply Nope(x) --* acc(x.f)"]
+)
+def test_undeclared_predicate_is_a_positioned_program_error(stmt):
+    p = program(
+        f"""
+        program v1
+        method m(x: Ref) {{
+          inhale acc(x.f)
+          {stmt}
+        }}
+        """,
+        SINGLETON_U,
+    )
+    with pytest.raises(ProgramError) as err:
+        run(p, "sound")
+    assert str(err.value) == "5:11: undeclared predicate Nope"
+
+
 @pytest.mark.parametrize("stmt", ["apply (x.f == 0 --* acc(x.f))", "assert (x.f == 0 --* acc(x.f))"])
 def test_script_wand_must_be_self_framing(stmt):
     # a script statement gets the program's static check, even on a branch
