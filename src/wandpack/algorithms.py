@@ -1,10 +1,13 @@
 """The three package algorithms and proof-script execution.
 
+Each proof-search step is a rule of the package logic (``apply_extract``,
+``apply_atom``), so the derivation found needs no second check.
+
 * ``package_sound`` — the witness-set algorithm for standard wands; every
   success yields one footprint plus a derivation the checker accepts.
 * ``package_combinable`` — the same proof search run through the lifted
-  logic: each pair carries the restriction transformer anchored at its
-  left-hand-side state, and extraction distributes per-pair deltas.
+  logic: each pair is anchored at its left-hand-side state, and
+  extraction distributes per-pair deltas.
 * ``package_fia`` — the deliberately flawed baseline, kept for
   differential comparison: it runs each left-hand-side case alone through
   the same engine, as a one-pair witness set, and returns one footprint
@@ -42,6 +45,7 @@ from .package_logic import (
     DImplication,
     DStar,
     WitnessPair,
+    apply_atom,
     apply_extract,
     check_derivation,
     ctx_heap,
@@ -168,6 +172,13 @@ def _extract_to_cover(
         raise PackageFailure(f"{what}: {e.message}")
 
 
+def _pc_active(ctx: Context, pc: tuple[Expr, ...], store: Store) -> list[WitnessPair]:
+    try:
+        return [p for p in ctx.pairs if pc_holds(pc, p.sigma_a, store)]
+    except CheckFailure as e:
+        raise PackageFailure(e.message)
+
+
 def _active(ctx: Context, conds: tuple[Expr, ...], store: Store) -> list[WitnessPair]:
     out = []
     for pair in ctx.pairs:
@@ -192,11 +203,12 @@ def prove_rhs(
 ) -> tuple[Context, Derivation]:
     """Left-to-right proof search over the right-hand side.
 
-    Stars and implications recurse; atoms either transfer per-pair choices
-    directly or extract a minimal missing state from the outer state
-    first.  The combinable variant is selected by the transformers the
-    context's pairs carry.  Raises PackageFailure with the offending atom
-    and a witness pair when the outer state cannot close a shortfall.
+    Stars and implications recurse; an atom first extracts a minimal
+    missing state from the outer state if some active pair needs it, then
+    applies the Atom rule with each active pair's first covered demand.
+    The combinable variant is selected by the anchors the context's pairs
+    carry.  Raises PackageFailure with the offending atom and a witness
+    pair when the outer state cannot close a shortfall.
     """
     heap = dict(outer_heap or ctx.outer.heap_dict())
     return _prove(ctx, pc, b, u, store, heap)
@@ -211,21 +223,10 @@ def _prove(ctx, pc, b, u, store, outer_heap) -> tuple[Context, Derivation]:
         ctx1, d = _prove(ctx, pc + (b.guard,), b.body, u, store, outer_heap)
         return ctx1, DImplication(d)
     # a semantic atom: Pure / Acc / Pred / Wand / Or
-    try:
-        active = [p for p in ctx.pairs if pc_holds(pc, p.sigma_a, store)]
-    except CheckFailure as e:
-        raise PackageFailure(e.message)
+    active = _pc_active(ctx, pc, store)
     ctx, extracted, known = _extract_to_cover(u, ctx, active, b, store, outer_heap, "prove")
-    try:
-        active = [p for p in ctx.pairs if pc_holds(pc, p.sigma_a, store)]
-    except CheckFailure as e:
-        raise PackageFailure(e.message)
     choices = {}
-    new_pairs = []
-    for pair in ctx.pairs:
-        if pair not in active:
-            new_pairs.append(pair)
-            continue
+    for pair in _pc_active(ctx, pc, store):
         chosen = _first_covered(pair.sigma_a, _known_demands(u, b, pair, store, outer_heap, known))
         if chosen is None:
             raise PackageFailure(
@@ -233,13 +234,9 @@ def _prove(ctx, pc, b, u, store, outer_heap) -> tuple[Context, Derivation]:
                 f"({pair.sigma_a}, {pair.sigma_b}) after extraction"
             )
         choices[(pair.sigma_a, pair.sigma_b)] = chosen
-        moved = st.add(pair.sigma_b, chosen)
-        assert moved is not None
-        new_pairs.append(WitnessPair(st.sub(pair.sigma_a, chosen), moved, pair.transformer))
     node: Derivation = DAtom.make(choices)
-    if extracted is not None:
-        node = DExtract(extracted, node)
-    return Context.make(ctx.outer, new_pairs, ctx.extracted), node
+    ctx = apply_atom(b, pc, ctx, node, u, store)
+    return ctx, node if extracted is None else DExtract(extracted, node)
 
 
 # -- proof-script execution ----------------------------------------------------------
@@ -338,7 +335,7 @@ def _forks(u, a: Assertion, base: State, pair: WitnessPair, store, what: str) ->
     except Unframed as e:
         raise PackageFailure(f"{what}: {e.description}")
     return [
-        WitnessPair(grown, pair.sigma_b, pair.transformer)
+        WitnessPair(grown, pair.sigma_b, pair.anchor)
         for d in ds
         if (grown := st.add(base, d)) is not None
     ]
@@ -356,7 +353,7 @@ def _script_fold(ctx, stmt: Fold, conds, store, u, outer_heap, extracts) -> Cont
         grown = st.add(st.sub(pair.sigma_a, chosen), token)
         if grown is None:
             raise PackageFailure(f"fold {stmt.name}: instance already held in full")
-        return [WitnessPair(grown, pair.sigma_b, pair.transformer)]
+        return [WitnessPair(grown, pair.sigma_b, pair.anchor)]
 
     return _map_active(ctx, conds, store, fold)
 
@@ -406,7 +403,8 @@ def recheck_package(
 ) -> State:
     """Re-check a package derivation from the package's initial configuration:
     run the proof script, check the tree from the context the script leaves,
-    and return the footprint.  Raises CheckFailure at the first failure."""
+    and return the footprint.  Raises CheckFailure at the first failure.
+    ``check-derivation`` runs this on the documents ``verify`` writes."""
     try:
         ctx, _, _ = run_script(conf.context, script, store, u)
     except PackageFailure as e:
@@ -415,23 +413,27 @@ def recheck_package(
     return extract_footprint(conf.context.outer, final.outer)
 
 
+def _run(ctx: Context, wand: Wand, script, store: Store, u: Universe) -> tuple[Context, Derivation]:
+    """Run the proof script, then prove the right-hand side from where it stops."""
+    outer_heap = ctx.outer.heap_dict()
+    ctx, _, _ = run_script(ctx, script, store, u, outer_heap)
+    return prove_rhs(ctx, (), wand.rhs, u, store, outer_heap)
+
+
 def _package_witnessed(
     outer: State, wand: Wand, script: Sequence[Stmt], store: Store, u: Universe
 ) -> PackageOutcome:
     if not wf(wand):
         return PackageOutcome("failure", diagnostic="wand is not well-formed (self-framing)")
     conf = initial_configuration(u, wand, store, outer)
-    outer_heap = outer.heap_dict()
     try:
-        ctx1, _, _ = run_script(conf.context, script, store, u, outer_heap)
-        ctx2, tree = prove_rhs(ctx1, (), wand.rhs, u, store, outer_heap)
+        ctx, tree = _run(conf.context, wand, script, store, u)
     except PackageFailure as e:
         return PackageOutcome("failure", diagnostic=e.message)
-    recheck_package(conf, script, tree, u, store)  # internal consistency guard
     return PackageOutcome(
         "success",
-        footprint=extract_footprint(outer, ctx2.outer),
-        post_states=(ctx2.outer,),
+        footprint=extract_footprint(outer, ctx.outer),
+        post_states=(ctx.outer,),
         derivation=tree,
         configuration=conf,
     )
@@ -479,14 +481,11 @@ def package_fia(
     """
     if not wf(wand):
         return PackageOutcome("failure", diagnostic="wand is not well-formed (self-framing)")
-    outer_heap = outer.heap_dict()
     results: list[tuple[State, State]] = []
     posts: list[State] = []
     for case in lhs_cases(u, wand.lhs, store):
-        ctx = Context.make(outer, [WitnessPair(case, EMPTY)])
         try:
-            ctx, _, _ = run_script(ctx, script, store, u, outer_heap)
-            ctx, _ = prove_rhs(ctx, (), wand.rhs, u, store, outer_heap)
+            ctx, _ = _run(Context.make(outer, [WitnessPair(case, EMPTY)]), wand, script, store, u)
         except PackageFailure as e:
             return PackageOutcome("failure", diagnostic=f"case {case}: {e.message}")
         taken = extract_footprint(outer, ctx.outer)

@@ -10,6 +10,7 @@ the semantic footprint quantification.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from fractions import Fraction
@@ -24,7 +25,6 @@ from .exprs import (
     Store,
     Unframed,
     children,
-    contains_perm,
     eval_bool,
     eval_expr,
     format_expr,
@@ -161,7 +161,14 @@ def wand_key(w: Wand, store: Store) -> WandInst:
     Wands have no binders, so alpha-normalization reduces to canonical
     printing after closing; syntactically identical wands collide.
     """
-    return WandInst(format_assertion(close_assertion(w, store)))
+    # keyed by identity too: Lit(1) == Lit(True), yet they print differently;
+    # an entry holds its wand, so the id is not reused while the entry lives
+    return _wand_key(id(w), w, tuple((k, type(v), v) for k, v in sorted(store.items())))
+
+
+@functools.lru_cache(maxsize=1024)
+def _wand_key(_, w: Wand, store_items: tuple) -> WandInst:
+    return WandInst(format_assertion(close_assertion(w, {k: v for k, _, v in store_items})))
 
 
 def atoms(a: Assertion) -> Iterator[Assertion]:
@@ -262,59 +269,54 @@ def _expr_path(e: Expr) -> Optional[Path]:
     return None
 
 
-def _expr_framed(e: Expr, framed: frozenset, allow_perm: bool) -> bool:
+def _expr_framed(e: Expr, framed: frozenset) -> bool:
     from .exprs import FieldAcc, PermOf
 
-    if isinstance(e, FieldAcc):
-        p = _expr_path(e)
-        if p is None or p not in framed:
-            return False
-    elif isinstance(e, PermOf) and not allow_perm:
+    # framed holds (path, field) tuples, so an unrooted path (None) is never in it
+    if isinstance(e, PermOf) or (isinstance(e, FieldAcc) and _expr_path(e) not in framed):
         return False
-    return all(_expr_framed(c, framed, allow_perm) for c in children(e))
+    return all(_expr_framed(c, framed) for c in children(e))
 
 
-def _wf_walk(a: Assertion, framed: frozenset, allow_perm: bool) -> tuple[bool, frozenset]:
+def _wf_walk(a: Assertion, framed: frozenset) -> tuple[bool, frozenset]:
     if isinstance(a, Pure):
-        return _expr_framed(a.expr, framed, allow_perm), frozenset()
+        return _expr_framed(a.expr, framed), frozenset()
     if isinstance(a, Acc):
-        if not _expr_framed(a.ref_expr, framed, allow_perm):
+        if not _expr_framed(a.ref_expr, framed):
             return False, frozenset()
         p = _expr_path(a.ref_expr)
         gained = frozenset() if p is None else frozenset({(p, a.field)})
         return True, gained
     if isinstance(a, PredA):
-        ok = all(_expr_framed(x, framed, allow_perm) for x in a.args)
+        ok = all(_expr_framed(x, framed) for x in a.args)
         return ok, frozenset()
     if isinstance(a, Star):
-        ok1, f1 = _wf_walk(a.left, framed, allow_perm)
-        ok2, f2 = _wf_walk(a.right, framed | f1, allow_perm)
+        ok1, f1 = _wf_walk(a.left, framed)
+        ok2, f2 = _wf_walk(a.right, framed | f1)
         return ok1 and ok2, f1 | f2
     if isinstance(a, Imp):
-        if contains_perm(a.guard) and not allow_perm:
+        if not _expr_framed(a.guard, framed):
             return False, frozenset()
-        if not _expr_framed(a.guard, framed, allow_perm):
-            return False, frozenset()
-        ok, _ = _wf_walk(a.body, framed, allow_perm)
+        ok, _ = _wf_walk(a.body, framed)
         return ok, frozenset()
     if isinstance(a, OrA):
-        ok1, f1 = _wf_walk(a.left, framed, allow_perm)
-        ok2, f2 = _wf_walk(a.right, framed, allow_perm)
+        ok1, f1 = _wf_walk(a.left, framed)
+        ok2, f2 = _wf_walk(a.right, framed)
         return ok1 and ok2, f1 & f2
     if isinstance(a, Wand):
-        ok1, fl = _wf_walk(a.lhs, frozenset(), False)
+        ok1, fl = _wf_walk(a.lhs, frozenset())
         # the RHS is evaluated in combinations with LHS states, so LHS
         # frames are available to it
-        ok2, _ = _wf_walk(a.rhs, fl, False)
+        ok2, _ = _wf_walk(a.rhs, fl)
         return ok1 and ok2, frozenset()
     raise AssertionError_(f"unknown assertion node {a!r}")
 
 
-def wf(a: Assertion, allow_perm: bool = False) -> bool:
+def wf(a: Assertion) -> bool:
     """Syntactic self-framing: every dereference is preceded (left to right
     through stars) by an accessibility predicate for its location; guards
-    are pure.  ``allow_perm`` admits perm() at verifier level only."""
-    ok, _ = _wf_walk(a, frozenset(), allow_perm)
+    are pure, and no expression reads perm()."""
+    ok, _ = _wf_walk(a, frozenset())
     return ok
 
 

@@ -4,10 +4,11 @@ A derivation is an explicit tree of rule applications (implication, star,
 atom, extract, disjunction) carrying all rule parameters, so it can be
 re-validated after the fact.  ``check_derivation`` re-checks every premise
 literally and either returns the final context or raises ``CheckFailure``
-at the first violated premise.  Each witness pair carries a monotonic
-transformer (the identity, or the restriction that combinable-wand
-packaging builds on), and the context tracks the footprint extracted so
-far, so one checker serves both wand kinds.
+at the first violated premise.  A witness pair of a combinable wand
+carries the left-hand-side state its footprint is restricted to (its
+anchor), and the context tracks the footprint extracted so far, so one
+checker serves both wand kinds.  The package algorithms apply the same
+rule functions (``apply_extract``, ``apply_atom``) while they search.
 """
 
 from __future__ import annotations
@@ -42,44 +43,20 @@ class CheckFailure(Exception):
         super().__init__(f"{where}: {message}")
 
 
-# -- transformers ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Identity:
-    def __call__(self, s: State) -> State:
-        return s
-
-
-@dataclass(frozen=True)
-class CombinableR:
-    """The per-pair footprint transform anchored at an LHS state."""
-
-    anchor: State
-
-    def __call__(self, s: State) -> State:
-        return st.restrict(self.anchor, s)
-
-
-Transformer = Union[Identity, CombinableR]
-
-
 @dataclass(frozen=True)
 class WitnessPair:
+    """Available and assembled state; for a combinable wand, also the
+    left-hand-side state the footprint is restricted to (None otherwise)."""
+
     sigma_a: State
     sigma_b: State
-    transformer: Transformer = Identity()
+    anchor: Optional[State] = None
 
     def key(self) -> tuple:
         return (state_key(self.sigma_a), state_key(self.sigma_b))
 
     def full_key(self) -> tuple:
-        anchor = (
-            state_key(self.transformer.anchor)
-            if isinstance(self.transformer, CombinableR)
-            else ()
-        )
-        return self.key() + (anchor,)
+        return self.key() + (() if self.anchor is None else state_key(self.anchor),)
 
 
 @dataclass(frozen=True)
@@ -92,7 +69,7 @@ class Context:
 
     @staticmethod
     def make(outer: State, pairs, extracted: State = EMPTY) -> "Context":
-        # deduplication must keep pairs whose transformers differ: they are
+        # deduplication must keep pairs whose anchors differ: they are
         # distinct cases even when their states coincide
         uniq = {p.full_key(): p for p in pairs}
         ordered = tuple(uniq[k] for k in sorted(uniq))
@@ -137,12 +114,6 @@ class DAtom:
             )
         )
         return DAtom(items)
-
-    def choice_for(self, sigma_a: State, sigma_b: State) -> Optional[State]:
-        for sa, sb, c in self.choices:
-            if sa == sigma_a and sb == sigma_b:
-                return c
-        return None
 
 
 @dataclass(frozen=True)
@@ -217,8 +188,8 @@ def init_witness_set(
     point checks.  The universe is enumerated only for all satisfying
     states (``minimal=False``) and for an LHS holding a wand atom
     (demands read a wand as a token, satisfaction reads it
-    semantically).  For the lifted (combinable) form each pair carries
-    its restriction transformer anchored at the satisfying state itself.
+    semantically).  For the lifted (combinable) form each pair is
+    anchored at the satisfying state itself.
     """
     if minimal and not contains_wand(a):
         sats = minimal_lhs_states(u, a, store)
@@ -228,10 +199,7 @@ def init_witness_set(
         sats = lhs_states(u, a, store)
         if minimal:
             sats = st.minimal_elements(sats)
-    pairs = []
-    for s in sats:
-        t: Transformer = CombinableR(s) if combinable else Identity()
-        pairs.append(WitnessPair(s, EMPTY, t))
+    pairs = [WitnessPair(s, EMPTY, s if combinable else None) for s in sats]
     return Context.make(EMPTY, pairs).pairs
 
 
@@ -265,24 +233,24 @@ def grow_pairs(pairs, extracted: State, sigma_w: State, path=()) -> list[Witness
         combined = st.add(pair.sigma_a, pair.sigma_b)
         if combined is None or not st.compatible(combined, delta):
             continue
-        out.append(WitnessPair(st.add(pair.sigma_a, delta), pair.sigma_b, pair.transformer))
+        out.append(WitnessPair(st.add(pair.sigma_a, delta), pair.sigma_b, pair.anchor))
     return out
 
 
 def pair_delta(pair: WitnessPair, extracted: State, sigma_w: State, path=()) -> State:
     """What this pair receives when sigma_w is extracted.
 
-    With an identity transformer this is sigma_w itself; in the lifted
-    logic it is t(sigma_f (+) sigma_w) minus t(sigma_f), the next slice of
-    the transformed footprint.
+    Without an anchor this is sigma_w itself; in the lifted logic it is
+    R(sigma_f (+) sigma_w) minus R(sigma_f), the next slice of the
+    footprint restricted to the anchor.
     """
-    if isinstance(pair.transformer, Identity):
+    if pair.anchor is None:
         return sigma_w
     whole = st.add(extracted, sigma_w)
     if whole is None:
         raise CheckFailure("extracted footprint is internally incompatible", path)
-    t_new = pair.transformer(whole)
-    t_old = pair.transformer(extracted)
+    t_new = st.restrict(pair.anchor, whole)
+    t_old = st.restrict(pair.anchor, extracted)
     if not st.geq(t_new, t_old):
         raise CheckFailure("transformer is not monotone on this extraction", path)
     return st.sub(t_new, t_old)
@@ -321,12 +289,12 @@ def _check(b: Assertion, pc, ctx: Context, d: Derivation, u, store, path) -> Con
         return _check_disjunction(b, pc, ctx, d, u, store, here)
     if not isinstance(d, DAtom):
         raise CheckFailure(f"atom assertion needs an atom rule, got {rule_tag(d)}", here)
-    return _check_atom(b, pc, ctx, d, u, store, here)
+    return apply_atom(b, pc, ctx, d, u, store, here)
 
 
 def apply_extract(ctx: Context, sigma_w: State, path=()) -> Context:
     """One application of the Extract rule: move sigma_w out of the outer
-    state and into each pair's available state (through its transformer),
+    state and into each pair's available state (restricted to its anchor),
     dropping pairs whose accumulated state cannot absorb it."""
     if not st.is_stable(sigma_w):
         raise CheckFailure(f"extracted state {sigma_w} is not stable", path)
@@ -340,13 +308,17 @@ def apply_extract(ctx: Context, sigma_w: State, path=()) -> Context:
     return Context.make(new_outer, new_pairs, new_extracted)
 
 
-def _check_atom(b, pc, ctx: Context, d: DAtom, u, store, path) -> Context:
+def apply_atom(b: Assertion, pc, ctx: Context, d: DAtom, u, store, path=()) -> Context:
+    """One application of the Atom rule: move each active pair's choice
+    from its available to its assembled state, after checking that the
+    choice is available and satisfies ``b``."""
+    table = {(sa, sb): c for sa, sb, c in reversed(d.choices)}  # the first choice per pair wins
     new_pairs = []
     for pair in ctx.pairs:
         if not pc_holds(pc, pair.sigma_a, store, path):
             new_pairs.append(pair)
             continue
-        choice = d.choice_for(pair.sigma_a, pair.sigma_b)
+        choice = table.get((pair.sigma_a, pair.sigma_b))
         if choice is None:
             raise CheckFailure(f"no choice supplied for pair ({pair.sigma_a}, {pair.sigma_b})", path)
         if not st.geq(pair.sigma_a, choice):
@@ -367,7 +339,7 @@ def _check_atom(b, pc, ctx: Context, d: DAtom, u, store, path) -> Context:
         moved_b = st.add(pair.sigma_b, choice)
         if moved_b is None:
             raise CheckFailure("transferred choice clashes with the assembled state", path)
-        new_pairs.append(WitnessPair(moved_a, moved_b, pair.transformer))
+        new_pairs.append(WitnessPair(moved_a, moved_b, pair.anchor))
     return Context.make(ctx.outer, new_pairs, ctx.extracted)
 
 
@@ -440,8 +412,8 @@ def build_canonical_derivation(
     the root, then reduce the right-hand side with per-pair greedy (DFS)
     atom choices.  Checker acceptance of this tree realizes the footprint."""
     conf = initial_configuration(u, wand, store, sigma_w)
-    # simulate the extraction to know each pair's final available state
-    grown = grow_pairs(conf.context.pairs, EMPTY, sigma_w)
+    # the root extraction gives each pair its final available state
+    grown = apply_extract(conf.context, sigma_w).pairs
     atoms = _linearize(wand.rhs)
     per_pair: dict[tuple, list[Optional[State]]] = {}
     for pair in grown:

@@ -23,7 +23,6 @@ from .assertions import (
     Star,
     Wand,
     atoms,
-    contains_perm,
     contains_wand,
     format_assertion,
 )
@@ -37,6 +36,7 @@ from .exprs import (
     Not,
     PermOf,
     Var,
+    contains_perm,
 )
 from .states import State, StateError
 from .universe import (

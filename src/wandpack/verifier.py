@@ -11,7 +11,7 @@ everything — the path is unreachable.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -131,7 +131,15 @@ class Report:
     audit_violations: int = 0
 
     def to_json(self) -> dict:
-        return {"format": "wandpack-report-1", **asdict(self)}
+        return {"format": "wandpack-report-1", **_plain(self)}
+
+
+def _plain(x):
+    """Dataclasses as dicts and lists, sharing the JSON values the records
+    already hold (``dataclasses.asdict`` would deep-copy each of them)."""
+    if isinstance(x, list):
+        return [_plain(v) for v in x]
+    return {k: _plain(v) for k, v in vars(x).items()} if is_dataclass(x) else x
 
 
 # -- static checks ------------------------------------------------------------------

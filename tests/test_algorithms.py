@@ -16,6 +16,7 @@ from wandpack.algorithms import (
 )
 from wandpack.assertions import wand_key
 from wandpack.package_logic import (
+    Configuration,
     Context,
     DAtom,
     DExtract,
@@ -496,3 +497,51 @@ def test_identical_inputs_identical_outcomes(u1, store1):
     fa = package_fia(S(OUTER_FULL), A(DISJ_WAND), (), store1, u1)
     fb = package_fia(S(OUTER_FULL), A(DISJ_WAND), (), store1, u1)
     assert fa == fb
+
+
+# -- every step a checked rule ------------------------------------------------------------------
+
+
+def _generated_packages(seed: int, n: int):
+    """``n`` seeded generator draws, alternating standard and combinable
+    wands, with a predicate in the universe every third draw."""
+    import random
+
+    import gen
+
+    rng = random.Random(seed)
+    for i in range(n):
+        u = gen.random_universe(rng, with_predicate=i % 3 == 2)
+        store = gen.identity_store(u)
+        wand = gen.random_wand(rng, u, combinable=i % 2 == 1)
+        yield u, store, wand, gen.random_outer(rng, u)
+
+
+def test_packaged_derivations_recheck_to_the_reported_outcome():
+    # the packagers do not re-check their derivations: every step they take
+    # is a rule application of the checker, so checking again must agree
+    successes = {False: 0, True: 0}
+    for u, store, wand, outer in _generated_packages(10, 300):
+        packager = package_combinable if wand.combinable else package_sound
+        out = packager(outer, wand, (), store, u)
+        if not out.success:
+            continue
+        successes[wand.combinable] += 1
+        assert recheck_package(out.configuration, (), out.derivation, u, store) == out.footprint
+        final = check_derivation(out.configuration, out.derivation, u, store)
+        assert final.outer == out.post_states[0]
+    assert min(successes.values()) >= 50, successes
+
+
+def test_prove_rhs_context_is_the_checked_context():
+    proved = 0
+    for u, store, wand, outer in _generated_packages(11, 120):
+        pairs = init_witness_set(wand.lhs, u, True, store, combinable=wand.combinable)
+        ctx = Context.make(outer, pairs)
+        try:
+            after, tree = prove_rhs(ctx, (), wand.rhs, u, store)
+        except PackageFailure:
+            continue
+        proved += 1
+        assert check_derivation(Configuration(wand.rhs, (), ctx), tree, u, store) == after
+    assert proved >= 60

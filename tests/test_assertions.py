@@ -152,9 +152,7 @@ def test_wf_or_branches_do_not_frame_each_other():
 
 
 def test_wf_perm_only_at_verifier_level():
-    assert wf(A("perm(x.f) == write"), allow_perm=True)
     assert not wf(A("perm(x.f) == write"))
-    assert not wf(A("acc(x.g) --* perm(x.f) == write"), allow_perm=True)
 
 
 # -- demands/sat agreement and intuitionism (wand-free fragment) ---------------------
@@ -242,6 +240,14 @@ def test_close_assertion_and_wand_key(u1, store1):
     assert k1 == k2
     other = wand_key(w, {"x": "x", "y": "z", "z": "y"})
     assert other != k1
+    # wand_key is memoized: equal wands and stores that print differently
+    # (1 == True) still get their own keys
+    one, true = A("acc(x.f) --* x.f == 1"), A("acc(x.f) --* x.f == true")
+    assert one == true and wand_key(one, store1) != wand_key(true, store1)
+    n = A("acc(x.f) --* n == 1")
+    assert wand_key(n, {"x": "x", "n": 1}).key.endswith(" 1 == 1")
+    assert wand_key(n, {"x": "x", "n": True}).key.endswith(" true == 1")
+    assert asn._wand_key.cache_info().maxsize is not None
 
 
 def test_lhs_states_minimal(u1, store1):

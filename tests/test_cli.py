@@ -157,7 +157,6 @@ HEADER = '"format": "wandpack-derivation-2", "universe": "universe v1\\ngranular
     "text",
     [
         "{not json",
-        "[]",
         '{"kind": "standard"}',
         "[1]",
         "{" + HEADER + ', "store": {}}',
@@ -185,7 +184,7 @@ HEADER = '"format": "wandpack-derivation-2", "universe": "universe v1\\ngranular
         ),
     ],
     ids=[
-        "not-json", "empty-list", "no-format", "not-an-object", "missing-field", "bad-store", "store-string", "format-1",
+        "not-json", "no-format", "not-an-object", "missing-field", "bad-store", "store-string", "format-1",
         "zero-denominator", "undeclared-ref", "value-outside-domain", "undeclared-location",
         "undeclared-predicate-instance", "wand-over-undeclared-location", "store-missing-variable",
         "store-undeclared-reference", "wand-ill-typed", "wand-not-self-framing", "script-parse-error",
@@ -201,10 +200,34 @@ def test_check_malformed_derivation_exit_2(tmp_path, capsys, text):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert str(bad) in lines[0]
-    if text == "[]":
-        assert "no derivations in file" in lines[0]
-    elif text != "{not json":
+    if text != "{not json":
         assert "derivation 0: malformed document" in lines[0]
+
+
+def test_check_empty_derivation_list_exit_0(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    assert run_cli("check-derivation", empty) == 0
+    assert capsys.readouterr().out == "no derivations\n"
+
+
+def test_check_accepts_every_emitted_derivation_file(tmp_path, capsys):
+    # every algorithm's --emit-derivation output is a document check-derivation
+    # accepts, including the empty list a run without derivations writes
+    empty = 0
+    for program in sorted(CORPUS.glob("*.wnd")):
+        for algorithm in ("sound", "combinable", "fia"):
+            derivs = tmp_path / f"{program.stem}.{algorithm}.json"
+            run_cli("verify", program, "--algorithm", algorithm, "--emit-derivation", derivs)
+            capsys.readouterr()
+            assert run_cli("check-derivation", derivs) == 0, derivs.name
+            out = capsys.readouterr().out
+            if json.loads(derivs.read_text()) == []:
+                assert out == "no derivations\n"
+                empty += 1
+            else:
+                assert out and all(": ACCEPTED, footprint " in line for line in out.splitlines())
+    assert empty == 11
 
 
 @pytest.mark.parametrize(

@@ -63,7 +63,7 @@ from wandpack.exprs import (
 )
 from wandpack.oracle import EnumerationPlan
 from wandpack.states import EMPTY, State, state_key
-from wandpack.package_logic import CombinableR, init_witness_set
+from wandpack.package_logic import init_witness_set
 from wandpack.parser import parse_assertion_text, parse_state_text, parse_universe_text
 from wandpack.universe import Universe, UniverseError
 
@@ -158,7 +158,7 @@ def assert_same_minimal(u, a, store):
     assert minimal_lhs_states(u, a, store) == enumerated_minimal(u, a, store), a
     pairs = init_witness_set(a, u, True, store, combinable=True)
     assert [p.sigma_a for p in pairs] == enumerated_minimal(u, a, store), a
-    assert all(p.transformer == CombinableR(p.sigma_a) for p in pairs)
+    assert all(p.anchor == p.sigma_a for p in pairs)
 
 
 def test_demand_witness_sets_match_enumeration_on_atom_pool():
@@ -577,11 +577,12 @@ def _assertion_contains_perm(a: Assertion) -> bool:
     return False
 
 
-def reference_wf(a, allow_perm: bool) -> bool:
+def reference_wf(a) -> bool:
+    """``wf`` over the reference ``_expr_framed`` in its perm-rejecting mode,
+    the only one ``wf`` has."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(asr, "_expr_framed", _expr_framed)
-        mp.setattr(asr, "contains_perm", contains_perm)
-        return wf(a, allow_perm)
+        mp.setattr(asr, "_expr_framed", lambda e, framed: _expr_framed(e, framed, False))
+        return wf(a)
 
 
 NODE_CLASSES = {
@@ -660,14 +661,13 @@ def assert_walkers_agree(root, u):
             assert ex.contains_perm(n) == _assertion_contains_perm(n)
             assert outcome(asr.scale_assertion, n, HALF) == outcome(scale_assertion, n, HALF)
             assert outcome(asr.desugar_predicates, n, u) == outcome(desugar_predicates, n, u)
-            for allow_perm in (False, True):
-                assert wf(n, allow_perm) == reference_wf(n, allow_perm)
+            assert wf(n) == reference_wf(n)
         else:
             assert ex.free_vars(n) == free_vars(n)
             assert ex.substitute(n, BINDING) == substitute(n, BINDING)
             assert ex.contains_perm(n) == contains_perm(n)
-            for framed, allow_perm in itertools.product(framings, (False, True)):
-                assert asr._expr_framed(n, framed, allow_perm) == _expr_framed(n, framed, allow_perm)
+            for framed in framings:
+                assert asr._expr_framed(n, framed) == _expr_framed(n, framed, False)
 
 
 def test_children_cover_every_sub_node_field():

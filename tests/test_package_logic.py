@@ -3,7 +3,6 @@ import pytest
 import wandpack.states as st
 from wandpack.package_logic import (
     CheckFailure,
-    CombinableR,
     Configuration,
     Context,
     DAtom,
@@ -207,14 +206,14 @@ def test_disjunction_rule_five_steps(u1, store1):
 
 
 def test_lifted_identity_matches_standard(u1, store1):
-    # the anchors own no part of the footprint, so each pair's restriction
-    # transformer acts as the identity and the lifted check must agree
+    # the anchors own no part of the footprint, so restricting to each
+    # pair's anchor acts as the identity and the lifted check must agree
     wand = A(DISJ_WAND)
     lifted = A(DISJ_WAND.replace("--*", "--*c"))
     fp = S("{y.g @ 1 = 0, z.g @ 1 = 0}")
     conf, deriv = build_canonical_derivation(u1, wand, fp, store1)
     conf2, deriv2 = build_canonical_derivation(u1, lifted, fp, store1)
-    assert all(isinstance(p.transformer, CombinableR) for p in conf2.context.pairs)
+    assert all(p.anchor is not None for p in conf2.context.pairs)
     a = check_derivation(conf, deriv, u1, store1)
     b = check_derivation(conf2, deriv2, u1, store1)
     assert a.outer == b.outer
@@ -225,7 +224,7 @@ def test_lifted_delta_is_restricted(u2, store2):
     # anchor holds half x.f, so extracting the full x.f delivers only the
     # half that keeps scaled copies compatible
     anchor = S("{x.f @ 1/2 = 0}")
-    pair = WitnessPair(anchor, EMPTY, CombinableR(anchor))
+    pair = WitnessPair(anchor, EMPTY, anchor)
     ctx = Context.make(S("{x.f @ 1 = 0, x.g @ 1 = 0}"), [pair])
     out = apply_extract(ctx, S("{x.f @ 1 = 0}"))
     assert [p.sigma_a for p in out.pairs] == [S("{x.f @ 1 = 0}")]  # 1/2 + 1/2
@@ -237,11 +236,10 @@ def test_combinable_transformer_monotone_exhaustive(u2):
     anchors = pool[:: max(1, len(pool) // 8)]
     sample = pool[:: max(1, len(pool) // 10)]
     for anchor in anchors:
-        t = CombinableR(anchor)
         for s1 in sample:
             for s2 in sample:
                 if st.geq(s2, s1):
-                    assert st.geq(t(s2), t(s1))
+                    assert st.geq(st.restrict(anchor, s2), st.restrict(anchor, s1))
 
 
 # -- canonical derivations ------------------------------------------------------------------------

@@ -365,3 +365,14 @@ def test_report_has_no_timing_field(corpus_dir):
     p = load_program(str(corpus_dir / "basic.wnd"))
     doc = run(p, "sound").to_json()
     assert "elapsed" not in json.dumps(doc)
+
+
+def test_report_json_is_the_deep_conversion(corpus_dir):
+    # to_json shares the JSON values the report holds instead of copying
+    # them; it must still give what dataclasses.asdict gives
+    from dataclasses import asdict
+
+    for program in sorted(corpus_dir.glob("*.wnd")):
+        for algorithm in ("sound", "combinable", "fia"):
+            report = run(load_program(str(program)), algorithm, audit=True)
+            assert report.to_json() == {"format": "wandpack-report-1", **asdict(report)}
