@@ -234,9 +234,11 @@ def _generators(A) -> list[int]:
 
 
 def _table_associative(A) -> bool:
-    """Light's test: is every generator a middle entry?  (x+g)+y against
-    x+(g+y), one generator at a time."""
-    return all(np.array_equal(A[A[:, g]], A[:, A[g]]) for g in _generators(A))
+    """Light's test where A commutes, so x+(g+y) is (y+g)+x: one gather and
+    its transpose per generator.  Other tables are left to the triple scan."""
+    return np.array_equal(A, A.T) and all(
+        np.array_equal(L := A[A[:, g]], L.T) for g in _generators(A)
+    )
 
 
 def _associativity(states, A) -> AlgebraLawReport:

@@ -20,8 +20,10 @@ from . import states as st
 from .exprs import (
     BOOL,
     Expr,
+    FieldAcc,
     Lit,
     Not,
+    PermOf,
     Store,
     Unframed,
     children,
@@ -529,6 +531,24 @@ def minimal_lhs_states(u: Universe, a: Assertion, store: Store) -> list[State]:
     return st.minimal_elements(lifted)
 
 
+def reach(u: Universe, *parts: Assertion) -> Universe:
+    """The sub-universe of the fields ``parts`` name (``acc``, reads,
+    ``perm``), at every reference, and the predicates they name, through
+    bodies.  ``sat`` reads nothing outside it, and dropping the rest of a
+    state keeps it stable, satisfying and compatible (``restrict`` too)."""
+    fields, preds, todo = set(), set(), list(parts)
+    while todo:
+        n = todo.pop()
+        if isinstance(n, PredA) and n.name not in preds:
+            preds.add(n.name)
+            if n.name in u.predicates:
+                todo.append(u.predicates[n.name].body)
+        elif isinstance(n, (Acc, FieldAcc, PermOf)):
+            fields.add(n.field)
+        todo.extend(children(n))
+    return u.sub_universe(frozenset(fields), frozenset(preds))
+
+
 def wand_holds(
     u: Universe,
     sigma_w: State,
@@ -542,7 +562,7 @@ def wand_holds(
     the result satisfies the RHS.  Combinable: the footprint is first
     passed through the compatibility-restriction transform.
     """
-    pool = lhs_states(u, w.lhs, store) if lhs is None else lhs
+    pool = lhs_states(reach(u, w), w.lhs, store) if lhs is None else lhs
     for sigma_a in pool:
         fp = st.restrict(sigma_a, sigma_w) if w.combinable else sigma_w
         combined = st.add(sigma_a, fp)

@@ -6,9 +6,11 @@ restricted), minimal footprints, combinability, entailment, monotonic
 purity, and binarity.  This module is the independent check for every
 result the package algorithms produce — it never consults them.
 
-Every enumeration is bounded as ``states.enumerate_states`` bounds it: a
-universe of more than 10^6 states raises ``BudgetExceeded`` before any
-state is built.  Satisfying left-hand-side pools come from
+Each query enumerates the sub-universe its assertions reach
+(``assertions.reach``), which decides it for the whole universe.  Every
+enumeration is bounded as ``states.enumerate_states`` bounds it: a
+sub-universe of more than 10^6 states raises ``BudgetExceeded`` before
+any state is built.  Satisfying left-hand-side pools come from
 ``assertions.lhs_states``, enumerated and looked up through its module
 at call time, never from the demand-built cases the package algorithms
 start from.
@@ -27,6 +29,7 @@ from .assertions import (
     Wand,
     demands,
     desugar_predicates,
+    reach,
     sat,
     wand_holds,
 )
@@ -55,10 +58,10 @@ def plan(u: Universe, stable_only: bool = False) -> EnumerationPlan:
 
 
 def sat_states(a: Assertion, p: EnumerationPlan, store: Store = {}) -> list[State]:
-    """Exactly the enumerated states satisfying the assertion."""
+    """Exactly the states of the sub-universe ``a`` reaches satisfying it."""
     u = p.universe
     return sorted(
-        (s for s in p.states() if sat(u, s, a, store)),
+        (s for s in EnumerationPlan(reach(u, a), p.stable_only).states() if sat(u, s, a, store)),
         key=state_key,
     )
 
@@ -140,7 +143,7 @@ def audit_footprint(
     realizations = desugar_state(sigma_w, p)
     if not realizations:
         return False  # no realization of the token bodies exists
-    pool = assertions.lhs_states(p.universe, plain.lhs, store)
+    pool = assertions.lhs_states(reach(p.universe, plain), plain.lhs, store)
     return all(
         is_footprint(fp, plain, kind, p, store, lhs_pool=pool) for fp in realizations
     )
@@ -158,8 +161,9 @@ def minimal_footprints(
     left-hand side outright (those that no satisfying state can join)."""
     u = p.universe
     w = _as_kind(wand, kind)
-    pool = assertions.lhs_states(u, w.lhs, store)
-    stable = EnumerationPlan(u, stable_only=True).states()
+    r = reach(u, w)
+    pool = assertions.lhs_states(r, w.lhs, store)
+    stable = EnumerationPlan(r, stable_only=True).states()
     found = []
     for s in stable:
         if compatible_with_lhs and not any(st.compatible(a, s) for a in pool):
@@ -222,7 +226,7 @@ def check_combinable(
 def check_entailment(a: Assertion, b: Assertion, p: EnumerationPlan, store: Store = {}) -> bool:
     """Universal entailment over the enumerated states."""
     u = p.universe
-    for s in p.states():
+    for s in EnumerationPlan(reach(u, a, b), p.stable_only).states():
         if sat(u, s, a, store) and not sat(u, s, b, store):
             return False
     return True
@@ -265,7 +269,7 @@ def is_binary(a: Assertion, p: EnumerationPlan, store: Store = {}) -> bool:
     """Preserved under the binary restriction of masks: every satisfying
     state still satisfies after sub-full permissions are zeroed."""
     u = p.universe
-    for s in EnumerationPlan(u, stable_only=False).states():
+    for s in EnumerationPlan(reach(u, a), stable_only=False).states():
         if sat(u, s, a, store):
             if not sat(u, bin_mask(s), a, store):
                 return False

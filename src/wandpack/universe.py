@@ -114,6 +114,7 @@ class Universe:
     locations: Mapping[FieldLoc, tuple[Value, ...]]
     granularity: int
     predicates: Mapping[str, PredicateDef] = field(default_factory=dict)
+    _subs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.granularity < 1:
@@ -169,6 +170,18 @@ class Universe:
         if name not in self.predicates:
             raise UniverseError(f"undeclared predicate {name}")
         return self.predicates[name]
+
+    def sub_universe(self, fields: frozenset, preds: frozenset) -> "Universe":
+        """The locations of ``fields`` and the predicates ``preds``: this
+        universe if that drops nothing, else one memoised in ``_subs``."""
+        if fields >= {loc.field for loc in self.locations} and preds >= self.predicates.keys():
+            return self
+        sub = self._subs.get((fields, preds))
+        if sub is None:
+            locs = {loc: d for loc, d in self.locations.items() if loc.field in fields}
+            kept = {n: d for n, d in self.predicates.items() if n in preds}
+            sub = self._subs[fields, preds] = Universe(self.refs, locs, self.granularity, kept)
+        return sub
 
     def predicate_instances(self) -> list[PredInst]:
         """All predicate-instance resources over non-null reference args."""

@@ -1,4 +1,5 @@
 import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,10 @@ from wandpack.assertions import (
     desugar_predicates,
     format_assertion,
     lhs_states,
+    reach,
     sat,
     scale_assertion,
+    wand_holds,
     wand_key,
     wf,
 )
@@ -281,3 +284,18 @@ def test_lhs_cache_entries_die_with_their_universe():
     gc.collect()
     assert not [k for k in asn._LHS_CACHE if k[0] == uid]
     assert uid not in asn._LHS_KEYS
+
+
+def test_sub_universes_and_their_lhs_cache_entries_die_with_their_universe():
+    u = parse_universe_text(TINY_TEXT)
+    w = A("acc(x.f) --* acc(x.f)")
+    assert wand_holds(u, EMPTY, w, TINY_STORE)  # its pool ranges over reach(u, w)
+    r = reach(u, w)
+    assert r is reach(u, w) and r.sorted_locations() == [FieldLoc("x", "f")]
+    assert len(_entries_of(r)) == 1 and not _entries_of(u)
+    rid, alive = id(r), weakref.ref(r)
+    del u, r
+    # no reference cycle: the sub-universe goes with its parent, at once
+    assert alive() is None
+    assert not [k for k in asn._LHS_CACHE if k[0] == rid]
+    assert rid not in asn._LHS_KEYS

@@ -40,6 +40,30 @@ def test_verify_audit_downgrades_fia(capsys, tmp_path):
     assert flags and not any(flags)
 
 
+def test_verify_audit_follows_the_wand_not_the_universe(capsys, tmp_path):
+    # ten int {0, 1} locations make 5^10 stable states, over the 10^6 bound;
+    # the audit enumerates the two locations the wand names
+    locs = "".join(f"loc x.f{i}: int {{0, 1}}\n" for i in range(1, 11))
+    (tmp_path / "u.universe").write_text(f"universe v1\ngranularity 2\nrefs x\n{locs}")
+    (tmp_path / "p.wnd").write_text(
+        'program v1\nuniverse "u.universe"\n\nmethod m(x: Ref)\n'
+        "  requires acc(x.f2) * x.f2 == 1\n{\n  package acc(x.f1) --* acc(x.f1) * acc(x.f2)\n}\n"
+    )
+    assert run_cli("verify", tmp_path / "p.wnd", "--audit") == 0
+    assert "audit violations: 0" in capsys.readouterr().out
+
+
+def test_oracle_over_budget_exit_2(capsys, tmp_path):
+    # the query names f and g, so it reaches every location: 405^4 states
+    uni = tmp_path / "big.universe"
+    uni.write_text(
+        "universe v1\ngranularity 100\nrefs x, y\n"
+        + "".join(f"loc {r}.{f}: int {{0, 1, 2, 3}}\n" for r in "xy" for f in "fg")
+    )
+    assert run_cli("oracle", "entail", "--universe", uni, "--lhs", "acc(x.f)", "--rhs", "acc(x.g)") == 2
+    assert "over the budget of 1000000" in capsys.readouterr().err
+
+
 def test_verify_json_and_derivation_outputs(tmp_path):
     rj = tmp_path / "r.json"
     dj = tmp_path / "d.json"

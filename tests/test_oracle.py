@@ -4,7 +4,7 @@ import pytest
 
 import wandpack.oracle as orc
 import wandpack.states as st
-from wandpack.assertions import sat
+from wandpack.assertions import reach, sat
 from wandpack.parser import (
     parse_assertion_text as A,
     parse_expr_text as E,
@@ -58,6 +58,14 @@ def test_budget_enforced():
     for stable_only in (False, True):
         with pytest.raises(BudgetExceeded):
             orc.plan(big, stable_only=stable_only).states()
+    # a query enumerates only what it reaches: acc(x.f) reaches 405^2 states,
+    # and the bound applies to those; one naming f and g reaches them all
+    assert st.count_states(reach(big, A("acc(x.f)"))) == 405**2
+    store = {"x": "x", "y": "y"}
+    with pytest.raises(BudgetExceeded):
+        orc.check_entailment(A("acc(x.f)"), A("acc(x.g)"), orc.plan(big), store)
+    with pytest.raises(BudgetExceeded):
+        orc.is_binary(A("acc(x.f) * acc(y.g)"), orc.plan(big), store)
 
 
 # -- footprints --------------------------------------------------------------------
@@ -116,8 +124,12 @@ def test_disjunction_not_combinable(u2, store2):
     ok, cex = orc.check_combinable(A("acc(x.f) || acc(x.g)"), orc.plan(u2), store2)
     assert not ok
     fp, fq, sigma = cex
-    # the half-half state satisfies the split but not the whole
-    assert sigma.mask_of(list(dict(sigma.mask))[0]) == HALF
+    # half of {x.f @ 1} plus half of {x.f @ 1/2, x.g @ 1}: each state
+    # satisfies a disjunct, their sum at 1/2 + 1/2 satisfies neither; x.b,
+    # which the assertion never names, is not in it
+    assert fp == fq == HALF
+    assert not sat(u2, st.mult(1 / (fp + fq), sigma), A("acc(x.f) || acc(x.g)"), store2)
+    assert sigma == S("{x.f @ 3/4 = 0, x.g @ 1/2 = 0}")
 
 
 def test_guard_dependent_wand_not_combinable(u1, store1):
