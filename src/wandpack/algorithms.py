@@ -1,7 +1,11 @@
 """The three package algorithms and proof-script execution.
 
-Each proof-search step is a rule of the package logic (``apply_extract``,
-``apply_atom``), so the derivation found needs no second check.
+Every proof step (a right-hand-side atom, or a script ``assert``, ``fold``
+or ``apply``) is one ``_choose``: extract from the outer state what the
+active pairs lack, then pick each active pair's first covered demand.  The
+extraction is the Extract rule (``apply_extract``) and the prover hands the
+choices to the Atom rule (``apply_atom``), so the derivation found needs no
+second check.
 
 * ``package_sound`` — the witness-set algorithm for standard wands; every
   success yields one footprint plus a derivation the checker accepts.
@@ -34,7 +38,7 @@ from .assertions import (
     wand_key,
     wf,
 )
-from .exprs import Expr, Not, Store, Unframed, eval_bool, eval_expr, substitute
+from .exprs import Expr, Not, Store, Unframed, eval_expr, substitute
 from .package_logic import (
     CheckFailure,
     Configuration,
@@ -48,7 +52,6 @@ from .package_logic import (
     apply_atom,
     apply_extract,
     check_derivation,
-    ctx_heap,
     extract_footprint,
     initial_configuration,
     pc_holds,
@@ -83,30 +86,20 @@ class PackageOutcome:
         return self.status == "success"
 
 
-# -- shared coverage / extraction machinery --------------------------------------
+# -- the one proof step: extract what the active pairs lack, then choose ----------
 
 
 def _pair_demands(u, a, pair: WitnessPair, store, outer_heap) -> list[State]:
     try:
-        return demands(u, a, ctx_heap(pair), store, fallback_heap=outer_heap)
+        return demands(u, a, pair.sigma_a.heap_dict(), store, fallback_heap=outer_heap)
     except Unframed as e:
         raise PackageFailure(
             f"unframed expression while reducing {format_assertion(a)}: {e.description}"
         )
 
 
-def _known_demands(u, a, pair: WitnessPair, store, outer_heap, known: dict) -> list[State]:
-    """The pair's demands of ``a``, reusing those ``_extract_to_cover``
-    computed when the extraction left the pair unchanged."""
-    ds = known.get((pair.sigma_a, pair.sigma_b))
-    return ds if ds is not None else _pair_demands(u, a, pair, store, outer_heap)
-
-
 def _first_covered(sigma_a: State, ds: Sequence[State]) -> Optional[State]:
-    for d in ds:
-        if st.geq(sigma_a, d):
-            return d
-    return None
+    return next((d for d in ds if st.geq(sigma_a, d)), None)
 
 
 def _least_shortfall(sigma_a: State, ds: Sequence[State]) -> dict:
@@ -116,40 +109,45 @@ def _least_shortfall(sigma_a: State, ds: Sequence[State]) -> dict:
     return min(gaps, key=lambda gap: sum(gap.values()))
 
 
-def _extract_to_cover(
+def _active(ctx: Context, conds: tuple[Expr, ...], store: Store) -> list[WitnessPair]:
+    """The pairs whose available state satisfies the path condition."""
+    try:
+        return [p for p in ctx.pairs if pc_holds(conds, p.sigma_a, store)]
+    except CheckFailure as e:
+        raise PackageFailure(e.message)
+
+
+def _choose(
     u: Universe,
     ctx: Context,
-    active: Sequence[WitnessPair],
+    conds: tuple[Expr, ...],
     a: Assertion,
     store: Store,
     outer_heap: dict,
     what: str,
 ) -> tuple[Context, Optional[State], dict]:
-    """Ensure every active pair covers some demand of ``a``, extracting one
-    minimal stable state from the outer state if needed.  Returns the new
-    context, the extracted state (None when nothing was needed) and each
-    active pair's demands keyed by its states; a pair the extraction grew
-    has a new key, so its demands are computed again by whoever needs them."""
-    needed: dict = {}
-    values: dict = {}
-    known: dict = {}
-    witness: Optional[WitnessPair] = None
+    """One proof step for ``a`` over the pairs active under ``conds``.
+
+    If some active pair covers no demand of ``a``, one minimal stable
+    state is extracted from the outer state (the Extract rule); then each
+    active pair's first covered demand is chosen.  Returns the new
+    context, the extracted state (None when nothing was needed) and the
+    choices keyed by each active pair's (available, assembled) states.
+    """
+    needed, values, known = {}, {}, {}
+    active = _active(ctx, conds, store)
     for pair in active:
-        ds = _pair_demands(u, a, pair, store, outer_heap)
-        known[(pair.sigma_a, pair.sigma_b)] = ds
+        ds = known[(pair.sigma_a, pair.sigma_b)] = _pair_demands(u, a, pair, store, outer_heap)
         if not ds:
-            if isinstance(a, Pure):
-                raise PackageFailure(
-                    f"{what}: {format_assertion(a)} does not hold for pair "
-                    f"({pair.sigma_a}, {pair.sigma_b})"
-                )
-            raise PackageFailure(
-                f"{what}: insufficient permission for {format_assertion(a)}; no way "
-                f"to satisfy it for pair ({pair.sigma_a}, {pair.sigma_b})"
+            shown = format_assertion(a)
+            why = (
+                f"{shown} does not hold"
+                if isinstance(a, Pure)
+                else f"insufficient permission for {shown}; no way to satisfy it"
             )
+            raise PackageFailure(f"{what}: {why} for pair ({pair.sigma_a}, {pair.sigma_b})")
         if _first_covered(pair.sigma_a, ds) is not None:
             continue
-        witness = witness or pair
         for rid, amt in _least_shortfall(pair.sigma_a, ds).items():
             if amt > needed.get(rid, Fraction(0)):
                 needed[rid] = amt
@@ -157,37 +155,33 @@ def _extract_to_cover(
             # where it has none, the check below reports the missing permission
             if isinstance(rid, FieldLoc) and rid in outer_heap:
                 values[rid] = outer_heap[rid]
-    if not needed:
-        return ctx, None, known
-    sigma_w = State.make(needed, values)
-    if not st.geq(ctx.outer, sigma_w):
-        assert witness is not None
-        raise PackageFailure(
-            f"{what}: insufficient permission for {format_assertion(a)}; "
-            f"outer state lacks {sigma_w} (witness pair {witness.sigma_a})"
-        )
-    try:
-        return apply_extract(ctx, sigma_w), sigma_w, known
-    except CheckFailure as e:
-        raise PackageFailure(f"{what}: {e.message}")
-
-
-def _pc_active(ctx: Context, pc: tuple[Expr, ...], store: Store) -> list[WitnessPair]:
-    try:
-        return [p for p in ctx.pairs if pc_holds(pc, p.sigma_a, store)]
-    except CheckFailure as e:
-        raise PackageFailure(e.message)
-
-
-def _active(ctx: Context, conds: tuple[Expr, ...], store: Store) -> list[WitnessPair]:
-    out = []
-    for pair in ctx.pairs:
+    sigma_w = None
+    if needed:
+        sigma_w = State.make(needed, values)
+        if not st.geq(ctx.outer, sigma_w):
+            witness = next(p for p in active if _first_covered(p.sigma_a, known[(p.sigma_a, p.sigma_b)]) is None)
+            raise PackageFailure(
+                f"{what}: insufficient permission for {format_assertion(a)}; "
+                f"outer state lacks {sigma_w} (witness pair {witness.sigma_a})"
+            )
         try:
-            if all(eval_bool(g, ctx_heap(pair), store) for g in conds):
-                out.append(pair)
-        except Unframed as e:
-            raise PackageFailure(f"unframed script condition: {e.description}")
-    return out
+            ctx = apply_extract(ctx, sigma_w)
+        except CheckFailure as e:
+            raise PackageFailure(f"{what}: {e.message}")
+        active = _active(ctx, conds, store)
+    choices = {}
+    for pair in active:
+        key = (pair.sigma_a, pair.sigma_b)
+        # a pair the extraction grew has new states, so its demands are new
+        ds = known.get(key) or _pair_demands(u, a, pair, store, outer_heap)
+        chosen = _first_covered(pair.sigma_a, ds)
+        if chosen is None:
+            raise PackageFailure(
+                f"{what}: {format_assertion(a)} still unsatisfied for pair "
+                f"({pair.sigma_a}, {pair.sigma_b}) after extraction"
+            )
+        choices[key] = chosen
+    return ctx, sigma_w, choices
 
 
 # -- proveRHS ----------------------------------------------------------------------
@@ -223,17 +217,7 @@ def _prove(ctx, pc, b, u, store, outer_heap) -> tuple[Context, Derivation]:
         ctx1, d = _prove(ctx, pc + (b.guard,), b.body, u, store, outer_heap)
         return ctx1, DImplication(d)
     # a semantic atom: Pure / Acc / Pred / Wand / Or
-    active = _pc_active(ctx, pc, store)
-    ctx, extracted, known = _extract_to_cover(u, ctx, active, b, store, outer_heap, "prove")
-    choices = {}
-    for pair in _pc_active(ctx, pc, store):
-        chosen = _first_covered(pair.sigma_a, _known_demands(u, b, pair, store, outer_heap, known))
-        if chosen is None:
-            raise PackageFailure(
-                f"prove: {format_assertion(b)} still unsatisfied for pair "
-                f"({pair.sigma_a}, {pair.sigma_b}) after extraction"
-            )
-        choices[(pair.sigma_a, pair.sigma_b)] = chosen
+    ctx, extracted, choices = _choose(u, ctx, pc, b, store, outer_heap, "prove")
     node: Derivation = DAtom.make(choices)
     ctx = apply_atom(b, pc, ctx, node, u, store)
     return ctx, node if extracted is None else DExtract(extracted, node)
@@ -272,14 +256,7 @@ def _run_script(ctx, script, conds, store, u, outer_heap, extracts, mutated) -> 
             ctx = _run_script(ctx, stmt.els, conds + (Not(stmt.cond),), store, u, outer_heap, extracts, mutated)
             continue
         if isinstance(stmt, AssertStmt):
-            ctx, known = _cover(u, ctx, conds, stmt.assertion, store, outer_heap, extracts, "assert")
-            for pair in _active(ctx, conds, store):
-                ds = _known_demands(u, stmt.assertion, pair, store, outer_heap, known)
-                if _first_covered(pair.sigma_a, ds) is None:
-                    raise PackageFailure(
-                        f"assert {format_assertion(stmt.assertion)} fails for pair "
-                        f"({pair.sigma_a}, {pair.sigma_b})"
-                    )
+            ctx, _ = _cover(u, ctx, conds, stmt.assertion, store, outer_heap, extracts, "assert")
             continue
         if isinstance(stmt, Fold):
             ctx = _script_fold(ctx, stmt, conds, store, u, outer_heap, extracts)
@@ -294,20 +271,17 @@ def _run_script(ctx, script, conds, store, u, outer_heap, extracts, mutated) -> 
 
 
 def _cover(u, ctx, conds, a, store, outer_heap, extracts, what) -> tuple[Context, dict]:
-    """Extract what the active pairs lack to cover ``a``, logging the
-    extraction; returns the new context and the demands already known."""
-    ctx, ex, known = _extract_to_cover(u, ctx, _active(ctx, conds, store), a, store, outer_heap, what)
+    """``_choose``, logging the extraction in ``extracts``."""
+    ctx, ex, choices = _choose(u, ctx, conds, a, store, outer_heap, what)
     if ex is not None:
         extracts.append(ex)
-    return ctx, known
+    return ctx, choices
 
 
 def _map_active(ctx: Context, conds, store, step) -> Context:
     """Replace each active pair by the pairs ``step`` returns for it."""
-    active_keys = {p.key() for p in _active(ctx, conds, store)}
-    new_pairs = []
-    for pair in ctx.pairs:
-        new_pairs.extend(step(pair) if pair.key() in active_keys else (pair,))
+    active = {p.key() for p in _active(ctx, conds, store)}
+    new_pairs = [q for p in ctx.pairs for q in (step(p) if p.key() in active else (p,))]
     return Context.make(ctx.outer, new_pairs, ctx.extracted)
 
 
@@ -320,7 +294,7 @@ def _instantiated_body(u: Universe, name: str, args) -> Assertion:
 
 def _instance_token(stmt, pair: WitnessPair, store, what: str) -> State:
     try:
-        vals = tuple(eval_expr(x, ctx_heap(pair), store) for x in stmt.args)
+        vals = tuple(eval_expr(x, pair.sigma_a.heap_dict(), store) for x in stmt.args)
     except Unframed as e:
         raise PackageFailure(f"{what} {stmt.name}: {e.description}")
     return State.make({PredInst(stmt.name, vals): Fraction(1)}, {})
@@ -331,7 +305,7 @@ def _forks(u, a: Assertion, base: State, pair: WitnessPair, store, what: str) ->
     values the pair leaves undetermined; no fork means the case is
     inconsistent and is dropped."""
     try:
-        ds = demands(u, a, ctx_heap(WitnessPair(base, pair.sigma_b)), store, fresh=FRESH_FORK)
+        ds = demands(u, a, base.heap_dict(), store, fresh=FRESH_FORK)
     except Unframed as e:
         raise PackageFailure(f"{what}: {e.description}")
     return [
@@ -343,14 +317,11 @@ def _forks(u, a: Assertion, base: State, pair: WitnessPair, store, what: str) ->
 
 def _script_fold(ctx, stmt: Fold, conds, store, u, outer_heap, extracts) -> Context:
     body = _instantiated_body(u, stmt.name, stmt.args)
-    ctx, known = _cover(u, ctx, conds, body, store, outer_heap, extracts, "fold")
+    ctx, choices = _cover(u, ctx, conds, body, store, outer_heap, extracts, "fold")
 
     def fold(pair: WitnessPair) -> list[WitnessPair]:
-        chosen = _first_covered(pair.sigma_a, _known_demands(u, body, pair, store, outer_heap, known))
-        if chosen is None:
-            raise PackageFailure(f"fold {stmt.name}: body not available for pair ({pair.sigma_a})")
         token = _instance_token(stmt, pair, store, "fold")
-        grown = st.add(st.sub(pair.sigma_a, chosen), token)
+        grown = st.add(st.sub(pair.sigma_a, choices[(pair.sigma_a, pair.sigma_b)]), token)
         if grown is None:
             raise PackageFailure(f"fold {stmt.name}: instance already held in full")
         return [WitnessPair(grown, pair.sigma_b, pair.anchor)]
@@ -377,19 +348,14 @@ def _script_unfold(ctx, stmt: Unfold, conds, store, u) -> Context:
 def _script_apply(ctx, stmt: Apply, conds, store, u, outer_heap, extracts) -> Context:
     w = stmt.wand
     token = State.make({wand_key(w, store): Fraction(1)}, {})
-    ctx, known = _cover(u, ctx, conds, w.lhs, store, outer_heap, extracts, "apply (left-hand side)")
+    ctx, choices = _cover(u, ctx, conds, w.lhs, store, outer_heap, extracts, "apply (left-hand side)")
 
     def apply(pair: WitnessPair) -> list[WitnessPair]:
         if not st.geq(pair.sigma_a, token):
             raise PackageFailure(
                 f"apply {format_assertion(w)}: no wand instance held by pair ({pair.sigma_a})"
             )
-        chosen = _first_covered(pair.sigma_a, _known_demands(u, w.lhs, pair, store, outer_heap, known))
-        if chosen is None:
-            raise PackageFailure(
-                f"apply {format_assertion(w)}: left-hand side not available for pair ({pair.sigma_a})"
-            )
-        base = st.sub(st.sub(pair.sigma_a, token), chosen)
+        base = st.sub(st.sub(pair.sigma_a, token), choices[(pair.sigma_a, pair.sigma_b)])
         return _forks(u, w.rhs, base, pair, store, f"apply {format_assertion(w)}")
 
     return _map_active(ctx, conds, store, apply)

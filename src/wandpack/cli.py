@@ -34,7 +34,7 @@ from .serialization import (
     dumps_canonical,
     state_to_text,
 )
-from .states import BudgetExceeded
+from .states import BudgetExceeded, StateError, is_stable, validate
 from .universe import Universe, UniverseError
 from .verifier import ProgramError, run
 
@@ -177,7 +177,7 @@ def _cmd_oracle(args) -> int:
     if args.query == "footprint":
         wand = _parse_wand(args.wand)
         kind = args.kind or (oracle.COMBINABLE if wand.combinable else oracle.STANDARD)
-        sigma = parse_state_text(args.state)
+        sigma = _footprint_state(args.state, u)
         ok = oracle.is_footprint(sigma, wand, kind, p, store)
         print("footprint" if ok else "not a footprint")
         return 0 if ok else 1
@@ -204,6 +204,18 @@ def _cmd_oracle(args) -> int:
             print(state_to_text(s))
         return 0 if fps else 1
     raise CliError(f"unknown oracle query {args.query!r}")
+
+
+def _footprint_state(text: str, u: Universe):
+    """A footprint candidate: a stable state over the universe."""
+    sigma = parse_state_text(text)
+    try:
+        validate(sigma, u)
+    except StateError as e:
+        raise CliError(f"--state: {e}")
+    if not is_stable(sigma):
+        raise CliError(f"--state: {state_to_text(sigma)} is not stable: it holds a value without permission")
+    return sigma
 
 
 def _parse_wand(text: str) -> Wand:

@@ -27,6 +27,7 @@ from .assertions import (
     format_assertion,
     is_atom,
     minimal_lhs_states,
+    reach,
 )
 from .exprs import Expr, Store, Unframed, eval_bool, format_expr
 from .states import EMPTY, State, state_key
@@ -46,7 +47,9 @@ class CheckFailure(Exception):
 @dataclass(frozen=True)
 class WitnessPair:
     """Available and assembled state; for a combinable wand, also the
-    left-hand-side state the footprint is restricted to (None otherwise)."""
+    left-hand-side state the footprint is restricted to (None otherwise).
+    Every rule keeps the assembled heap inside the available one, so the
+    available state's heap is the pair's heap."""
 
     sigma_a: State
     sigma_b: State
@@ -160,18 +163,6 @@ def pc_holds(pc: PathCondition, sigma_a: State, store: Store, path=()) -> bool:
     return True
 
 
-def ctx_heap(pair: WitnessPair) -> dict:
-    """Expression evaluation context inside packaging: the combined heap.
-
-    Heap values are duplicable, so sigma_a (+) sigma_b is always defined
-    for invariant-respecting pairs.
-    """
-    combined = st.add(pair.sigma_a, pair.sigma_b)
-    if combined is None:
-        raise CheckFailure(f"witness pair is internally incompatible: {pair.sigma_a} / {pair.sigma_b}")
-    return combined.heap_dict()
-
-
 def init_witness_set(
     a: Assertion,
     u: Universe,
@@ -185,18 +176,20 @@ def init_witness_set(
     sound because the assertion fragment is intuitionistic.  They are
     built from the LHS's demands, so the cost follows the assertion, not
     the universe; the LHS must be self-framing, as every package entry
-    point checks.  The universe is enumerated only for all satisfying
-    states (``minimal=False``) and for an LHS holding a wand atom
-    (demands read a wand as a token, satisfaction reads it
-    semantically).  For the lifted (combinable) form each pair is
-    anchored at the satisfying state itself.
+    point checks.  States are enumerated only for all satisfying states
+    (``minimal=False``, over the whole universe) and for an LHS holding a
+    wand atom (demands read a wand as a token, satisfaction reads it
+    semantically); every minimal state of such an LHS lies inside the
+    sub-universe it reaches, so only that is enumerated.  For the lifted
+    (combinable) form each pair is anchored at the satisfying state
+    itself.
     """
     if minimal and not contains_wand(a):
         sats = minimal_lhs_states(u, a, store)
     else:
         from .assertions import lhs_states
 
-        sats = lhs_states(u, a, store)
+        sats = lhs_states(reach(u, a) if minimal else u, a, store)
         if minimal:
             sats = st.minimal_elements(sats)
     pairs = [WitnessPair(s, EMPTY, s if combinable else None) for s in sats]
@@ -326,7 +319,7 @@ def apply_atom(b: Assertion, pc, ctx: Context, d: DAtom, u, store, path=()) -> C
                 f"choice {choice} is not contained in the available state {pair.sigma_a}", path
             )
         try:
-            ok = any(st.geq(choice, dm) for dm in demands(u, b, ctx_heap(pair), store))
+            ok = any(st.geq(choice, dm) for dm in demands(u, b, pair.sigma_a.heap_dict(), store))
         except Unframed as e:
             raise CheckFailure(f"atom {format_assertion(b)} unframed: {e.description}", path)
         if not ok:
@@ -375,8 +368,9 @@ def _linearize(b: Assertion, guards: tuple[Expr, ...] = ()) -> list[tuple[tuple[
     return [(guards, b)]
 
 
-def _solve_pair(u, sigma_a: State, heap, atoms, store) -> Optional[list[Optional[State]]]:
+def _solve_pair(u, sigma_a: State, atoms, store) -> Optional[list[Optional[State]]]:
     """Depth-first per-pair choice assignment covering every active atom."""
+    heap = sigma_a.heap_dict()
 
     def go(i: int, remaining: State, acc: list[Optional[State]]):
         if i == len(atoms):
@@ -417,8 +411,7 @@ def build_canonical_derivation(
     atoms = _linearize(wand.rhs)
     per_pair: dict[tuple, list[Optional[State]]] = {}
     for pair in grown:
-        heap = ctx_heap(pair)
-        sol = _solve_pair(u, pair.sigma_a, heap, atoms, store)
+        sol = _solve_pair(u, pair.sigma_a, atoms, store)
         if sol is None:
             raise CheckFailure(
                 f"no canonical choice sequence for pair ({pair.sigma_a}, {pair.sigma_b})"

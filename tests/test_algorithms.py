@@ -24,13 +24,16 @@ from wandpack.package_logic import (
     check_derivation,
     extract_footprint,
     init_witness_set,
+    initial_configuration,
 )
 from wandpack.parser import (
     parse_assertion_text as A,
     parse_program_text,
+    parse_script_text,
     parse_state_text as S,
     parse_universe_text,
 )
+from wandpack.program import AssertStmt
 from wandpack.states import EMPTY
 from wandpack.universe import FieldLoc
 
@@ -545,3 +548,64 @@ def test_prove_rhs_context_is_the_checked_context():
         proved += 1
         assert check_derivation(Configuration(wand.rhs, (), ctx), tree, u, store) == after
     assert proved >= 60
+
+
+def _heaps_nest(ctx: Context) -> bool:
+    return all(set(p.sigma_b.heap) <= set(p.sigma_a.heap) for p in ctx.pairs)
+
+
+def test_assembled_heap_lies_inside_the_available_heap():
+    # every reader of a pair's heap reads its available state alone; that is
+    # exact because the assembled state's heap is part of the available one
+    finals = 0
+    for u, store, wand, outer in _generated_packages(10, 300):
+        conf = initial_configuration(u, wand, store, outer)
+        for script in ((), (AssertStmt(wand.rhs),)):
+            try:
+                ctx, _, _ = run_script(conf.context, script, store, u)
+                assert _heaps_nest(ctx)
+                final, _ = prove_rhs(ctx, (), wand.rhs, u, store)
+            except PackageFailure:
+                continue
+            assert _heaps_nest(final)
+            finals += 1
+    assert finals >= 350, finals
+
+
+CELL_UNIVERSE = """
+universe v1
+granularity 2
+refs x
+loc x.f: bool {false, true}
+loc x.g: int {0}
+pred Cell(r) = acc(r.f)
+"""
+CELL_OUTER = "{x.f @ 1 = false, x.g @ 1 = 0}"
+
+
+def test_prove_names_an_atom_the_restricted_delta_leaves_uncovered():
+    # the first atom moves the anchor's half to the assembled state; the
+    # restriction caps what the extraction gives the pair at the other half
+    u = parse_universe_text(CELL_UNIVERSE)
+    wand = A("acc(x.f, 1/2) --*c acc(x.f, 1/2) * acc(x.f)")
+    out = package_combinable(S(CELL_OUTER), wand, (), {"x": "x"}, u)
+    assert out.diagnostic == (
+        "prove: acc(x.f) still unsatisfied for pair ({x.f@1/2=false}, {x.f@1/2=false}) after extraction"
+    )
+
+
+def test_script_assert_names_an_atom_the_restricted_delta_leaves_uncovered():
+    # the fold consumes the anchor's half and the half extracted for it
+    u = parse_universe_text(CELL_UNIVERSE)
+    script = parse_script_text("{ fold Cell(x); assert acc(x.f, 1/2) }")
+    out = package_combinable(S(CELL_OUTER), A("acc(x.f, 1/2) --*c Cell(x)"), script, {"x": "x"}, u)
+    assert out.diagnostic == (
+        "assert: acc(x.f, 1/2) still unsatisfied for pair ({Cell(x)@1, x.f@0=false}, {}) after extraction"
+    )
+
+
+def test_unframed_script_condition_reports_the_path_condition():
+    u = parse_universe_text(CELL_UNIVERSE)
+    script = parse_script_text("{ if (x.g == 0) { assert acc(x.f) } }")
+    out = package_sound(S(CELL_OUTER), A("acc(x.f) --* acc(x.f)"), script, {"x": "x"}, u)
+    assert out.diagnostic == "path condition x.g == 0 unframed on {x.f@1=false}: no heap value for x.g"

@@ -53,6 +53,20 @@ def test_verify_audit_follows_the_wand_not_the_universe(capsys, tmp_path):
     assert "audit violations: 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("granularity", [1, 2])
+def test_verify_wand_lhs_enumerates_what_it_reaches(capsys, tmp_path, granularity):
+    # the left-hand side holds a wand atom, so its witness set is enumerated:
+    # over x.f1 alone, not the 5^10 (granularity 2) or 3^10 stable states
+    locs = "".join(f"loc x.f{i}: int {{0, 1}}\n" for i in range(1, 11))
+    (tmp_path / "u.universe").write_text(f"universe v1\ngranularity {granularity}\nrefs x\n{locs}")
+    (tmp_path / "p.wnd").write_text(
+        'program v1\nuniverse "u.universe"\n\nmethod m(x: Ref)\n'
+        "  requires acc(x.f2)\n{\n  package (acc(x.f1) --* acc(x.f1)) --* acc(x.f2)\n}\n"
+    )
+    assert run_cli("verify", tmp_path / "p.wnd") == 0
+    assert "VERIFIED" in capsys.readouterr().out
+
+
 def test_oracle_over_budget_exit_2(capsys, tmp_path):
     # the query names f and g, so it reaches every location: 405^4 states
     uni = tmp_path / "big.universe"
@@ -288,6 +302,27 @@ def test_oracle_footprint_queries(capsys):
         "--wand", "acc(x.f, 1/2) --* acc(x.g)",
         "--state", "{x.f @ 1/2 = 0, x.g @ 1/2 = 0}",
     ) == 1
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        ("{x.f @ 1}", "owned location x.f has no heap value"),
+        ("{z.q @ 1 = 5}", "mask entry for undeclared location z.q"),
+        ("{x.f @ 1 = 7}", "value 7 outside domain of x.f"),
+        ("{x.f @ 0 = 0}", "is not stable"),
+    ],
+)
+def test_oracle_footprint_rejects_a_state_off_the_universe(capsys, state, message):
+    code = run_cli(
+        "oracle", "footprint", "--universe", CORPUS / "mixed.universe",
+        "--wand", "acc(x.f, 1/2) --* acc(x.g)", "--state", state,
+    )
+    assert code == 2
+    out = capsys.readouterr()
+    assert not out.out
+    (line,) = out.err.splitlines()
+    assert line.startswith("error: --state: ") and message in line
 
 
 def test_oracle_combinable_queries():

@@ -155,9 +155,10 @@ def enumerated_minimal(u, a, store):
 
 
 def assert_same_minimal(u, a, store):
-    assert minimal_lhs_states(u, a, store) == enumerated_minimal(u, a, store), a
+    expected = enumerated_minimal(u, a, store)
+    assert minimal_lhs_states(u, a, store) == expected, a
     pairs = init_witness_set(a, u, True, store, combinable=True)
-    assert [p.sigma_a for p in pairs] == enumerated_minimal(u, a, store), a
+    assert [p.sigma_a for p in pairs] == expected, a
     assert all(p.anchor == p.sigma_a for p in pairs)
 
 
@@ -255,6 +256,27 @@ def test_init_witness_set_enumerates_a_wand_lhs(monkeypatch):
     pairs = init_witness_set(a, U, True, STORE)
     assert calls
     assert [p.sigma_a for p in pairs] == expected
+
+
+@pytest.mark.parametrize("with_predicate", [False, True])
+def test_wand_lhs_witness_sets_match_the_whole_universe(with_predicate):
+    # a wand LHS enumerates the sub-universe it reaches; with every
+    # projection the identity, the same call enumerates the whole universe
+    rng = random.Random(3301 + with_predicate)
+    checked = 0
+    while checked < 40:
+        u = random_universe(rng, with_predicate=with_predicate)
+        store = identity_store(u)
+        w = random_wand(rng, u, combinable=rng.random() < 0.5)
+        a, _ = random_assertion(rng, u, 1)
+        lhs = rng.choice([w, Star(a, w), OrA(a, w)])
+        if not wf(lhs):
+            continue
+        reached = [p.sigma_a for p in init_witness_set(lhs, u, True, store)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Universe, "sub_universe", lambda self, fields, preds: self)
+            assert reached == enumerated_minimal(u, lhs, store), lhs
+        checked += 1
 
 
 # -- left-hand-side cases of the per-case baseline ------------------------------------
