@@ -1,10 +1,12 @@
 """The three package algorithms and proof-script execution.
 
 Every proof step (a right-hand-side atom, or a script ``assert``, ``fold``
-or ``apply``) is one ``_choose``: extract from the outer state what the
-active pairs lack, then pick each active pair's first covered demand.  The
-extraction is the Extract rule (``apply_extract``) and the prover hands the
-choices to the Atom rule (``apply_atom``), so the derivation found needs no
+or ``apply``) takes an option of ``package_logic.steps``: extract from the
+outer state what the active pairs lack (the Extract rule), then give each
+active pair a demand it covers.  A script statement takes the first
+option; the right-hand side is proved by ``package_logic.prove``, which
+backtracks to later options only where the first ones fail.  Its choices
+go to the Atom rule (``apply_atom``), so the derivation found needs no
 second check.
 
 * ``package_sound`` — the witness-set algorithm for standard wands; every
@@ -28,9 +30,6 @@ from . import states as st
 from .assertions import (
     FRESH_FORK,
     Assertion,
-    Imp,
-    Pure,
-    Star,
     Wand,
     demands,
     format_assertion,
@@ -43,32 +42,23 @@ from .package_logic import (
     CheckFailure,
     Configuration,
     Context,
-    DAtom,
     Derivation,
-    DExtract,
-    DImplication,
-    DStar,
+    PackageFailure,
     WitnessPair,
-    apply_atom,
-    apply_extract,
+    active_pairs,
     check_derivation,
     extract_footprint,
     initial_configuration,
-    pc_holds,
+    prove,
+    steps,
 )
 from .program import Apply, AssertStmt, Fold, If, Stmt, Unfold
 from .states import EMPTY, State, state_key
-from .universe import FieldLoc, PredInst, Universe
+from .universe import PredInst, Universe
 
 SOUND = "sound"
 COMBINABLE = "combinable"
 FIA = "fia"
-
-
-class PackageFailure(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.message = message
 
 
 @dataclass(frozen=True)
@@ -86,104 +76,6 @@ class PackageOutcome:
         return self.status == "success"
 
 
-# -- the one proof step: extract what the active pairs lack, then choose ----------
-
-
-def _pair_demands(u, a, pair: WitnessPair, store, outer_heap) -> list[State]:
-    try:
-        return demands(u, a, pair.sigma_a.heap_dict(), store, fallback_heap=outer_heap)
-    except Unframed as e:
-        raise PackageFailure(
-            f"unframed expression while reducing {format_assertion(a)}: {e.description}"
-        )
-
-
-def _first_covered(sigma_a: State, ds: Sequence[State]) -> Optional[State]:
-    return next((d for d in ds if st.geq(sigma_a, d)), None)
-
-
-def _least_shortfall(sigma_a: State, ds: Sequence[State]) -> dict:
-    """The permission missing for the demand this pair should be steered
-    toward: least missing permission first, leftmost on ties."""
-    gaps = ({rid: amt - have for rid, amt in d.mask if (have := sigma_a.mask_of(rid)) < amt} for d in ds)
-    return min(gaps, key=lambda gap: sum(gap.values()))
-
-
-def _active(ctx: Context, conds: tuple[Expr, ...], store: Store) -> list[WitnessPair]:
-    """The pairs whose available state satisfies the path condition."""
-    try:
-        return [p for p in ctx.pairs if pc_holds(conds, p.sigma_a, store)]
-    except CheckFailure as e:
-        raise PackageFailure(e.message)
-
-
-def _choose(
-    u: Universe,
-    ctx: Context,
-    conds: tuple[Expr, ...],
-    a: Assertion,
-    store: Store,
-    outer_heap: dict,
-    what: str,
-) -> tuple[Context, Optional[State], dict]:
-    """One proof step for ``a`` over the pairs active under ``conds``.
-
-    If some active pair covers no demand of ``a``, one minimal stable
-    state is extracted from the outer state (the Extract rule); then each
-    active pair's first covered demand is chosen.  Returns the new
-    context, the extracted state (None when nothing was needed) and the
-    choices keyed by each active pair's (available, assembled) states.
-    """
-    needed, values, known = {}, {}, {}
-    active = _active(ctx, conds, store)
-    for pair in active:
-        ds = known[(pair.sigma_a, pair.sigma_b)] = _pair_demands(u, a, pair, store, outer_heap)
-        if not ds:
-            shown = format_assertion(a)
-            why = (
-                f"{shown} does not hold"
-                if isinstance(a, Pure)
-                else f"insufficient permission for {shown}; no way to satisfy it"
-            )
-            raise PackageFailure(f"{what}: {why} for pair ({pair.sigma_a}, {pair.sigma_b})")
-        if _first_covered(pair.sigma_a, ds) is not None:
-            continue
-        for rid, amt in _least_shortfall(pair.sigma_a, ds).items():
-            if amt > needed.get(rid, Fraction(0)):
-                needed[rid] = amt
-            # the outer state's value is the only one extraction can take;
-            # where it has none, the check below reports the missing permission
-            if isinstance(rid, FieldLoc) and rid in outer_heap:
-                values[rid] = outer_heap[rid]
-    sigma_w = None
-    if needed:
-        sigma_w = State.make(needed, values)
-        if not st.geq(ctx.outer, sigma_w):
-            witness = next(p for p in active if _first_covered(p.sigma_a, known[(p.sigma_a, p.sigma_b)]) is None)
-            raise PackageFailure(
-                f"{what}: insufficient permission for {format_assertion(a)}; "
-                f"outer state lacks {sigma_w} (witness pair {witness.sigma_a})"
-            )
-        try:
-            ctx = apply_extract(ctx, sigma_w)
-        except CheckFailure as e:
-            raise PackageFailure(f"{what}: {e.message}")
-        active = _active(ctx, conds, store)
-    choices = {}
-    for pair in active:
-        key = (pair.sigma_a, pair.sigma_b)
-        # a pair the extraction grew has new states, so its demands are new
-        ds = known.get(key) or _pair_demands(u, a, pair, store, outer_heap)
-        chosen = _first_covered(pair.sigma_a, ds)
-        if chosen is None:
-            raise PackageFailure(
-                f"{what}: {format_assertion(a)} still unsatisfied for pair "
-                f"({pair.sigma_a}, {pair.sigma_b}) after extraction"
-            )
-        choices[key] = chosen
-    return ctx, sigma_w, choices
-
-
 # -- proveRHS ----------------------------------------------------------------------
 
 
@@ -195,32 +87,18 @@ def prove_rhs(
     store: Store,
     outer_heap: Optional[dict] = None,
 ) -> tuple[Context, Derivation]:
-    """Left-to-right proof search over the right-hand side.
+    """Backtracking proof search over the right-hand side (``prove``).
 
-    Stars and implications recurse; an atom first extracts a minimal
-    missing state from the outer state if some active pair needs it, then
-    applies the Atom rule with each active pair's first covered demand.
-    The combinable variant is selected by the anchors the context's pairs
-    carry.  Raises PackageFailure with the offending atom and a witness
-    pair when the outer state cannot close a shortfall.
+    Each atom extracts what the active pairs lack from the outer state and
+    applies the Atom rule with a demand each pair covers, greedy choices
+    first.  The combinable variant is selected by the anchors the
+    context's pairs carry.  Raises PackageFailure with the offending atom
+    and a witness pair when no option closes a shortfall.  Values missing
+    from a pair are read from ``ctx.outer``, whose heap extraction keeps
+    whole; ``outer_heap`` is ignored and kept for callers that pass it,
+    such as the benchmark's staged replay.
     """
-    heap = dict(outer_heap or ctx.outer.heap_dict())
-    return _prove(ctx, pc, b, u, store, heap)
-
-
-def _prove(ctx, pc, b, u, store, outer_heap) -> tuple[Context, Derivation]:
-    if isinstance(b, Star):
-        ctx1, d1 = _prove(ctx, pc, b.left, u, store, outer_heap)
-        ctx2, d2 = _prove(ctx1, pc, b.right, u, store, outer_heap)
-        return ctx2, DStar(d1, d2)
-    if isinstance(b, Imp):
-        ctx1, d = _prove(ctx, pc + (b.guard,), b.body, u, store, outer_heap)
-        return ctx1, DImplication(d)
-    # a semantic atom: Pure / Acc / Pred / Wand / Or
-    ctx, extracted, choices = _choose(u, ctx, pc, b, store, outer_heap, "prove")
-    node: Derivation = DAtom.make(choices)
-    ctx = apply_atom(b, pc, ctx, node, u, store)
-    return ctx, node if extracted is None else DExtract(extracted, node)
+    return prove(ctx, pc, b, u, store)
 
 
 # -- proof-script execution ----------------------------------------------------------
@@ -240,39 +118,43 @@ def run_script(
     the core rules cannot express (fold/unfold/apply).  A package's
     derivation starts from the returned context, so the package algorithms
     read only that; the extractions and the flag serve callers that replay
-    a package stage by stage.
+    a package stage by stage.  Each statement takes its step's first
+    option.  ``outer_heap`` is ignored, as in ``prove_rhs``, and kept for
+    callers that pass it.
     """
-    heap = dict(outer_heap or ctx.outer.heap_dict())
     extracts: list[State] = []
     mutated = [False]
-    ctx = _run_script(ctx, tuple(script), (), store, u, heap, extracts, mutated)
+    ctx = _run_script(ctx, tuple(script), (), store, u, extracts, mutated)
     return ctx, extracts, mutated[0]
 
 
-def _run_script(ctx, script, conds, store, u, outer_heap, extracts, mutated) -> Context:
+def _run_script(ctx, script, conds, store, u, extracts, mutated) -> Context:
     for stmt in script:
         if isinstance(stmt, If):
-            ctx = _run_script(ctx, stmt.then, conds + (stmt.cond,), store, u, outer_heap, extracts, mutated)
-            ctx = _run_script(ctx, stmt.els, conds + (Not(stmt.cond),), store, u, outer_heap, extracts, mutated)
+            ctx = _run_script(ctx, stmt.then, conds + (stmt.cond,), store, u, extracts, mutated)
+            ctx = _run_script(ctx, stmt.els, conds + (Not(stmt.cond),), store, u, extracts, mutated)
             continue
         if isinstance(stmt, AssertStmt):
-            ctx, _ = _cover(u, ctx, conds, stmt.assertion, store, outer_heap, extracts, "assert")
+            ctx, _ = _cover(u, ctx, conds, stmt.assertion, store, extracts, "assert")
             continue
         if isinstance(stmt, Fold):
-            ctx = _script_fold(ctx, stmt, conds, store, u, outer_heap, extracts)
+            ctx = _script_fold(ctx, stmt, conds, store, u, extracts)
         elif isinstance(stmt, Unfold):
             ctx = _script_unfold(ctx, stmt, conds, store, u)
         elif isinstance(stmt, Apply):
-            ctx = _script_apply(ctx, stmt, conds, store, u, outer_heap, extracts)
+            ctx = _script_apply(ctx, stmt, conds, store, u, extracts)
         else:
             raise PackageFailure(f"unknown script statement {stmt!r}")
         mutated[0] = True
     return ctx
 
 
-def _cover(u, ctx, conds, a, store, outer_heap, extracts, what) -> tuple[Context, dict]:
-    """``_choose``, logging the extraction in ``extracts``."""
-    ctx, ex, choices = _choose(u, ctx, conds, a, store, outer_heap, what)
+def _cover(u, ctx, conds, a, store, extracts, what) -> tuple[Context, dict]:
+    """The first option of the step for ``a``, logging its extraction in ``extracts``."""
+    option = next(steps(u, ctx, conds, a, store, what))
+    if isinstance(option, PackageFailure):
+        raise PackageFailure(option.message)  # fresh, as in ``prove``
+    ctx, ex, choices = option
     if ex is not None:
         extracts.append(ex)
     return ctx, choices
@@ -280,7 +162,7 @@ def _cover(u, ctx, conds, a, store, outer_heap, extracts, what) -> tuple[Context
 
 def _map_active(ctx: Context, conds, store, step) -> Context:
     """Replace each active pair by the pairs ``step`` returns for it."""
-    active = {p.key() for p in _active(ctx, conds, store)}
+    active = {p.key() for p in active_pairs(ctx, conds, store)}
     new_pairs = [q for p in ctx.pairs for q in (step(p) if p.key() in active else (p,))]
     return Context.make(ctx.outer, new_pairs, ctx.extracted)
 
@@ -315,9 +197,9 @@ def _forks(u, a: Assertion, base: State, pair: WitnessPair, store, what: str) ->
     ]
 
 
-def _script_fold(ctx, stmt: Fold, conds, store, u, outer_heap, extracts) -> Context:
+def _script_fold(ctx, stmt: Fold, conds, store, u, extracts) -> Context:
     body = _instantiated_body(u, stmt.name, stmt.args)
-    ctx, choices = _cover(u, ctx, conds, body, store, outer_heap, extracts, "fold")
+    ctx, choices = _cover(u, ctx, conds, body, store, extracts, "fold")
 
     def fold(pair: WitnessPair) -> list[WitnessPair]:
         token = _instance_token(stmt, pair, store, "fold")
@@ -345,10 +227,10 @@ def _script_unfold(ctx, stmt: Unfold, conds, store, u) -> Context:
     return _map_active(ctx, conds, store, unfold)
 
 
-def _script_apply(ctx, stmt: Apply, conds, store, u, outer_heap, extracts) -> Context:
+def _script_apply(ctx, stmt: Apply, conds, store, u, extracts) -> Context:
     w = stmt.wand
     token = State.make({wand_key(w, store): Fraction(1)}, {})
-    ctx, choices = _cover(u, ctx, conds, w.lhs, store, outer_heap, extracts, "apply (left-hand side)")
+    ctx, choices = _cover(u, ctx, conds, w.lhs, store, extracts, "apply (left-hand side)")
 
     def apply(pair: WitnessPair) -> list[WitnessPair]:
         if not st.geq(pair.sigma_a, token):
@@ -381,9 +263,8 @@ def recheck_package(
 
 def _run(ctx: Context, wand: Wand, script, store: Store, u: Universe) -> tuple[Context, Derivation]:
     """Run the proof script, then prove the right-hand side from where it stops."""
-    outer_heap = ctx.outer.heap_dict()
-    ctx, _, _ = run_script(ctx, script, store, u, outer_heap)
-    return prove_rhs(ctx, (), wand.rhs, u, store, outer_heap)
+    ctx, _, _ = run_script(ctx, script, store, u)
+    return prove_rhs(ctx, (), wand.rhs, u, store)
 
 
 def _package_witnessed(

@@ -1,4 +1,4 @@
-"""The package logic: configurations, witness sets, and a derivation checker.
+"""The package logic: configurations, witness sets, a derivation checker, the proof search.
 
 A derivation is an explicit tree of rule applications (implication, star,
 atom, extract, disjunction) carrying all rule parameters, so it can be
@@ -7,13 +7,17 @@ literally and either returns the final context or raises ``CheckFailure``
 at the first violated premise.  A witness pair of a combinable wand
 carries the left-hand-side state its footprint is restricted to (its
 anchor), and the context tracks the footprint extracted so far, so one
-checker serves both wand kinds.  The package algorithms apply the same
-rule functions (``apply_extract``, ``apply_atom``) while they search.
+checker serves both wand kinds.  The one proof search (``steps``,
+``prove``) applies the same rule functions (``apply_extract``,
+``apply_atom``), for the package algorithms and for the canonical
+derivations of the completeness probe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import product
 from typing import Mapping, Optional, Sequence, Union
 
 from . import states as st
@@ -21,6 +25,7 @@ from .assertions import (
     Assertion,
     Imp,
     OrA,
+    Pure,
     Star,
     contains_wand,
     demands,
@@ -31,7 +36,7 @@ from .assertions import (
 )
 from .exprs import Expr, Store, Unframed, eval_bool, format_expr
 from .states import EMPTY, State, state_key
-from .universe import Universe
+from .universe import FieldLoc, Universe
 
 
 class CheckFailure(Exception):
@@ -357,43 +362,173 @@ def _check_disjunction(b: OrA, pc, ctx: Context, d: DDisjunction, u, store, path
     return Context.make(ctx_r.outer, list(sl2) + list(ctx_r.pairs), ctx_r.extracted)
 
 
-# -- canonical derivations ------------------------------------------------------------
+# -- the proof search ----------------------------------------------------------------
+
+SEARCH_NODES = 1000  # options one proof search may try before it gives up
 
 
-def _linearize(b: Assertion, guards: tuple[Expr, ...] = ()) -> list[tuple[tuple[Expr, ...], Assertion]]:
+class PackageFailure(Exception):
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.message = message
+
+
+def active_pairs(ctx: Context, conds: PathCondition, store: Store) -> list[WitnessPair]:
+    """The pairs whose available state satisfies the path condition."""
+    try:
+        return [p for p in ctx.pairs if pc_holds(conds, p.sigma_a, store)]
+    except CheckFailure as e:
+        raise PackageFailure(e.message)
+
+
+def _pair_demands(u, a, pair: WitnessPair, store, outer_heap) -> list[State]:
+    try:
+        return demands(u, a, pair.sigma_a.heap_dict(), store, fallback_heap=outer_heap)
+    except Unframed as e:
+        raise PackageFailure(f"unframed expression while reducing {format_assertion(a)}: {e.description}")
+
+
+def _gap(sigma_a: State, d: State) -> dict:
+    return {rid: amt - have for rid, amt in d.mask if (have := sigma_a.mask_of(rid)) < amt}
+
+
+def steps(u: Universe, ctx: Context, conds: PathCondition, a: Assertion, store: Store, what: str):
+    """The options for one proof step of ``a`` over the pairs active under
+    ``conds``, best first.  An option that fails, or a step that has none,
+    is yielded as its PackageFailure; a combination of targets that repeats
+    an extraction already offered is yielded as None, so that the search
+    counts every combination it looks at against its bound.
+
+    Each active pair aims at a target demand: its covered demands first,
+    then its uncovered ones by least shortfall (leftmost on ties).  An
+    option extracts from the outer state the largest shortfall any pair
+    has for its target (the Extract rule), then gives every active pair
+    one demand it covers.  So the first option extracts each pair's least
+    shortfall and chooses each pair's first covered demand; the others
+    are built only when the search asks for them.  An option is the new
+    context, the extracted state (None when nothing was extracted) and the
+    choices keyed by each active pair's (available, assembled) states.
+    """
+    heap = ctx.outer.heap_dict()
+    covered, targets = {}, []
+    try:
+        active = active_pairs(ctx, conds, store)
+        for pair in active:
+            ds = _pair_demands(u, a, pair, store, heap)
+            if not ds:
+                shown = format_assertion(a)
+                why = (
+                    f"{shown} does not hold"
+                    if isinstance(a, Pure)
+                    else f"insufficient permission for {shown}; no way to satisfy it"
+                )
+                raise PackageFailure(f"{what}: {why} for pair ({pair.sigma_a}, {pair.sigma_b})")
+            held = [st.geq(pair.sigma_a, d) for d in ds]
+            covered[pair.sigma_a, pair.sigma_b] = [d for d, h in zip(ds, held) if h]
+            gaps = [_gap(pair.sigma_a, d) for d, h in zip(ds, held) if not h]
+            gaps.sort(key=lambda g: sum(g.values()))
+            targets.append([{}] * any(held) + gaps)
+    except PackageFailure as e:
+        yield e.with_traceback(None)
+        return
+    seen = set()
+    for aims in product(*targets):
+        needed = {}
+        for gap in aims:
+            for rid, amt in gap.items():
+                needed[rid] = max(amt, needed.get(rid, amt))
+        if (shape := frozenset(needed.items())) in seen:
+            yield None  # an extraction already offered, yielded so the search counts it
+            continue
+        seen.add(shape)
+        grown, sigma_w, after = ctx, None, covered
+        if needed:  # then some pair aims at a gap
+            witness = next(p for p, gap in zip(active, aims) if gap or not covered[p.sigma_a, p.sigma_b])
+            # the outer state's value is the only one extraction can take; where
+            # it has none, the containment check reports the missing permission
+            values = {r: heap[r] for r in needed if isinstance(r, FieldLoc) and r in heap}
+            sigma_w = State.make(needed, values)
+            if not st.geq(ctx.outer, sigma_w):
+                yield PackageFailure(
+                    f"{what}: insufficient permission for {format_assertion(a)}; "
+                    f"outer state lacks {sigma_w} (witness pair {witness.sigma_a})"
+                )
+                continue
+            try:
+                grown, after = apply_extract(ctx, sigma_w), {}
+                for p in active_pairs(grown, conds, store):
+                    key = (p.sigma_a, p.sigma_b)
+                    # a pair the extraction grew has new states, so its demands are new
+                    after[key] = covered.get(key) or [
+                        d for d in _pair_demands(u, a, p, store, heap) if st.geq(p.sigma_a, d)
+                    ]
+                    if not after[key]:
+                        raise PackageFailure(
+                            f"{what}: {format_assertion(a)} still unsatisfied for pair "
+                            f"({p.sigma_a}, {p.sigma_b}) after extraction"
+                        )
+            except CheckFailure as e:
+                yield PackageFailure(f"{what}: {e.message}")
+                continue
+            except PackageFailure as e:
+                yield e.with_traceback(None)
+                continue
+        for combo in product(*after.values()):
+            yield grown, sigma_w, dict(zip(after, combo))
+
+
+def prove(
+    ctx: Context, pc: PathCondition, b: Assertion, u: Universe, store: Store
+) -> tuple[Context, Derivation]:
+    """Depth-first proof search over the right-hand side ``b``.
+
+    Stars run left to right and implications add their guard to the path
+    condition.  An atom tries the options of its step in order, and a
+    later atom's failure backtracks to the next one.  So the greedy path
+    comes first, and alternatives are built only when it fails, up to
+    SEARCH_NODES options in all.  When nothing succeeds the search
+    raises the first failure it met: the greedy path's.
+    """
+    found = _search(ctx, pc, b, u, store, [SEARCH_NODES], lambda c, d: (c, d))
+    if isinstance(found, PackageFailure):
+        # a fresh exception: raising the local one would tie its traceback
+        # and this frame into a cycle that only the garbage collector frees
+        raise PackageFailure(found.message)
+    return found
+
+
+def _search(ctx, pc, b, u, store, budget: list, k):
+    """Prove ``b`` and pass the context and tree to the continuation ``k``:
+    returns what ``k`` returns for the first option that succeeds, else the
+    first failure met.  Failures are returned, not raised, so that the
+    failure kept for later holds no frame of the search."""
     if isinstance(b, Star):
-        return _linearize(b.left, guards) + _linearize(b.right, guards)
+        def right(c1, d1):
+            return _search(c1, pc, b.right, u, store, budget, lambda c2, d2: k(c2, DStar(d1, d2)))
+
+        return _search(ctx, pc, b.left, u, store, budget, right)
     if isinstance(b, Imp):
-        return _linearize(b.body, guards + (b.guard,))
-    return [(guards, b)]
+        guarded = pc + (b.guard,)
+        return _search(ctx, guarded, b.body, u, store, budget, lambda c, d: k(c, DImplication(d)))
+    first = None
+    for n, option in enumerate(steps(u, ctx, pc, b, store, "prove")):
+        if n and budget[0] <= 0:
+            break
+        budget[0] -= 1
+        if option is None:
+            continue
+        if not isinstance(option, PackageFailure):
+            ctx1, sigma_w, choices = option
+            node = DAtom.make(choices)
+            tree = node if sigma_w is None else DExtract(sigma_w, node)
+            option = k(apply_atom(b, pc, ctx1, node, u, store), tree)
+            if not isinstance(option, PackageFailure):
+                return option
+        first = first or option
+    return first
 
 
-def _solve_pair(u, sigma_a: State, atoms, store) -> Optional[list[Optional[State]]]:
-    """Depth-first per-pair choice assignment covering every active atom."""
-    heap = sigma_a.heap_dict()
-
-    def go(i: int, remaining: State, acc: list[Optional[State]]):
-        if i == len(atoms):
-            return acc
-        guards, atom = atoms[i]
-        try:
-            active = all(eval_bool(g, heap, store) for g in guards)
-        except Unframed:
-            return None
-        if not active:
-            return go(i + 1, remaining, acc + [None])
-        try:
-            ds = demands(u, atom, heap, store)
-        except Unframed:
-            return None
-        for dchoice in ds:
-            if st.geq(remaining, dchoice):
-                res = go(i + 1, st.sub(remaining, dchoice), acc + [dchoice])
-                if res is not None:
-                    return res
-        return None
-
-    return go(0, sigma_a, [])
+# -- canonical derivations ------------------------------------------------------------
 
 
 def build_canonical_derivation(
@@ -403,42 +538,25 @@ def build_canonical_derivation(
     store: Store,
 ) -> tuple[Configuration, Derivation]:
     """The completeness-probe derivation: extract the whole footprint at
-    the root, then reduce the right-hand side with per-pair greedy (DFS)
-    atom choices.  Checker acceptance of this tree realizes the footprint."""
+    the root, then run the prover's search, which the emptied outer state
+    leaves nothing more to extract.  Without extraction the pairs never
+    interact, so each is searched alone and the trees are merged.
+    Checker acceptance of this tree realizes the footprint."""
     conf = initial_configuration(u, wand, store, sigma_w)
-    # the root extraction gives each pair its final available state
-    grown = apply_extract(conf.context, sigma_w).pairs
-    atoms = _linearize(wand.rhs)
-    per_pair: dict[tuple, list[Optional[State]]] = {}
-    for pair in grown:
-        sol = _solve_pair(u, pair.sigma_a, atoms, store)
-        if sol is None:
-            raise CheckFailure(
-                f"no canonical choice sequence for pair ({pair.sigma_a}, {pair.sigma_b})"
-            )
-        per_pair[pair.full_key()] = sol
+    ctx = apply_extract(conf.context, sigma_w)
+    alone = [Context.make(ctx.outer, [p], ctx.extracted) for p in ctx.pairs] or [ctx]
+    try:
+        trees = [prove(c, (), wand.rhs, u, store)[1] for c in alone]
+    except PackageFailure as e:
+        raise CheckFailure(e.message)
+    return conf, DExtract(sigma_w, reduce(_merge, trees))
 
-    # Assemble the tree by replaying the checker's pair evolution so atom
-    # choices are keyed by the pair values at the moment the atom fires.
-    index = [0]
-    cursor: dict[tuple, tuple[State, State]] = {p.full_key(): (p.sigma_a, p.sigma_b) for p in grown}
 
-    def build(b: Assertion) -> Derivation:
-        if isinstance(b, Star):
-            return DStar(build(b.left), build(b.right))
-        if isinstance(b, Imp):
-            return DImplication(build(b.body))
-        i = index[0]
-        index[0] += 1
-        choices = {}
-        for k0 in list(cursor):
-            sol = per_pair[k0][i]
-            if sol is None:
-                continue
-            sa, sb = cursor[k0]
-            choices[(sa, sb)] = sol
-            cursor[k0] = (st.sub(sa, sol), st.add(sb, sol))
-        return DAtom.make(choices)
-
-    tree = build(wand.rhs)
-    return conf, DExtract(sigma_w, tree)
+def _merge(d1: Derivation, d2: Derivation) -> Derivation:
+    """Two extraction-free trees of one right-hand side as one.  Pairs that meet
+    in one state face the same atoms from there, so either's choice serves both."""
+    if isinstance(d1, DStar):
+        return DStar(_merge(d1.left, d2.left), _merge(d1.right, d2.right))
+    if isinstance(d1, DImplication):
+        return DImplication(_merge(d1.child, d2.child))
+    return DAtom.make({(sa, sb): c for sa, sb, c in d1.choices + d2.choices})

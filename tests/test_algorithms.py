@@ -1,8 +1,10 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 import wandpack.oracle as orc
+import wandpack.package_logic as pl
 import wandpack.states as st
 from wandpack.algorithms import (
     PackageFailure,
@@ -34,6 +36,7 @@ from wandpack.parser import (
     parse_universe_text,
 )
 from wandpack.program import AssertStmt
+from wandpack.serialization import derivation_to_json, dumps_canonical, state_to_json
 from wandpack.states import EMPTY
 from wandpack.universe import FieldLoc
 
@@ -609,3 +612,108 @@ def test_unframed_script_condition_reports_the_path_condition():
     script = parse_script_text("{ if (x.g == 0) { assert acc(x.f) } }")
     out = package_sound(S(CELL_OUTER), A("acc(x.f) --* acc(x.f)"), script, {"x": "x"}, u)
     assert out.diagnostic == "path condition x.g == 0 unframed on {x.f@1=false}: no heap value for x.g"
+
+
+# -- backtracking proof search ------------------------------------------------------------------
+
+TINY = """
+universe v1
+granularity 2
+refs x
+loc x.f: int {0}
+loc x.g: int {0}
+"""
+# the disjunction's first covered demand is x.f, which the last atom needs again
+GREEDY_LOSS = ("acc(x.f) --* (acc(x.f) || acc(x.g)) * acc(x.f)", "{x.g @ 1 = 0}")
+# theorem-sweep seed 1 draw 76 needs another choice, seed 9 draw 276 another extraction
+SWEEP_1_76 = (
+    "universe v1\ngranularity 2\nrefs x\nloc x.f: int {0, 1}\nloc x.g: bool\nloc x.h: bool\n",
+    "(acc(x.f) || acc(x.h)) --* ((acc(x.g, 1/2) || acc(x.f, 1/2)) * acc(x.g))",
+    "{x.f @ 1 = 1, x.g @ 1 = true, x.h @ 1 = false}",
+)
+SWEEP_9_276 = (
+    "universe v1\ngranularity 2\nrefs x\nloc x.f: bool\nloc x.g: int {0}\n",
+    "acc(x.g, 1/2) --* (acc(x.f) || acc(x.g))",
+    "{x.f @ 1 = false}",
+)
+
+
+@pytest.mark.parametrize(
+    "utext, wand, outer, footprint",
+    [
+        (TINY, *GREEDY_LOSS, "{x.g @ 1 = 0}"),
+        (*SWEEP_1_76, "{x.f @ 1/2 = 1, x.g @ 1 = true}"),
+        (*SWEEP_9_276, "{x.f @ 1 = false}"),
+    ],
+    ids=["greedy-disjunct", "sweep-1-76", "sweep-9-276"],
+)
+def test_search_backtracks_where_the_greedy_step_fails(utext, wand, outer, footprint):
+    u, w, store = parse_universe_text(utext), A(wand), {"x": "x"}
+    out = package_sound(S(outer), w, (), store, u)
+    assert out.success, out.diagnostic
+    assert out.footprint == S(footprint)
+    assert orc.is_footprint(out.footprint, w, orc.STANDARD, orc.plan(u), store)
+    assert orc.audit_footprint(out.footprint, w, orc.STANDARD, orc.plan(u), store)
+    assert recheck_package(out.configuration, (), out.derivation, u, store) == out.footprint
+
+
+def test_search_out_of_nodes_reports_the_greedy_failure(monkeypatch):
+    monkeypatch.setattr(pl, "SEARCH_NODES", 2)
+    out = package_sound(S(GREEDY_LOSS[1]), A(GREEDY_LOSS[0]), (), {"x": "x"}, parse_universe_text(TINY))
+    assert out.diagnostic == (
+        "prove: insufficient permission for acc(x.f); outer state lacks {x.f@1} (witness pair {x.f@0=0})"
+    )
+
+
+WIDE = (
+    "universe v1\ngranularity 2\nrefs x\nloc x.f: int {0, 1, 2, 3}\nloc x.g: int {0, 1, 2, 3}\n"
+    "loc x.h: int {0, 1, 2, 3}\nloc x.k: int {0}\nloc x.m: int {0}\n"
+)
+
+
+def test_search_counts_repeated_extractions_against_its_bound(monkeypatch):
+    # 64 pairs, each aiming at x.k or x.m: 2^64 combinations of aims, of
+    # which only three distinct extractions, and the outer state closes none
+    looked, steps = [0], pl.steps
+
+    def counted(*args, **kwargs):
+        for option in steps(*args, **kwargs):
+            looked[0] += 1
+            yield option
+
+    monkeypatch.setattr(pl, "steps", counted)
+    wand = A("acc(x.f) * acc(x.g) * acc(x.h) --* (acc(x.k) || acc(x.m))")
+    out = package_sound(S("{x.k @ 1/2 = 0, x.m @ 1/2 = 0}"), wand, (), {"x": "x"}, parse_universe_text(WIDE))
+    assert out.diagnostic == (
+        "prove: insufficient permission for acc(x.k) || acc(x.m); "
+        "outer state lacks {x.k@1=0} (witness pair {x.f@1=0, x.g@1=0, x.h@1=0})"
+    )
+    assert looked[0] <= pl.SEARCH_NODES + 1
+
+
+# Draws of _generated_packages(10, 300) that only the backtracking search
+# packages; every other draw's outcome is pinned by the digest of the
+# successes of the greedy prover it replaced.
+NEW_SUCCESSES = {"witnessed": {219, 268}, "fia": {219}}
+GREEDY_DIGEST = "79b90c61d878a41a88751e1566cb3ef877a45c20b9b8b17580aa9f32efd70fa7"
+
+
+def _greedy_successes():
+    records = {"witnessed": [], "fia": []}
+    for i, (u, store, wand, outer) in enumerate(_generated_packages(10, 300)):
+        packager = package_combinable if wand.combinable else package_sound
+        out = packager(outer, wand, (), store, u)
+        if out.success and i not in NEW_SUCCESSES["witnessed"]:
+            records["witnessed"].append([i, state_to_json(out.footprint), derivation_to_json(out.derivation)])
+        cases = package_fia(outer, wand, (), store, u)
+        if cases.success and i not in NEW_SUCCESSES["fia"]:
+            records["fia"].append([i, [[state_to_json(c), state_to_json(f)] for c, f in cases.case_footprints]])
+        for kind, done in (("witnessed", out), ("fia", cases)):
+            assert done.success or i not in NEW_SUCCESSES[kind], (kind, i, done.diagnostic)
+    return records
+
+
+def test_search_keeps_every_greedy_success_and_adds_only_the_listed_ones():
+    records = _greedy_successes()
+    assert (len(records["witnessed"]), len(records["fia"])) == (196, 176)
+    assert hashlib.sha256(dumps_canonical(records).encode()).hexdigest() == GREEDY_DIGEST

@@ -67,6 +67,23 @@ def test_verify_wand_lhs_enumerates_what_it_reaches(capsys, tmp_path, granularit
     assert "VERIFIED" in capsys.readouterr().out
 
 
+def test_verify_backtracks_past_the_greedy_disjunct(capsys, tmp_path):
+    # the disjunction first takes the pair's x.f, which the last atom needs;
+    # the search takes x.g from the outer state for it instead
+    (tmp_path / "u.universe").write_text("universe v1\ngranularity 2\nrefs x\nloc x.f: int {0}\nloc x.g: int {0}\n")
+    (tmp_path / "p.wnd").write_text(
+        'program v1\nuniverse "u.universe"\n\nmethod m(x: Ref)\n'
+        "  requires acc(x.g)\n{\n  package acc(x.f) --* (acc(x.f) || acc(x.g)) * acc(x.f)\n}\n"
+    )
+    report, derivs = tmp_path / "r.json", tmp_path / "d.json"
+    assert run_cli("verify", tmp_path / "p.wnd", "--audit", "--json", report, "--emit-derivation", derivs) == 0
+    assert "audit violations: 0" in capsys.readouterr().out
+    (package,) = [p for m in json.loads(report.read_text())["methods"] for p in m["packages"]]
+    assert package["footprints"] == [state_to_json(parse_state_text("{x.g @ 1 = 0}"))]
+    assert run_cli("check-derivation", derivs) == 0
+    assert capsys.readouterr().out == "derivation 0: ACCEPTED, footprint {x.g @ 1 = 0}\n"
+
+
 def test_oracle_over_budget_exit_2(capsys, tmp_path):
     # the query names f and g, so it reaches every location: 405^4 states
     uni = tmp_path / "big.universe"

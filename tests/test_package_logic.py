@@ -19,6 +19,7 @@ from wandpack.package_logic import (
 from wandpack.parser import (
     parse_assertion_text as A,
     parse_state_text as S,
+    parse_universe_text,
 )
 from wandpack.states import EMPTY
 
@@ -251,6 +252,18 @@ def test_canonical_derivation_for_both_s31_footprints(u2, store2):
         conf, deriv = build_canonical_derivation(u2, wand, S(fp_text), store2)
         final = check_derivation(conf, deriv, u2, store2)
         assert extract_footprint(conf.context.outer, final.outer) == S(fp_text)
+
+
+def test_canonical_derivation_searches_each_pair_alone():
+    # 16 pairs; the x.f == 0 pairs sort first and need the disjunction's
+    # second demand, x.g, while every other pair may take either
+    u = parse_universe_text("universe v1\ngranularity 2\nrefs x\nloc x.f: int {0, 1, 2, 3}\nloc x.g: int {0, 1, 2, 3}\n")
+    store = {"x": "x"}
+    wand = A("acc(x.f) * acc(x.g) --* (acc(x.f) || acc(x.g)) * (x.f == 0 ==> acc(x.f))")
+    conf, deriv = build_canonical_derivation(u, wand, EMPTY, store)
+    assert len(conf.context.pairs) == 16
+    final = check_derivation(conf, deriv, u, store)
+    assert extract_footprint(conf.context.outer, final.outer) == EMPTY
 
 
 def test_canonical_derivations_realize_lifted_footprints():
