@@ -151,7 +151,7 @@ def _run_script(ctx, script, conds, store, u, extracts, mutated) -> Context:
 
 def _cover(u, ctx, conds, a, store, extracts, what) -> tuple[Context, dict]:
     """The first option of the step for ``a``, logging its extraction in ``extracts``."""
-    option = next(steps(u, ctx, conds, a, store, what))
+    option = next(steps(u, ctx, conds, a, store, what, ctx.outer.heap_dict()))
     if isinstance(option, PackageFailure):
         raise PackageFailure(option.message)  # fresh, as in ``prove``
     ctx, ex, choices = option

@@ -14,7 +14,7 @@ import functools
 import math
 import weakref
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from . import states as st
 from .exprs import (
@@ -454,19 +454,34 @@ def _sat(u, sigma: State, a: Assertion, store) -> bool:
     raise AssertionError_(f"unknown assertion node {a!r}")
 
 
-# Satisfying-state pools are hot inside wand satisfaction.  Entries are keyed
-# by (universe id, printed assertion, the store restricted to the assertion's
-# free variables, budget), so stores that differ only in variables the
-# assertion never reads share an entry.  A universe's entries are dropped
-# when it is garbage-collected: the cache neither keeps a universe alive nor
+# Satisfying-state pools and compiled wand checks are hot inside wand
+# satisfaction.  Pools are keyed by (universe id, printed assertion, the
+# store restricted to the assertion's free variables, budget), so stores
+# that differ only in variables the assertion never reads share an entry.
+# Checks are keyed by (universe id, the wand's sides by identity, its kind,
+# the store with each value's type) and at most CHECK_LIMIT are kept, the
+# oldest dropped first.  A universe's entries of both caches are dropped
+# when it is garbage-collected: neither cache keeps a universe alive nor
 # outlives it, and a recycled id never meets a stale entry.
 _LHS_CACHE: dict = {}
-_LHS_KEYS: dict[int, set] = {}
+_CHECKS: dict = {}
+_KEYS: dict[int, set] = {}
+CHECK_LIMIT = 32
+MEMO_LIMIT = 1024  # RHS verdicts one check keeps
 
 
 def _forget_universe(uid: int) -> None:
-    for k in _LHS_KEYS.pop(uid, ()):
+    for k in _KEYS.pop(uid, ()):
         _LHS_CACHE.pop(k, None)
+        _CHECKS.pop(k, None)
+
+
+def _register(u: Universe, key: tuple) -> None:
+    keys = _KEYS.get(id(u))
+    if keys is None:
+        keys = _KEYS[id(u)] = set()
+        weakref.finalize(u, _forget_universe, id(u)).atexit = False
+    keys.add(key)
 
 
 def lhs_states(u: Universe, a: Assertion, store: Store, budget: int = 10**6) -> list[State]:
@@ -488,11 +503,7 @@ def lhs_states(u: Universe, a: Assertion, store: Store, budget: int = 10**6) -> 
         ),
         key=state_key,
     )
-    keys = _LHS_KEYS.get(id(u))
-    if keys is None:
-        keys = _LHS_KEYS[id(u)] = set()
-        weakref.finalize(u, _forget_universe, id(u)).atexit = False
-    keys.add(key)
+    _register(u, key)
     _LHS_CACHE[key] = out
     return out
 
@@ -549,25 +560,74 @@ def reach(u: Universe, *parts: Assertion) -> Universe:
     return u.sub_universe(frozenset(fields), frozenset(preds))
 
 
-def wand_holds(
-    u: Universe,
-    sigma_w: State,
-    w: Wand,
-    store: Store,
-    lhs: Optional[Iterable[State]] = None,
-) -> bool:
+class WandCheck:
+    """A wand atom compiled for one universe and store: ``holds(sigma_w)``
+    decides the semantic footprint reading for any candidate sigma_w.
+
+    It keeps the LHS pool, fetched once (``lhs_states`` over the
+    sub-universe the wand reaches), each pool state's heap and mask as
+    dicts for the exact pre-test ``states.addable``, and the RHS verdict
+    of every combined state met, cleared when it reaches MEMO_LIMIT
+    entries.  The universe is held
+    weakly, so a cached check never keeps it alive.
+    """
+
+    def __init__(self, u: Universe, w: Wand, store: Store):
+        self.pool = lhs_states(reach(u, w), w.lhs, store)
+        self.wand = w
+        self.store = dict(store)
+        self._universe = weakref.ref(u)
+        self._parts = [(a, dict(a.heap), dict(a.mask)) for a in self.pool]
+        self._memo: dict[State, bool] = {}
+
+    def holds(self, sigma_w: State) -> bool:
+        u, w, memo = self._universe(), self.wand, self._memo
+        for sigma_a, heap, mask in self._parts:
+            if not st.addable(heap, mask, sigma_w, w.combinable):
+                continue  # add is undefined: nothing to check
+            fp = st.restrict(sigma_a, sigma_w) if w.combinable else sigma_w
+            combined = st.add(sigma_a, fp)
+            verdict = memo.get(combined)
+            if verdict is None:
+                if len(memo) >= MEMO_LIMIT:
+                    memo.clear()
+                verdict = memo[combined] = sat(u, combined, w.rhs, self.store)
+            if not verdict:
+                return False
+        return True
+
+
+def wand_check(u: Universe, w: Wand, store: Store) -> WandCheck:
+    """The cached compiled check of ``w`` over ``u``'s enumerated pool."""
+    # typed store values: a store binding 1 and one binding True differ
+    typed = tuple((k, type(v), v) for k, v in sorted(store.items()))
+    key = (id(u), id(w.lhs), id(w.rhs), w.combinable, typed)
+    check = _CHECKS.get(key)
+    if check is None:
+        check = WandCheck(u, w, store)
+        if len(_CHECKS) >= CHECK_LIMIT:
+            old = next(iter(_CHECKS))
+            del _CHECKS[old]
+            _KEYS[old[0]].discard(old)
+        # the check holds w, so the ids in the key are not reused while it lives
+        _register(u, key)
+        _CHECKS[key] = check
+    return check
+
+
+def wand_holds(u: Universe, sigma_w: State, w: Wand, store: Store) -> bool:
     """The semantic footprint reading of a wand atom.
 
     Standard: combined with every compatible state satisfying the LHS,
     the result satisfies the RHS.  Combinable: the footprint is first
     passed through the compatibility-restriction transform.
+
+    The LHS states range over the ``lhs_states`` pool of the sub-universe
+    the wand reaches.  The quantification runs in the cached
+    ``WandCheck`` of ``wand_check``: a pool state the exact pre-test
+    ``states.addable`` finds incompatible is skipped before any state is
+    built, and RHS verdicts are memoised per combined state, at most
+    ``MEMO_LIMIT`` of them, so repeated calls on one universe, wand and
+    store fetch the pool once and share the memo.
     """
-    pool = lhs_states(reach(u, w), w.lhs, store) if lhs is None else lhs
-    for sigma_a in pool:
-        fp = st.restrict(sigma_a, sigma_w) if w.combinable else sigma_w
-        combined = st.add(sigma_a, fp)
-        if combined is None:
-            continue
-        if not sat(u, combined, w.rhs, store):
-            return False
-    return True
+    return wand_check(u, w, store).holds(sigma_w)

@@ -14,13 +14,23 @@ any state is built.  Satisfying left-hand-side pools come from
 ``assertions.lhs_states``, enumerated and looked up through its module
 at call time, never from the demand-built cases the package algorithms
 start from.
+
+Footprint validity runs in an ``assertions.WandCheck``, built once per
+universe, wand and store: it fetches the pool once, skips each pool
+state the exact pre-test ``states.addable`` finds incompatible before
+adding, and memoises the right-hand side's verdict per combined state
+(at most ``assertions.MEMO_LIMIT`` of them).  Every query shares the
+cached check of ``assertions.wand_check``, which keeps at most
+``assertions.CHECK_LIMIT`` and drops a universe's with it, except
+``audit_footprint``: its desugared wand is new on every call, so it
+builds one uncached check for all the realizations of its candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import assertions
 from . import states as st
@@ -78,7 +88,6 @@ def is_footprint(
     kind: str,
     p: EnumerationPlan,
     store: Store = {},
-    lhs_pool: Optional[Iterable[State]] = None,
 ) -> bool:
     """Semantic footprint validity.
 
@@ -86,10 +95,14 @@ def is_footprint(
     the result satisfies the RHS.  Combinable kind: the footprint is
     first passed through the per-state restriction transform.
     """
+    _require_stable(sigma_w)
+    w = _as_kind(wand, kind)
+    return wand_holds(p.universe, sigma_w, w, store)
+
+
+def _require_stable(sigma_w: State) -> None:
     if not st.is_stable(sigma_w):
         raise ValueError("footprint candidates must be stable states")
-    w = _as_kind(wand, kind)
-    return wand_holds(p.universe, sigma_w, w, store, lhs=lhs_pool)
 
 
 def desugar_state(s: State, p: EnumerationPlan) -> list[State]:
@@ -143,10 +156,12 @@ def audit_footprint(
     realizations = desugar_state(sigma_w, p)
     if not realizations:
         return False  # no realization of the token bodies exists
-    pool = assertions.lhs_states(reach(p.universe, plain), plain.lhs, store)
-    return all(
-        is_footprint(fp, plain, kind, p, store, lhs_pool=pool) for fp in realizations
-    )
+    check = assertions.WandCheck(p.universe, plain, store)
+    for fp in realizations:
+        _require_stable(fp)
+        if not check.holds(fp):
+            return False
+    return True
 
 
 def minimal_footprints(
@@ -161,14 +176,12 @@ def minimal_footprints(
     left-hand side outright (those that no satisfying state can join)."""
     u = p.universe
     w = _as_kind(wand, kind)
-    r = reach(u, w)
-    pool = assertions.lhs_states(r, w.lhs, store)
-    stable = EnumerationPlan(r, stable_only=True).states()
+    check = assertions.wand_check(u, w, store)
     found = []
-    for s in stable:
-        if compatible_with_lhs and not any(st.compatible(a, s) for a in pool):
+    for s in EnumerationPlan(reach(u, w), stable_only=True).states():
+        if compatible_with_lhs and not any(st.compatible(a, s) for a in check.pool):
             continue
-        if is_footprint(s, w, kind, p, store, lhs_pool=pool):
+        if check.holds(s):
             found.append(s)
     return st.minimal_elements(found)
 

@@ -392,12 +392,16 @@ def _gap(sigma_a: State, d: State) -> dict:
     return {rid: amt - have for rid, amt in d.mask if (have := sigma_a.mask_of(rid)) < amt}
 
 
-def steps(u: Universe, ctx: Context, conds: PathCondition, a: Assertion, store: Store, what: str):
+def steps(
+    u: Universe, ctx: Context, conds: PathCondition, a: Assertion, store: Store, what: str, heap: dict
+):
     """The options for one proof step of ``a`` over the pairs active under
     ``conds``, best first.  An option that fails, or a step that has none,
     is yielded as its PackageFailure; a combination of targets that repeats
     an extraction already offered is yielded as None, so that the search
-    counts every combination it looks at against its bound.
+    counts every combination it looks at against its bound.  ``heap`` is
+    ``ctx.outer``'s heap as a dict: extraction keeps the outer heap whole,
+    so one search computes it once.
 
     Each active pair aims at a target demand: its covered demands first,
     then its uncovered ones by least shortfall (leftmost on ties).  An
@@ -409,7 +413,6 @@ def steps(u: Universe, ctx: Context, conds: PathCondition, a: Assertion, store: 
     context, the extracted state (None when nothing was extracted) and the
     choices keyed by each active pair's (available, assembled) states.
     """
-    heap = ctx.outer.heap_dict()
     covered, targets = {}, []
     try:
         active = active_pairs(ctx, conds, store)
@@ -489,7 +492,8 @@ def prove(
     SEARCH_NODES options in all.  When nothing succeeds the search
     raises the first failure it met: the greedy path's.
     """
-    found = _search(ctx, pc, b, u, store, [SEARCH_NODES], lambda c, d: (c, d))
+    heap = ctx.outer.heap_dict()
+    found = _search(ctx, pc, b, u, store, heap, [SEARCH_NODES], lambda c, d: (c, d))
     if isinstance(found, PackageFailure):
         # a fresh exception: raising the local one would tie its traceback
         # and this frame into a cycle that only the garbage collector frees
@@ -497,21 +501,21 @@ def prove(
     return found
 
 
-def _search(ctx, pc, b, u, store, budget: list, k):
+def _search(ctx, pc, b, u, store, heap, budget: list, k):
     """Prove ``b`` and pass the context and tree to the continuation ``k``:
     returns what ``k`` returns for the first option that succeeds, else the
     first failure met.  Failures are returned, not raised, so that the
     failure kept for later holds no frame of the search."""
     if isinstance(b, Star):
         def right(c1, d1):
-            return _search(c1, pc, b.right, u, store, budget, lambda c2, d2: k(c2, DStar(d1, d2)))
+            return _search(c1, pc, b.right, u, store, heap, budget, lambda c2, d2: k(c2, DStar(d1, d2)))
 
-        return _search(ctx, pc, b.left, u, store, budget, right)
+        return _search(ctx, pc, b.left, u, store, heap, budget, right)
     if isinstance(b, Imp):
         guarded = pc + (b.guard,)
-        return _search(ctx, guarded, b.body, u, store, budget, lambda c, d: k(c, DImplication(d)))
+        return _search(ctx, guarded, b.body, u, store, heap, budget, lambda c, d: k(c, DImplication(d)))
     first = None
-    for n, option in enumerate(steps(u, ctx, pc, b, store, "prove")):
+    for n, option in enumerate(steps(u, ctx, pc, b, store, "prove", heap)):
         if n and budget[0] <= 0:
             break
         budget[0] -= 1

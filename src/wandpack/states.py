@@ -219,6 +219,29 @@ def compatible(a: State, b: State) -> bool:
     return add(a, b) is not None
 
 
+def addable(a_heap: dict, a_mask: dict, b: State, restricted: bool) -> bool:
+    """Exactly when ``add(a, b)`` is defined, or, when ``restricted``,
+    ``add(a, restrict(a, b))``, for the state a whose heap and mask are
+    given as dicts: a test that builds no state.
+
+    Plain: the heaps agree where both hold a value, and no amount sums
+    above 1.  Restricted: the test of ``exists_compatible_scaled``, over
+    the dicts; when it holds the capped amounts fit, and otherwise
+    ``restrict`` returns b unchanged, which either disagrees with a's
+    heap or exceeds 1 where a is full.
+    """
+    for loc, v in b.heap:
+        if a_heap.get(loc, v) != v:
+            return False
+    if restricted:
+        return all(a_mask.get(rid, ZERO) < 1 for rid, _ in b.mask)
+    for rid, amt in b.mask:
+        have = a_mask.get(rid)
+        if have is not None and have + amt > 1:
+            return False
+    return True
+
+
 def core(a: State) -> State:
     return State((), a.heap)
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as strat
 
 import wandpack.assertions as asn
+import wandpack.oracle as orc
 import wandpack.states as st
 from wandpack.assertions import (
     Star,
@@ -283,19 +284,48 @@ def test_lhs_cache_entries_die_with_their_universe():
     del u
     gc.collect()
     assert not [k for k in asn._LHS_CACHE if k[0] == uid]
-    assert uid not in asn._LHS_KEYS
+    assert uid not in asn._KEYS
 
 
-def test_sub_universes_and_their_lhs_cache_entries_die_with_their_universe():
+def test_cached_checks_stay_bounded_on_a_living_universe():
+    u = parse_universe_text(TINY_TEXT)
+    for n in range(1, asn.CHECK_LIMIT + 9):
+        assert wand_holds(u, EMPTY, A(f"acc(x.f) --* acc(x.f, 1/{n})"), TINY_STORE)
+    # the oldest checks went first, and their keys with them
+    assert len(asn._CHECKS) == asn.CHECK_LIMIT
+    assert asn._KEYS[id(u)] == set(asn._CHECKS)
+
+
+def test_sub_universes_and_their_lhs_cache_entries_die_with_their_universe(monkeypatch):
+    built = []
+    init = asn.WandCheck.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(asn.WandCheck, "__init__", spy)
     u = parse_universe_text(TINY_TEXT)
     w = A("acc(x.f) --* acc(x.f)")
     assert wand_holds(u, EMPTY, w, TINY_STORE)  # its pool ranges over reach(u, w)
     r = reach(u, w)
     assert r is reach(u, w) and r.sorted_locations() == [FieldLoc("x", "f")]
     assert len(_entries_of(r)) == 1 and not _entries_of(u)
-    rid, alive = id(r), weakref.ref(r)
-    del u, r
-    # no reference cycle: the sub-universe goes with its parent, at once
+    # the check is cached under the universe it was asked of
+    assert [k[0] for k in asn._CHECKS if k[0] in (id(u), id(r))] == [id(u)]
+    p = orc.plan(u)
+    assert orc.is_footprint(EMPTY, w, orc.STANDARD, p, TINY_STORE)
+    assert orc.minimal_footprints(w, orc.STANDARD, p, TINY_STORE) == [EMPTY]
+    assert orc.audit_footprint(EMPTY, w, orc.STANDARD, p, TINY_STORE)
+    # is_footprint and minimal_footprints share the cached check; the
+    # audit's desugared wand gets its own
+    assert len(built) == 2
+    uid, rid, alive = id(u), id(r), weakref.ref(r)
+    del u, r, p
+    # no reference cycle: the sub-universe goes with its parent, at once,
+    # and so does every check built over them
     assert alive() is None
+    assert all(check() is None for check in built)
     assert not [k for k in asn._LHS_CACHE if k[0] == rid]
-    assert rid not in asn._LHS_KEYS
+    assert not [k for k in asn._CHECKS if k[0] in (uid, rid)]
+    assert uid not in asn._KEYS and rid not in asn._KEYS

@@ -252,7 +252,8 @@ def test_init_witness_set_enumerates_a_wand_lhs(monkeypatch):
 
     monkeypatch.setattr(st, "enumerate_states", spy)
     monkeypatch.setattr(assertions, "_LHS_CACHE", {})
-    monkeypatch.setattr(assertions, "_LHS_KEYS", {})
+    monkeypatch.setattr(assertions, "_KEYS", {})
+    monkeypatch.setattr(assertions, "_CHECKS", {})
     pairs = init_witness_set(a, U, True, STORE)
     assert calls
     assert [p.sigma_a for p in pairs] == expected

@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import wandpack.algorithms as alg
 import wandpack.oracle as orc
 import wandpack.states as st
-from wandpack.assertions import reach, sat
+from wandpack.assertions import Wand, WandCheck, lhs_states, reach, sat, wand_holds
 from wandpack.parser import (
     parse_assertion_text as A,
     parse_expr_text as E,
@@ -14,6 +16,7 @@ from wandpack.parser import (
 from wandpack.states import EMPTY, BudgetExceeded
 
 from conftest import TINY_TEXT
+import gen
 
 DISJ_WAND = "acc(x.f) * (x.f == y || x.f == z) --* acc(x.f) * acc(x.f.g)"
 CHOICE_WAND = "acc(x.b, 1/2) --* acc(x.b, 1/2) * (x.b ==> acc(x.f))"
@@ -110,6 +113,54 @@ def test_minimal_footprints_disjunctive_wand(u1, store1):
     # without the compatibility filter, LHS-falsifying footprints appear
     all_fps = orc.minimal_footprints(A(DISJ_WAND), "standard", orc.plan(u1), store1)
     assert any(s.mask_of(list(dict(s.mask))[0]) and "x.f" in str(s) for s in all_fps)
+
+
+def plain_holds(u, sigma_w, w, store) -> bool:
+    """The footprint quantification as a plain loop: the LHS pool, then
+    restrict and add, then the RHS."""
+    for sigma_a in lhs_states(reach(u, w), w.lhs, store):
+        fp = st.restrict(sigma_a, sigma_w) if w.combinable else sigma_w
+        combined = st.add(sigma_a, fp)
+        if combined is not None and not sat(u, combined, w.rhs, store):
+            return False
+    return True
+
+
+def test_compiled_wand_checks_match_a_plain_loop():
+    # every way into a compiled check, memo and pre-test included, against
+    # the loop above; gen's right-hand sides hold no wand, so the loop
+    # never reaches a compiled check itself
+    rng = random.Random(1401)
+    verdicts, off_lattice = set(), 0
+    for n in range(16):
+        # at granularity 3, footprints holding 1/2 leave the lattice
+        u = gen.random_universe(rng, with_predicate=n % 3 == 0, granularity=2 + n % 4 // 2)
+        store = gen.identity_store(u)
+        w = gen.random_wand(rng, u, combinable=n % 2 == 1)
+        plan = orc.plan(u)
+        stable = orc.plan(reach(u, w), stable_only=True).states()
+        candidates = stable[::6] + [gen.random_outer(rng, u) for _ in range(6)]
+        for outer in candidates[-6:]:
+            for out in (
+                alg.package_sound(outer, Wand(w.lhs, w.rhs), (), store, u),
+                alg.package_combinable(outer, Wand(w.lhs, w.rhs, True), (), store, u),
+            ):
+                if out.success:
+                    candidates.append(out.footprint)
+                    off_lattice += any(amt * u.granularity % 1 for _, amt in out.footprint.mask)
+        for kind in (orc.STANDARD, orc.COMBINABLE):
+            wk = Wand(w.lhs, w.rhs, kind == orc.COMBINABLE)
+            expected = [plain_holds(u, c, wk, store) for c in candidates]
+            verdicts.update(expected)
+            for _ in range(2):  # the second pass answers from the memo
+                assert [wand_holds(u, c, wk, store) for c in candidates] == expected, (w, kind)
+                assert [orc.is_footprint(c, w, kind, plan, store) for c in candidates] == expected
+            check = WandCheck(u, wk, store)  # fresh, with an empty memo
+            assert [check.holds(c) for c in candidates] == expected
+            if n % 4 == 0:  # one candidate per stable state: a quarter of the draws suffice
+                minimal = st.minimal_elements(s for s in stable if plain_holds(u, s, wk, store))
+                assert orc.minimal_footprints(w, kind, plan, store) == minimal
+    assert verdicts == {True, False} and off_lattice >= 1
 
 
 # -- combinability ------------------------------------------------------------------

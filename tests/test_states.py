@@ -384,3 +384,20 @@ def test_enumeration_normal_and_in_reference_order(text, stable_only):
     assert len(got) == st.count_states(u, stable_only)
     for s in got:
         assert_normal(s)
+
+
+# -- the pre-test of compiled wand checks -------------------------------------------
+
+# POOL with its amounts also scaled by a third and by two thirds, off the lattice
+THIRDS = POOL + [m for f in (Fraction(1, 3), Fraction(2, 3)) for s in POOL if (m := st.mult(f, s)) is not None]
+
+
+@pytest.mark.parametrize("restricted", [False, True], ids=["standard", "combinable"])
+@pytest.mark.parametrize("pool", [THIRDS, RICH_POOL], ids=["thirds", "rich"])
+def test_addable_holds_exactly_where_the_sum_is_defined(pool, restricted):
+    # a compiled wand check skips the pool state a exactly when this says no
+    for a in pool:
+        heap, mask = a.heap_dict(), a.mask_dict()
+        for b in pool:
+            fp = st.restrict(a, b) if restricted else b
+            assert st.addable(heap, mask, b, restricted) == (st.add(a, fp) is not None), (a, b)
