@@ -178,35 +178,37 @@ def all_pass(reports: list[AlgebraLawReport]) -> bool:
     return all(r.passed for r in reports)
 
 
-def _fail(axiom: str, cex: tuple[State, ...], detail: str) -> AlgebraLawReport:
-    return AlgebraLawReport(axiom, False, cex, detail)
-
-
-def _ok(axiom: str) -> AlgebraLawReport:
+def _replay(axiom: str, candidates, law, detail: str) -> AlgebraLawReport:
+    """The first candidate tuple the public operations confirm as a
+    counterexample (``law`` false on it), or a pass.  A lawful table
+    nominates no candidates, so replay costs nothing there."""
+    for cex in candidates:
+        if not law(*cex):
+            return AlgebraLawReport(axiom, False, cex, detail)
     return AlgebraLawReport(axiom, True)
+
+
+def _at(states, rows):
+    """The state tuples of index tuples, in order and lazily."""
+    return (tuple(states[int(i)] for i in row) for row in rows)
 
 
 def _neutral(states, idx, A) -> AlgebraLawReport:
     n = len(states)
-    e = idx[EMPTY]
-    row = A[e, :n]
-    bad = np.nonzero(row != np.arange(n))[0]
-    for j in bad:
-        s = states[int(j)]
-        if st.add(EMPTY, s) != s:  # replay through the public operation
-            return _fail("neutral", (s,), "e (+) s differs from s")
-    return _ok("neutral")
+    bad = _at(states, np.argwhere(A[idx[EMPTY], :n] != np.arange(n)))
+    return _replay("neutral", bad, lambda s: st.add(EMPTY, s) == s, "e (+) s differs from s")
 
 
 def _commutativity(states, A) -> AlgebraLawReport:
     n = len(states)
     body = A[:n, :n]
     bad = np.argwhere(body != body.T)
-    for i, j in bad:
-        a, b = states[int(i)], states[int(j)]
-        if st.add(a, b) != st.add(b, a):
-            return _fail("commutativity", (a, b), "a (+) b differs from b (+) a")
-    return _ok("commutativity")
+    return _replay(
+        "commutativity",
+        _at(states, bad),
+        lambda a, b: st.add(a, b) == st.add(b, a),
+        "a (+) b differs from b (+) a",
+    )
 
 
 def _generators(A) -> list[int]:
@@ -242,35 +244,33 @@ def _table_associative(A) -> bool:
 
 
 def _associativity(states, A) -> AlgebraLawReport:
-    if _table_associative(A):
-        return _ok("associativity")
-    # the table fails: the triple scan finds and replays the first counterexample
-    n = len(states)
-    for i in range(n):
-        left_rows = A[A[i, :n]][:, :n]  # (j, k) -> (a+b)+c
-        right_rows = A[i][A[:n, :n]]  # (j, k) -> a+(b+c)
-        bad = np.argwhere(left_rows != right_rows)
-        for j, k in bad:
-            a, b, c = states[i], states[int(j)], states[int(k)]
-            ab = st.add(a, b)
-            bc = st.add(b, c)
-            lhs = st.add(ab, c) if ab is not None else None
-            rhs = st.add(a, bc) if bc is not None else None
-            if lhs != rhs:
-                return _fail("associativity", (a, b, c), "(a+b)+c differs from a+(b+c)")
-    return _ok("associativity")
+    def triples():  # the triple scan, run only on a table Light's test refuses
+        n = len(states)
+        for i in range(n):
+            left_rows = A[A[i, :n]][:, :n]  # (j, k) -> (a+b)+c
+            right_rows = A[i][A[:n, :n]]  # (j, k) -> a+(b+c)
+            for j, k in np.argwhere(left_rows != right_rows):
+                yield states[i], states[int(j)], states[int(k)]
+
+    def law(a, b, c):
+        ab, bc = st.add(a, b), st.add(b, c)
+        lhs = st.add(ab, c) if ab is not None else None
+        return lhs == (st.add(a, bc) if bc is not None else None)
+
+    candidates = () if _table_associative(A) else triples()
+    return _replay("associativity", candidates, law, "(a+b)+c differs from a+(b+c)")
 
 
 def _core_a(states, A, core_idx) -> AlgebraLawReport:
     n = len(states)
     xs = np.arange(n)
     ok = (A[xs, core_idx[:n]] == xs) & (A[core_idx[:n], core_idx[:n]] == core_idx[:n])
-    for i in np.nonzero(~ok)[0]:
-        s = states[int(i)]
-        c = st.core(s)
-        if st.add(s, c) != s or st.add(c, c) != c:
-            return _fail("core-a", (s,), "x (+) |x| = x or |x| idempotence fails")
-    return _ok("core-a")
+    return _replay(
+        "core-a",
+        _at(states, np.argwhere(~ok)),
+        lambda s: st.add(s, c := st.core(s)) == s and st.add(c, c) == c,
+        "x (+) |x| = x or |x| idempotence fails",
+    )
 
 
 def _core_b(states, A, P, H) -> AlgebraLawReport:
@@ -279,11 +279,12 @@ def _core_b(states, A, P, H) -> AlgebraLawReport:
     xs, cs = pairs[:, 0], pairs[:, 1]
     # c <= |x|: c holds no permission and each value of c's heap is x's
     below = ~P[cs].any(axis=1) & ((H[cs] == 0) | (H[cs] == H[xs])).all(axis=1)
-    for i, j in pairs[~below]:
-        x, c = states[int(i)], states[int(j)]
-        if not st.geq(st.core(x), c):
-            return _fail("core-b", (x, c), "x = x (+) c but |x| does not contain c")
-    return _ok("core-b")
+    return _replay(
+        "core-b",
+        _at(states, pairs[~below]),
+        lambda x, c: st.geq(st.core(x), c),
+        "x = x (+) c but |x| does not contain c",
+    )
 
 
 def _core_c(states, A, core_idx) -> AlgebraLawReport:
@@ -293,62 +294,55 @@ def _core_c(states, A, core_idx) -> AlgebraLawReport:
     rhs = A[np.ix_(core_idx[:n], core_idx[:n])]
     # the axiom constrains only pairs whose sum is defined
     bad = np.argwhere((body != n) & (lhs != rhs))
-    for i, j in bad:
-        a, b = states[int(i)], states[int(j)]
-        s = st.add(a, b)
-        if s is not None and st.core(s) != st.add(st.core(a), st.core(b)):
-            return _fail("core-c", (a, b), "|a (+) b| differs from |a| (+) |b|")
-    return _ok("core-c")
+    return _replay(
+        "core-c",
+        _at(states, bad),
+        lambda a, b: (s := st.add(a, b)) is None or st.core(s) == st.add(st.core(a), st.core(b)),
+        "|a (+) b| differs from |a| (+) |b|",
+    )
 
 
 def _stability_d(states, idx, A, stable) -> AlgebraLawReport:
     n = len(states)
     if not st.is_stable(EMPTY):
-        return _fail("stability-d", (EMPTY,), "the empty state is not stable")
+        return AlgebraLawReport("stability-d", False, (EMPTY,), "the empty state is not stable")
     body = A[:n, :n]
-    viol = stable[:n, None] & stable[None, :n] & (body != n) & ~stable[body]
-    bad = np.argwhere(viol)
-    for i, j in bad:
-        a, b = states[int(i)], states[int(j)]
+    bad = np.argwhere(stable[:n, None] & stable[None, :n] & (body != n) & ~stable[body])
+
+    def law(a, b):
         s = st.add(a, b)
-        if s is not None and st.is_stable(a) and st.is_stable(b) and not st.is_stable(s):
-            return _fail("stability-d", (a, b), "sum of stable states is unstable")
-    return _ok("stability-d")
+        return s is None or not (st.is_stable(a) and st.is_stable(b)) or st.is_stable(s)
+
+    return _replay("stability-d", _at(states, bad), law, "sum of stable states is unstable")
 
 
 def _positivity_e(states, A, pure) -> AlgebraLawReport:
     n = len(states)
     body = A[:n, :n]
-    viol = (body != n) & pure[body] & ~pure[:n, None]
-    bad = np.argwhere(viol)
-    for i, j in bad:
-        a, b = states[int(i)], states[int(j)]
-        c = st.add(a, b)
-        if c is not None and st.is_pure(c) and not st.is_pure(a):
-            return _fail("positivity-e", (a, b), "a pure sum has an impure summand")
-    return _ok("positivity-e")
+    bad = np.argwhere((body != n) & pure[body] & ~pure[:n, None])
+    return _replay(
+        "positivity-e",
+        _at(states, bad),
+        lambda a, b: (c := st.add(a, b)) is None or not st.is_pure(c) or st.is_pure(a),
+        "a pure sum has an impure summand",
+    )
 
 
 def _cancellativity_f(states, A, core_idx) -> AlgebraLawReport:
-    n = len(states)
-    for b in range(n):
-        row = A[b, :n].astype(np.int64)
-        key = np.where(row != n, row * (n + 1) + core_idx[:n], np.int64(-1))
-        order = np.argsort(key, kind="stable")
-        ks = key[order]
-        dup = np.nonzero((ks[1:] == ks[:-1]) & (ks[1:] >= 0))[0]
-        for d in dup:
-            x, y = int(order[d]), int(order[d + 1])
-            sb, sx, sy = states[b], states[x], states[y]
-            if (
-                st.add(sb, sx) is not None
-                and st.add(sb, sx) == st.add(sb, sy)
-                and st.core(sx) == st.core(sy)
-                and sx != sy
-            ):
-                return _fail(
-                    "cancellativity-f",
-                    (st.add(sb, sx), sb, sx, sy),
-                    "b (+) x = b (+) y with |x| = |y| but x differs from y",
-                )
-    return _ok("cancellativity-f")
+    def candidates():  # (b (+) x, b, x, y) wherever the table has b (+) x = b (+) y, |x| = |y|
+        n = len(states)
+        for b in range(n):
+            row = A[b, :n].astype(np.int64)
+            key = np.where(row != n, row * (n + 1) + core_idx[:n], np.int64(-1))
+            order = np.argsort(key, kind="stable")
+            ks = key[order]
+            for d in np.nonzero((ks[1:] == ks[:-1]) & (ks[1:] >= 0))[0]:
+                sb, sx, sy = states[b], states[int(order[d])], states[int(order[d + 1])]
+                yield st.add(sb, sx), sb, sx, sy
+
+    return _replay(
+        "cancellativity-f",
+        candidates(),
+        lambda c, b, x, y: c is None or c != st.add(b, y) or st.core(x) != st.core(y) or x == y,
+        "b (+) x = b (+) y with |x| = |y| but x differs from y",
+    )

@@ -30,20 +30,21 @@ from . import states as st
 from .assertions import (
     FRESH_FORK,
     Assertion,
+    PredA,
     Wand,
     demands,
     format_assertion,
+    instance_body,
     lhs_cases,
     wand_key,
     wf,
 )
-from .exprs import Expr, Not, Store, Unframed, eval_expr, substitute
+from .exprs import Expr, Not, Store, Unframed
 from .package_logic import (
     CheckFailure,
     Configuration,
     Context,
     Derivation,
-    PackageFailure,
     WitnessPair,
     active_pairs,
     check_derivation,
@@ -54,11 +55,15 @@ from .package_logic import (
 )
 from .program import Apply, AssertStmt, Fold, If, Stmt, Unfold
 from .states import EMPTY, State, state_key
-from .universe import PredInst, Universe
+from .universe import Universe
 
 SOUND = "sound"
 COMBINABLE = "combinable"
 FIA = "fia"
+
+# the prover applies the checker's rules, so it fails as the checker does;
+# the old name stays for callers that catch it
+PackageFailure = CheckFailure
 
 
 @dataclass(frozen=True)
@@ -92,7 +97,7 @@ def prove_rhs(
     Each atom extracts what the active pairs lack from the outer state and
     applies the Atom rule with a demand each pair covers, greedy choices
     first.  The combinable variant is selected by the anchors the
-    context's pairs carry.  Raises PackageFailure with the offending atom
+    context's pairs carry.  Raises CheckFailure with the offending atom
     and a witness pair when no option closes a shortfall.  Values missing
     from a pair are read from ``ctx.outer``, whose heap extraction keeps
     whole; ``outer_heap`` is ignored and kept for callers that pass it,
@@ -144,7 +149,7 @@ def _run_script(ctx, script, conds, store, u, extracts, mutated) -> Context:
         elif isinstance(stmt, Apply):
             ctx = _script_apply(ctx, stmt, conds, store, u, extracts)
         else:
-            raise PackageFailure(f"unknown script statement {stmt!r}")
+            raise CheckFailure(f"unknown script statement {stmt!r}")
         mutated[0] = True
     return ctx
 
@@ -152,8 +157,8 @@ def _run_script(ctx, script, conds, store, u, extracts, mutated) -> Context:
 def _cover(u, ctx, conds, a, store, extracts, what) -> tuple[Context, dict]:
     """The first option of the step for ``a``, logging its extraction in ``extracts``."""
     option = next(steps(u, ctx, conds, a, store, what, ctx.outer.heap_dict()))
-    if isinstance(option, PackageFailure):
-        raise PackageFailure(option.message)  # fresh, as in ``prove``
+    if isinstance(option, CheckFailure):
+        raise CheckFailure(option.message, option.path)  # fresh, as in ``prove``
     ctx, ex, choices = option
     if ex is not None:
         extracts.append(ex)
@@ -167,19 +172,13 @@ def _map_active(ctx: Context, conds, store, step) -> Context:
     return Context.make(ctx.outer, new_pairs, ctx.extracted)
 
 
-def _instantiated_body(u: Universe, name: str, args) -> Assertion:
-    d = u.predicate(name)
-    if len(d.params) != len(args):
-        raise PackageFailure(f"{name} expects {len(d.params)} arguments")
-    return substitute(d.body, dict(zip(d.params, args)))
-
-
-def _instance_token(stmt, pair: WitnessPair, store, what: str) -> State:
+def _instance_token(u, stmt, pair: WitnessPair, store, what: str) -> State:
+    """The whole predicate instance ``stmt`` names, read on the pair's heap."""
     try:
-        vals = tuple(eval_expr(x, pair.sigma_a.heap_dict(), store) for x in stmt.args)
+        (token,) = demands(u, PredA(stmt.name, stmt.args), pair.sigma_a.heap_dict(), store)
     except Unframed as e:
-        raise PackageFailure(f"{what} {stmt.name}: {e.description}")
-    return State.make({PredInst(stmt.name, vals): Fraction(1)}, {})
+        raise CheckFailure(f"{what} {stmt.name}: {e.description}")
+    return token
 
 
 def _forks(u, a: Assertion, base: State, pair: WitnessPair, store, what: str) -> list[WitnessPair]:
@@ -189,7 +188,7 @@ def _forks(u, a: Assertion, base: State, pair: WitnessPair, store, what: str) ->
     try:
         ds = demands(u, a, base.heap_dict(), store, fresh=FRESH_FORK)
     except Unframed as e:
-        raise PackageFailure(f"{what}: {e.description}")
+        raise CheckFailure(f"{what}: {e.description}")
     return [
         WitnessPair(grown, pair.sigma_b, pair.anchor)
         for d in ds
@@ -198,26 +197,26 @@ def _forks(u, a: Assertion, base: State, pair: WitnessPair, store, what: str) ->
 
 
 def _script_fold(ctx, stmt: Fold, conds, store, u, extracts) -> Context:
-    body = _instantiated_body(u, stmt.name, stmt.args)
+    body = instance_body(u, stmt.name, stmt.args)
     ctx, choices = _cover(u, ctx, conds, body, store, extracts, "fold")
 
     def fold(pair: WitnessPair) -> list[WitnessPair]:
-        token = _instance_token(stmt, pair, store, "fold")
+        token = _instance_token(u, stmt, pair, store, "fold")
         grown = st.add(st.sub(pair.sigma_a, choices[(pair.sigma_a, pair.sigma_b)]), token)
         if grown is None:
-            raise PackageFailure(f"fold {stmt.name}: instance already held in full")
+            raise CheckFailure(f"fold {stmt.name}: instance already held in full")
         return [WitnessPair(grown, pair.sigma_b, pair.anchor)]
 
     return _map_active(ctx, conds, store, fold)
 
 
 def _script_unfold(ctx, stmt: Unfold, conds, store, u) -> Context:
-    body = _instantiated_body(u, stmt.name, stmt.args)
+    body = instance_body(u, stmt.name, stmt.args)
 
     def unfold(pair: WitnessPair) -> list[WitnessPair]:
-        token = _instance_token(stmt, pair, store, "unfold")
+        token = _instance_token(u, stmt, pair, store, "unfold")
         if not st.geq(pair.sigma_a, token):
-            raise PackageFailure(
+            raise CheckFailure(
                 f"unfold {stmt.name}: no full instance held by pair ({pair.sigma_a})"
             )
         # body values may be undetermined (the instance came straight from
@@ -234,7 +233,7 @@ def _script_apply(ctx, stmt: Apply, conds, store, u, extracts) -> Context:
 
     def apply(pair: WitnessPair) -> list[WitnessPair]:
         if not st.geq(pair.sigma_a, token):
-            raise PackageFailure(
+            raise CheckFailure(
                 f"apply {format_assertion(w)}: no wand instance held by pair ({pair.sigma_a})"
             )
         base = st.sub(st.sub(pair.sigma_a, token), choices[(pair.sigma_a, pair.sigma_b)])
@@ -255,7 +254,7 @@ def recheck_package(
     ``check-derivation`` runs this on the documents ``verify`` writes."""
     try:
         ctx, _, _ = run_script(conf.context, script, store, u)
-    except PackageFailure as e:
+    except CheckFailure as e:
         raise CheckFailure(e.message, ("script",))
     final = check_derivation(Configuration(conf.assertion, conf.pc, ctx), d, u, store)
     return extract_footprint(conf.context.outer, final.outer)
@@ -275,7 +274,7 @@ def _package_witnessed(
     conf = initial_configuration(u, wand, store, outer)
     try:
         ctx, tree = _run(conf.context, wand, script, store, u)
-    except PackageFailure as e:
+    except CheckFailure as e:
         return PackageOutcome("failure", diagnostic=e.message)
     return PackageOutcome(
         "success",
@@ -333,7 +332,7 @@ def package_fia(
     for case in lhs_cases(u, wand.lhs, store):
         try:
             ctx, _ = _run(Context.make(outer, [WitnessPair(case, EMPTY)]), wand, script, store, u)
-        except PackageFailure as e:
+        except CheckFailure as e:
             return PackageOutcome("failure", diagnostic=f"case {case}: {e.message}")
         taken = extract_footprint(outer, ctx.outer)
         if not ctx.pairs:

@@ -19,13 +19,15 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 from . import states as st
 from .exprs import (
     BOOL,
+    BoolOp,
     Expr,
     FieldAcc,
+    Ite,
     Lit,
-    Not,
     PermOf,
     Store,
     Unframed,
+    Var,
     children,
     eval_bool,
     eval_expr,
@@ -108,8 +110,6 @@ def format_assertion(a: Assertion) -> str:
 
 def _fmt(a: Assertion, prec: int) -> str:
     if isinstance(a, Pure):
-        from .exprs import BoolOp, Ite
-
         s = format_expr(a.expr)
         # expressions whose top binds looser than a star would reparse as
         # assertion connectives; keep them grouped
@@ -203,13 +203,18 @@ def scale_assertion(a: Assertion, p: Fraction) -> Assertion:
     return map_children(a, lambda c: scale_assertion(c, p))
 
 
+def instance_body(u: Universe, name: str, args: Sequence[Expr]) -> Assertion:
+    """The body of predicate ``name`` with ``args`` for its parameters."""
+    d = u.predicate(name)
+    if len(d.params) != len(args):
+        raise AssertionError_(f"{name} expects {len(d.params)} arguments")
+    return substitute(d.body, dict(zip(d.params, args)))
+
+
 def desugar_predicates(a: Assertion, u: Universe) -> Assertion:
     """Replace predicate atoms by their bodies, fractions multiplied through."""
     if isinstance(a, PredA):
-        d = u.predicate(a.name)
-        if len(d.params) != len(a.args):
-            raise AssertionError_(f"{a.name} expects {len(d.params)} arguments")
-        body = desugar_predicates(substitute(d.body, dict(zip(d.params, a.args))), u)
+        body = desugar_predicates(instance_body(u, a.name, a.args), u)
         return body if a.frac == 1 else scale_assertion(body, a.frac)
     return map_children(a, lambda c: desugar_predicates(c, u))
 
@@ -259,8 +264,6 @@ Path = tuple
 
 
 def _expr_path(e: Expr) -> Optional[Path]:
-    from .exprs import FieldAcc, Var
-
     if isinstance(e, Var):
         return ("var", e.name)
     if isinstance(e, Lit):
@@ -272,8 +275,6 @@ def _expr_path(e: Expr) -> Optional[Path]:
 
 
 def _expr_framed(e: Expr, framed: frozenset) -> bool:
-    from .exprs import FieldAcc, PermOf
-
     # framed holds (path, field) tuples, so an unrooted path (None) is never in it
     if isinstance(e, PermOf) or (isinstance(e, FieldAcc) and _expr_path(e) not in framed):
         return False

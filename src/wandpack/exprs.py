@@ -279,10 +279,6 @@ def infer_type(e: Expr, u: Universe, var_types: Mapping[str, str]) -> str:
     raise ExprError(f"unknown expression node {e!r}")
 
 
-TRUE = Lit(True)
-FALSE = Lit(False)
-
-
 def format_expr(e: Expr) -> str:
     return _fmt(e, 0)
 

@@ -36,6 +36,7 @@ from . import assertions
 from . import states as st
 from .assertions import (
     Assertion,
+    PredA,
     Wand,
     demands,
     desugar_predicates,
@@ -43,7 +44,7 @@ from .assertions import (
     sat,
     wand_holds,
 )
-from .exprs import Lit, Store, Unframed, eval_bool, substitute
+from .exprs import Lit, Store, Unframed, eval_bool
 from .states import State, bin_mask, enumerate_states, state_key
 from .universe import PredInst, Universe
 
@@ -106,22 +107,18 @@ def _require_stable(sigma_w: State) -> None:
 
 
 def desugar_state(s: State, p: EnumerationPlan) -> list[State]:
-    """All realizations of a state with predicate tokens replaced by their
-    (scaled) body demands, forking over undetermined body values."""
+    """All realizations of a state with predicate tokens replaced by the
+    demands of their bodies, scaled by the token's amount first as
+    ``desugar_predicates`` scales them, forking over undetermined body
+    values."""
     u = p.universe
     base_mask = {rid: amt for rid, amt in s.mask if not isinstance(rid, PredInst)}
     out = [State.make(base_mask, s.heap_dict())]
     for rid, amt in s.mask:
         if not isinstance(rid, PredInst):
             continue
-        d = u.predicate(rid.name)
-        body = substitute(d.body, {prm: Lit(v) for prm, v in zip(d.params, rid.args)})
-        body = desugar_predicates(body, u)
-        variants = []
-        for dm in demands(u, body, {}, {}, fresh="fork"):
-            scaled = st.mult(amt, dm) if amt != 1 else dm
-            if scaled is not None:
-                variants.append(scaled)
+        body = desugar_predicates(PredA(rid.name, tuple(map(Lit, rid.args)), amt), u)
+        variants = demands(u, body, {}, {}, fresh="fork")
         out = [
             grown
             for acc in out

@@ -367,25 +367,17 @@ def _check_disjunction(b: OrA, pc, ctx: Context, d: DDisjunction, u, store, path
 SEARCH_NODES = 1000  # options one proof search may try before it gives up
 
 
-class PackageFailure(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.message = message
-
-
 def active_pairs(ctx: Context, conds: PathCondition, store: Store) -> list[WitnessPair]:
     """The pairs whose available state satisfies the path condition."""
-    try:
-        return [p for p in ctx.pairs if pc_holds(conds, p.sigma_a, store)]
-    except CheckFailure as e:
-        raise PackageFailure(e.message)
+    return [p for p in ctx.pairs if pc_holds(conds, p.sigma_a, store)]
 
 
 def _pair_demands(u, a, pair: WitnessPair, store, outer_heap) -> list[State]:
     try:
         return demands(u, a, pair.sigma_a.heap_dict(), store, fallback_heap=outer_heap)
     except Unframed as e:
-        raise PackageFailure(f"unframed expression while reducing {format_assertion(a)}: {e.description}")
+        shown = format_assertion(a)
+        raise CheckFailure(f"unframed expression while reducing {shown}: {e.description}")
 
 
 def _gap(sigma_a: State, d: State) -> dict:
@@ -397,7 +389,7 @@ def steps(
 ):
     """The options for one proof step of ``a`` over the pairs active under
     ``conds``, best first.  An option that fails, or a step that has none,
-    is yielded as its PackageFailure; a combination of targets that repeats
+    is yielded as its CheckFailure; a combination of targets that repeats
     an extraction already offered is yielded as None, so that the search
     counts every combination it looks at against its bound.  ``heap`` is
     ``ctx.outer``'s heap as a dict: extraction keeps the outer heap whole,
@@ -425,13 +417,13 @@ def steps(
                     if isinstance(a, Pure)
                     else f"insufficient permission for {shown}; no way to satisfy it"
                 )
-                raise PackageFailure(f"{what}: {why} for pair ({pair.sigma_a}, {pair.sigma_b})")
+                raise CheckFailure(f"{what}: {why} for pair ({pair.sigma_a}, {pair.sigma_b})")
             held = [st.geq(pair.sigma_a, d) for d in ds]
             covered[pair.sigma_a, pair.sigma_b] = [d for d, h in zip(ds, held) if h]
             gaps = [_gap(pair.sigma_a, d) for d, h in zip(ds, held) if not h]
             gaps.sort(key=lambda g: sum(g.values()))
             targets.append([{}] * any(held) + gaps)
-    except PackageFailure as e:
+    except CheckFailure as e:
         yield e.with_traceback(None)
         return
     seen = set()
@@ -452,13 +444,17 @@ def steps(
             values = {r: heap[r] for r in needed if isinstance(r, FieldLoc) and r in heap}
             sigma_w = State.make(needed, values)
             if not st.geq(ctx.outer, sigma_w):
-                yield PackageFailure(
+                yield CheckFailure(
                     f"{what}: insufficient permission for {format_assertion(a)}; "
                     f"outer state lacks {sigma_w} (witness pair {witness.sigma_a})"
                 )
                 continue
             try:
                 grown, after = apply_extract(ctx, sigma_w), {}
+            except CheckFailure as e:
+                yield CheckFailure(f"{what}: {e.message}")
+                continue
+            try:
                 for p in active_pairs(grown, conds, store):
                     key = (p.sigma_a, p.sigma_b)
                     # a pair the extraction grew has new states, so its demands are new
@@ -466,14 +462,11 @@ def steps(
                         d for d in _pair_demands(u, a, p, store, heap) if st.geq(p.sigma_a, d)
                     ]
                     if not after[key]:
-                        raise PackageFailure(
+                        raise CheckFailure(
                             f"{what}: {format_assertion(a)} still unsatisfied for pair "
                             f"({p.sigma_a}, {p.sigma_b}) after extraction"
                         )
             except CheckFailure as e:
-                yield PackageFailure(f"{what}: {e.message}")
-                continue
-            except PackageFailure as e:
                 yield e.with_traceback(None)
                 continue
         for combo in product(*after.values()):
@@ -494,10 +487,10 @@ def prove(
     """
     heap = ctx.outer.heap_dict()
     found = _search(ctx, pc, b, u, store, heap, [SEARCH_NODES], lambda c, d: (c, d))
-    if isinstance(found, PackageFailure):
+    if isinstance(found, CheckFailure):
         # a fresh exception: raising the local one would tie its traceback
         # and this frame into a cycle that only the garbage collector frees
-        raise PackageFailure(found.message)
+        raise CheckFailure(found.message, found.path)
     return found
 
 
@@ -521,12 +514,12 @@ def _search(ctx, pc, b, u, store, heap, budget: list, k):
         budget[0] -= 1
         if option is None:
             continue
-        if not isinstance(option, PackageFailure):
+        if not isinstance(option, CheckFailure):
             ctx1, sigma_w, choices = option
             node = DAtom.make(choices)
             tree = node if sigma_w is None else DExtract(sigma_w, node)
             option = k(apply_atom(b, pc, ctx1, node, u, store), tree)
-            if not isinstance(option, PackageFailure):
+            if not isinstance(option, CheckFailure):
                 return option
         first = first or option
     return first
@@ -549,10 +542,7 @@ def build_canonical_derivation(
     conf = initial_configuration(u, wand, store, sigma_w)
     ctx = apply_extract(conf.context, sigma_w)
     alone = [Context.make(ctx.outer, [p], ctx.extracted) for p in ctx.pairs] or [ctx]
-    try:
-        trees = [prove(c, (), wand.rhs, u, store)[1] for c in alone]
-    except PackageFailure as e:
-        raise CheckFailure(e.message)
+    trees = [prove(c, (), wand.rhs, u, store)[1] for c in alone]
     return conf, DExtract(sigma_w, reduce(_merge, trees))
 
 

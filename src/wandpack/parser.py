@@ -51,7 +51,9 @@ from .universe import (
     UniverseError,
     Value,
     WandInst,
+    format_value,
     make_universe,
+    value_type,
 )
 
 KEYWORDS = {
@@ -164,6 +166,16 @@ class Parser:
         t = self.peek()
         if t.kind != "eof":
             raise ParseError(f"unexpected trailing input {t.text!r}", t.line, t.col)
+
+    def items(self, item, close: Optional[str] = None) -> list:
+        """One or more ``item``s separated by commas; given ``close``, none or
+        more, followed by the ``close`` token, which is consumed."""
+        out = [] if close is not None and self.at(close) else [item()]
+        while out and self.accept(","):
+            out.append(item())
+        if close is not None:
+            self.expect(close)
+        return out
 
     # -- fractions and values ----------------------------------------------
 
@@ -399,13 +411,7 @@ class Parser:
 
     def _call_args(self) -> tuple[Expr, ...]:
         self.expect("(")
-        args = []
-        if not self.at(")"):
-            args.append(self.parse_expr())
-            while self.accept(","):
-                args.append(self.parse_expr())
-        self.expect(")")
-        return tuple(args)
+        return tuple(self.items(self.parse_expr, ")"))
 
     # -- universes ----------------------------------------------------------------
 
@@ -423,9 +429,7 @@ class Parser:
                     self.error("expected the granularity integer")
                 granularity = int(t.text)
             elif self.accept("refs"):
-                refs.append(self.expect_ident().text)
-                while self.accept(","):
-                    refs.append(self.expect_ident().text)
+                refs += self.items(lambda: self.expect_ident().text)
             elif self.accept("loc"):
                 r = self.expect_ident().text
                 self.expect(".")
@@ -438,12 +442,7 @@ class Parser:
             elif self.accept("pred"):
                 name = self.expect_ident().text
                 self.expect("(")
-                params = []
-                if not self.at(")"):
-                    params.append(self.expect_ident().text)
-                    while self.accept(","):
-                        params.append(self.expect_ident().text)
-                self.expect(")")
+                params = self.items(lambda: self.expect_ident().text, ")")
                 self.expect("=")
                 body = self.parse_assertion()
                 raw_preds.append((name, tuple(params), body))
@@ -469,9 +468,7 @@ class Parser:
         if ty == BOOL and not self.at("{"):
             return (False, True)
         self.expect("{")
-        vals = [self.parse_value()]
-        while self.accept(","):
-            vals.append(self.parse_value())
+        vals = self.items(self.parse_value)
         self.expect("}")
         for v in vals:
             want = {REF: str, INT: int, BOOL: bool}[ty]
@@ -509,14 +506,8 @@ class Parser:
                 mask[WandInst(key)] = self.parse_fraction()
             else:
                 name = self.expect_ident().text
-                if self.at("("):
-                    self.expect("(")
-                    args = []
-                    if not self.at(")"):
-                        args.append(self.parse_value())
-                        while self.accept(","):
-                            args.append(self.parse_value())
-                    self.expect(")")
+                if self.accept("("):
+                    args = self.items(self.parse_value, ")")
                     self.expect("@")
                     mask[PredInst(name, tuple(args))] = self.parse_fraction()
                 else:
@@ -561,22 +552,19 @@ class Parser:
         t = self.expect("method")
         name = self.expect_ident().text
         self.expect("(")
-        params = []
-        if not self.at(")"):
-            while True:
-                p = self.expect_ident().text
-                self.expect(":")
-                if not (self.accept("Ref") or self.accept("ref")):
-                    self.error("method parameters must have type Ref")
-                params.append(p)
-                if not self.accept(","):
-                    break
-        self.expect(")")
+        params = self.items(self._param, ")")
         requires = None
         if self.accept("requires"):
             requires = self.parse_assertion()
         body = self._block(script=False)
         return pr.Method(name, tuple(params), requires, tuple(body), (t.line, t.col))
+
+    def _param(self) -> str:
+        name = self.expect_ident().text
+        self.expect(":")
+        if not (self.accept("Ref") or self.accept("ref")):
+            self.error("method parameters must have type Ref")
+        return name
 
     def _block(self, script: bool) -> list[pr.Stmt]:
         self.expect("{")
@@ -674,50 +662,42 @@ def _check_predicates(raw: list[tuple[str, tuple[str, ...], Assertion]]) -> dict
 # -- module-level conveniences ----------------------------------------------------
 
 
-def _nested(parse):
-    """Run one parse; input nested deeper than the interpreter's stack is a
-    parse error, not a crash."""
+def _whole(src: str, rule):
+    """``rule`` run on a parser of ``src``, which must leave nothing unread.
+    Input nested deeper than the interpreter's stack is a parse error, not a
+    crash."""
+    p = Parser(src)
     try:
-        return parse()
+        out = rule(p)
     except RecursionError:
         raise ParseError("input nested too deeply", 1, 1) from None
+    p.expect_eof()
+    return out
 
 
 def parse_expr_text(src: str) -> Expr:
-    p = Parser(src)
-    e = _nested(p.parse_expr)
-    p.expect_eof()
-    return e
+    return _whole(src, Parser.parse_expr)
 
 
 def parse_assertion_text(src: str) -> Assertion:
-    p = Parser(src)
-    a = _nested(p.parse_assertion)
-    p.expect_eof()
-    return a
+    return _whole(src, Parser.parse_assertion)
 
 
 def parse_script_text(src: str) -> tuple[pr.Stmt, ...]:
     """A package's proof script written as a ``{ ... }`` block."""
-    p = Parser(src)
-    body = _nested(lambda: p._block(script=True))
-    p.expect_eof()
-    return tuple(body)
+    return tuple(_whole(src, lambda p: p._block(script=True)))
 
 
 def parse_universe_text(src: str) -> Universe:
-    return _nested(Parser(src).parse_universe)
+    return _whole(src, Parser.parse_universe)
 
 
 def parse_state_text(src: str) -> State:
-    p = Parser(src)
-    s = _nested(p.parse_state)
-    p.expect_eof()
-    return s
+    return _whole(src, Parser.parse_state)
 
 
 def parse_program_text(src: str) -> pr.Program:
-    return _nested(Parser(src).parse_program)
+    return _whole(src, Parser.parse_program)
 
 
 def format_universe(u: Universe) -> str:
@@ -725,8 +705,6 @@ def format_universe(u: Universe) -> str:
     if u.refs:
         lines.append("refs " + ", ".join(sorted(u.refs)))
     for loc in u.sorted_locations():
-        from .universe import format_value, value_type
-
         dom = u.domain(loc)
         ty = value_type(dom[0])
         if ty == BOOL and set(dom) == {False, True}:
@@ -741,8 +719,6 @@ def format_universe(u: Universe) -> str:
 
 
 def format_state(s: State) -> str:
-    from .universe import format_value
-
     parts = []
     heap_left = dict(s.heap)
     for rid, amt in s.mask:

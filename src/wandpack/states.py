@@ -40,7 +40,6 @@ from .universe import (
     WandInst,
 )
 
-ONE = Fraction(1)
 ZERO = Fraction(0)
 
 

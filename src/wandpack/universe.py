@@ -82,9 +82,6 @@ class WandInst:
 
 ResourceId = Union[FieldLoc, PredInst, WandInst]
 
-_RID_RANK = {FieldLoc: 0, PredInst: 1, WandInst: 2}
-
-
 def rid_key(rid: ResourceId) -> tuple:
     """Deterministic order: field locations, then predicates, then wands."""
     if isinstance(rid, FieldLoc):

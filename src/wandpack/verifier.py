@@ -472,11 +472,6 @@ def _apply(w: World, stmt: Apply, env: _Env) -> list[World]:
             w,
             stmt.pos,
         )
-    base = st.sub(st.sub(w.state, token), chosen)
-    out = []
-    shrunk = World(w.store_items, base)
-    for d in _world_demands(shrunk, stmt.wand.rhs, u, stmt.pos, fresh="fork"):
-        grown = st.add(base, d)
-        if grown is not None:  # incompatible additions are inconsistent worlds
-            out.append(World(w.store_items, grown))
-    return out
+    # incompatible additions are inconsistent worlds, which inhale drops
+    shrunk = World(w.store_items, st.sub(st.sub(w.state, token), chosen))
+    return _inhale(shrunk, stmt.wand.rhs, u, stmt.pos)

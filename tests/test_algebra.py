@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -200,6 +201,80 @@ def test_core_b_decided_on_table_replays_failures(monkeypatch):
         if broken_add(x, c) == x and not st.geq(st.core(x), c)
     )
     report = _run_broken(monkeypatch, u, broken_add)["core-b"]
+    assert not report.passed
+    assert report.counterexample == first
+
+
+HALF_F, HALF_G, FULL_G = "{x.f @ 1/2 = 0}", "{x.g @ 1/2 = 0}", "{x.g @ 1 = 0}"
+
+
+def _breaks(a_text, b_text, result_text):
+    """``add`` with one entry changed: a (+) b gives the result, or is
+    undefined where that is None."""
+    a, b, real_add = parse_state_text(a_text), parse_state_text(b_text), st.add
+    result = None if result_text is None else parse_state_text(result_text)
+    return lambda x, y: result if (x, y) == (a, b) else real_add(x, y)
+
+
+def _core_a_fails(add, s):
+    c = st.core(s)
+    return add(s, c) != s or add(c, c) != c
+
+
+def _core_c_fails(add, a, b):
+    s = add(a, b)
+    return s is not None and st.core(s) != add(st.core(a), st.core(b))
+
+
+def _stability_d_fails(add, a, b):
+    s = add(a, b)
+    return s is not None and st.is_stable(a) and st.is_stable(b) and not st.is_stable(s)
+
+
+def _positivity_e_fails(add, a, b):
+    c = add(a, b)
+    return c is not None and st.is_pure(c) and not st.is_pure(a)
+
+
+# each broken add, and the axiom it must fail on with its first counterexample
+BROKEN = {
+    # x (+) |x| is undefined for x = half of x.f
+    "core-a": (_breaks(HALF_F, "{x.f @ 0 = 0}", None), _core_a_fails, 1),
+    # half of x.f plus half of x.g drops the x.g half, and its value with it
+    "core-c": (_breaks(HALF_F, HALF_G, HALF_F), _core_c_fails, 2),
+    # ... or leaves only the value of x.f, which no permission holds
+    "stability-d": (_breaks(HALF_F, HALF_G, "{x.f @ 0 = 0}"), _stability_d_fails, 2),
+    # ... or leaves nothing at all
+    "positivity-e": (_breaks(HALF_F, HALF_G, "{}"), _positivity_e_fails, 2),
+}
+
+
+@pytest.mark.parametrize("axiom", sorted(BROKEN))
+def test_broken_add_first_counterexample_matches_exhaustive(monkeypatch, axiom):
+    u = parse_universe_text(TINY_TEXT)
+    add, fails, arity = BROKEN[axiom]
+    states = list(enumerate_states(u))
+    first = next(t for t in itertools.product(states, repeat=arity) if fails(add, *t))
+    report = _run_broken(monkeypatch, u, add)[axiom]
+    assert not report.passed
+    assert report.counterexample == first
+    assert fails(add, *report.counterexample)  # replayable through the (broken) op
+
+
+def test_broken_add_cancellativity_counterexample_matches_exhaustive(monkeypatch):
+    # half of x.f plus half of x.g gives what adding all of x.g gives
+    u = parse_universe_text(TINY_TEXT)
+    add = _breaks(HALF_F, HALF_G, "{x.f @ 1/2 = 0, x.g @ 1 = 0}")
+    states = list(enumerate_states(u))
+    first = next(
+        (add(b, x), b, x, y)
+        for b in states
+        for i, x in enumerate(states)
+        for y in states[i + 1:]
+        if add(b, x) is not None and add(b, x) == add(b, y) and st.core(x) == st.core(y)
+    )
+    assert first[1:] == tuple(parse_state_text(t) for t in (HALF_F, HALF_G, FULL_G))
+    report = _run_broken(monkeypatch, u, add)["cancellativity-f"]
     assert not report.passed
     assert report.counterexample == first
 

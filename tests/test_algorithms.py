@@ -40,6 +40,8 @@ from wandpack.serialization import derivation_to_json, dumps_canonical, state_to
 from wandpack.states import EMPTY
 from wandpack.universe import FieldLoc
 
+from conftest import CORPUS
+
 DISJ_WAND = "acc(x.f) * (x.f == y || x.f == z) --* acc(x.f) * acc(x.f.g)"
 CHOICE_WAND = "acc(x.b, 1/2) --* acc(x.b, 1/2) * (x.b ==> acc(x.f))"
 OUTER_FULL = "{x.f @ 1 = y, y.g @ 1 = 0, z.g @ 1 = 0}"
@@ -454,6 +456,51 @@ def test_apply_script_uses_recorded_wand(u2, store2):
     )
     out = package_sound(S("{x.b @ 1 = false}"), wand, script, store2, u2)
     assert out.success and out.footprint == EMPTY
+
+
+APPLY_PROGRAM = """
+program v1
+method m(x: Ref) {
+  package acc(x.f) * (acc(x.f) --* Cell(x)) --* Cell(x) {
+    apply acc(x.f) --* Cell(x)
+  }
+}
+"""
+
+
+def test_apply_script_trades_the_held_wand_and_its_lhs_for_its_rhs():
+    # a per-case state holds the wand's token, read from the left-hand side
+    # by demands, so fia runs the apply on a pair that holds the instance
+    u = parse_universe_text((CORPUS / "preds.universe").read_text())
+    wand, script = _script_of(APPLY_PROGRAM)
+    store, outer = {"x": "x"}, S("{x.f @ 1 = 0}")
+    out = package_fia(outer, wand, script, store, u)
+    assert out.success and [fp for _, fp in out.case_footprints] == [EMPTY, EMPTY]
+    for case, value in zip(lhs_cases(u, wand.lhs, store), (0, 1)):
+        one_pair = Context.make(outer, [pl.WitnessPair(case, EMPTY)])
+        ctx, extracts, mutated = run_script(one_pair, script, store, u)
+        assert mutated and extracts == []
+        assert [p.sigma_a for p in ctx.pairs] == [S(f"{{x.f @ 0 = {value}, Cell(x) @ 1}}")]
+
+
+def test_script_if_runs_its_else_branch_after_a_then_branch_that_succeeds(u1, store1):
+    wand, script = _script_of(
+        """
+        program v1
+        method m(x: Ref, y: Ref, z: Ref) {
+          package acc(x.f) * (x.f == y || x.f == z) --* acc(x.f) * acc(x.f.g) {
+            if (x.f == y) { assert acc(y.g) } else { assert acc(z.g) }
+          }
+        }
+        """
+    )
+    ctx = Context.make(S(OUTER_FULL), init_witness_set(wand.lhs, u1, True, store1))
+    _, extracts, mutated = run_script(ctx, script, store1, u1)
+    assert not mutated
+    assert extracts == [S("{y.g @ 1 = 0}"), S("{z.g @ 1 = 0}")]
+    out = package_sound(S(OUTER_FULL), wand, script, store1, u1)
+    assert out.success and out.footprint == S("{y.g @ 1 = 0, z.g @ 1 = 0}")
+    assert recheck_package(out.configuration, script, out.derivation, u1, store1) == out.footprint
 
 
 # -- differential invariants -----------------------------------------------------------------

@@ -150,6 +150,19 @@ def test_check_rejects_a_tree_proved_for_one_case(tmp_path, capsys):
     assert "REJECTED" in capsys.readouterr().out
 
 
+def test_check_rejects_a_document_whose_script_fails(tmp_path, capsys):
+    derivs = tmp_path / "d.json"
+    assert run_cli("verify", CORPUS / "preds.wnd", "--emit-derivation", derivs) == 0
+    doc = json.loads(derivs.read_text())[0]
+    doc["script"] = "{ unfold Cell(x) }"  # the pairs hold x.f, not the instance
+    derivs.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("check-derivation", derivs) == 1
+    assert capsys.readouterr().out == (
+        "derivation 0: REJECTED: script: unfold Cell: no full instance held by pair ({x.f@1=0})\n"
+    )
+
+
 CELL_UNIVERSE = """universe v1
 granularity 2
 refs x
@@ -372,6 +385,29 @@ def test_oracle_minimal_query(capsys):
     assert code == 0
     assert "{x.f @ 1 = 0}" in out
     assert "{x.b @ 1/2 = false}" in out
+
+
+@pytest.mark.parametrize("kind, code", [("standard", 0), ("combinable", 1)])
+def test_oracle_footprint_kind_overrides_the_wand(capsys, kind, code):
+    # {x.f @ 1 = 0} joins no left-hand-side state, so it is a standard
+    # footprint by vacuity; restricted to a left-hand-side state it is empty
+    assert run_cli(
+        "oracle", "footprint", "--universe", CORPUS / "mixed.universe",
+        "--wand", "acc(x.f, 1/2) --* acc(x.g)", "--state", "{x.f @ 1 = 0}", "--kind", kind,
+    ) == code
+    assert capsys.readouterr().out == ("footprint\n" if code == 0 else "not a footprint\n")
+
+
+@pytest.mark.parametrize(
+    "kind, footprints",
+    [("standard", ["{x.f @ 1 = 0}", "{x.g @ 1 = 0}"]), ("combinable", ["{x.g @ 1 = 0}"])],
+)
+def test_oracle_minimal_kind_overrides_the_wand(capsys, kind, footprints):
+    assert run_cli(
+        "oracle", "minimal", "--universe", CORPUS / "mixed.universe",
+        "--wand", "acc(x.f, 1/2) --*c acc(x.g)", "--kind", kind,
+    ) == 0
+    assert capsys.readouterr().out.splitlines() == footprints
 
 
 # -- laws ----------------------------------------------------------------------------------

@@ -126,6 +126,36 @@ def plain_holds(u, sigma_w, w, store) -> bool:
     return True
 
 
+# -- the audit's desugared reading ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "state, realizations",
+    [
+        ("{Cell(x) @ 1/2}", ["{x.f @ 1/2 = 0}", "{x.f @ 1/2 = 1}"]),
+        ("{Cell(x) @ 1/2, y.f @ 1 = 1}", ["{x.f @ 1/2 = 0, y.f @ 1 = 1}", "{x.f @ 1/2 = 1, y.f @ 1 = 1}"]),
+        # the body's x.f and the state's own half overflow full permission
+        ("{Cell(x) @ 1, x.f @ 1/2 = 0}", []),
+    ],
+)
+def test_desugar_state_replaces_tokens_by_their_bodies(corpus_dir, state, realizations):
+    u = parse_universe_text((corpus_dir / "preds.universe").read_text())
+    assert orc.desugar_state(S(state), orc.plan(u)) == [S(r) for r in realizations]
+
+
+def test_audit_scales_a_token_body_before_taking_its_demands():
+    # Twice(x) in full is unsatisfiable, half of it is x.f in full: the audit
+    # reads the token {Twice(x) @ 1/2} as the wand's acc(Twice(x), 1/2) reads it
+    u = parse_universe_text(
+        "universe v1\ngranularity 2\nrefs x\nloc x.f: int {0, 1}\npred Twice(r) = acc(r.f) * acc(r.f)\n"
+    )
+    p, fp = orc.plan(u), S("{Twice(x) @ 1/2}")
+    wand = A("true --* acc(Twice(x), 1/2)")
+    assert orc.is_footprint(fp, wand, orc.STANDARD, p, {"x": "x"})
+    assert orc.desugar_state(fp, p) == [S("{x.f @ 1 = 0}"), S("{x.f @ 1 = 1}")]
+    assert orc.audit_footprint(fp, A("true --* acc(Twice(ref(x)), 1/2)"), orc.STANDARD, p)
+
+
 def test_compiled_wand_checks_match_a_plain_loop():
     # every way into a compiled check, memo and pre-test included, against
     # the loop above; gen's right-hand sides hold no wand, so the loop

@@ -7,11 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as strat
 
 import gen
+import wandpack.states as st
 from wandpack.algorithms import package_combinable, package_sound
 from wandpack.cli import main
 from wandpack.package_logic import (
+    DAtom,
+    DDisjunction,
+    DExtract,
     check_derivation,
     extract_footprint,
+    initial_configuration,
 )
 from wandpack.parser import ParseError, parse_assertion_text, parse_state_text, parse_universe_text
 from wandpack.serialization import (
@@ -22,6 +27,7 @@ from wandpack.serialization import (
     state_to_json,
     state_to_text,
 )
+from wandpack.states import EMPTY
 
 from conftest import U1_TEXT
 
@@ -57,6 +63,30 @@ def test_derivation_documents_round_trip_and_recheck():
         assert extract_footprint(conf2.context.outer, final.outer) == out.footprint
         checked += 1
     assert checked > 30
+
+
+def test_disjunction_trees_round_trip_and_check(tmp_path, capsys):
+    # nothing in the packagers emits the Disjunction rule; a hand-built tree
+    # proves the left branch for the y-pair and the right for the z-pair
+    u, store = parse_universe_text(U1_TEXT), {"x": "x", "y": "y", "z": "z"}
+    wand = parse_assertion_text("acc(x.f) * (x.f == y || x.f == z) --* acc(y.g) || acc(z.g)")
+    conf = initial_configuration(u, wand, store, parse_state_text("{y.g @ 1 = 0, z.g @ 1 = 0}"))
+    pay, paz = parse_state_text("{x.f @ 1 = y}"), parse_state_text("{x.f @ 1 = z}")
+    sy, sz = parse_state_text("{y.g @ 1 = 0}"), parse_state_text("{z.g @ 1 = 0}")
+    # by the time the right branch runs, the z-pair has absorbed sy as well
+    paz1 = st.add(st.add(paz, sy), sz)
+    left = DExtract(sy, DAtom.make({(st.add(pay, sy), EMPTY): sy}))
+    tree = DDisjunction(((pay, EMPTY),), left, DExtract(sz, DAtom.make({(paz1, EMPTY): sz})))
+    doc = json.loads(dumps_canonical(derivation_doc(u, store, wand, conf, tree)))
+    assert doc["derivation"]["rule"] == "disjunction"
+    _, _, _, conf2, tree2 = derivation_doc_parse(doc)
+    assert tree2 == tree
+    final = check_derivation(conf2, tree2, u, store)
+    assert extract_footprint(conf2.context.outer, final.outer) == st.add(sy, sz)
+    path = tmp_path / "disjunction.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check-derivation", str(path)]) == 0
+    assert capsys.readouterr().out == "derivation 0: ACCEPTED, footprint {y.g @ 1 = 0, z.g @ 1 = 0}\n"
 
 
 # -- fuzzing: a malformed document raises only what check-derivation reports ------------

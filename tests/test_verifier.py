@@ -4,6 +4,7 @@ import pytest
 
 from wandpack.cli import load_program
 from wandpack.parser import parse_program_text, parse_universe_text
+from wandpack.program import format_program
 from wandpack.serialization import dumps_canonical
 from wandpack.verifier import ProgramError, run
 
@@ -210,6 +211,40 @@ def test_var_decl_and_assign():
         SINGLETON_U,
     )
     assert run(p, "sound").verified
+
+
+LOCALS_PROGRAM = """program v1
+
+method m(x: Ref)
+{
+  inhale acc(x.b) * acc(x.f)
+  var t: bool := x.b && true || !x.b
+  var v: int := x.b ==> x.f == 0 ? x.f : 0
+  v := v
+  assert t && v == 0
+  t := x.b && false
+  assert !t
+  t := x.b ==> false
+  assert t == !x.b
+}
+"""
+
+
+def test_locals_and_boolean_operators_in_expressions():
+    u = """
+        universe v1
+        granularity 2
+        refs x
+        loc x.b: bool
+        loc x.f: int {0}
+        """
+    assert run(program(LOCALS_PROGRAM, u), "sound").verified
+    # the printer writes declarations and assignments back as they were read
+    assert format_program(parse_program_text(LOCALS_PROGRAM)) == LOCALS_PROGRAM
+    failing = LOCALS_PROGRAM.replace("assert !t", "assert t")
+    (method,) = run(program(failing, u), "sound").to_json()["methods"]
+    assert method["statements"][-1]["error"]["message"] == "assert failed: t"
+    assert method["statements"][-1]["pos"] == (11, 3)
 
 
 def test_typecheck_rejects_bad_program():
