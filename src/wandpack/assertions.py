@@ -567,9 +567,9 @@ class WandCheck:
 
     It keeps the LHS pool, fetched once (``lhs_states`` over the
     sub-universe the wand reaches), each pool state's heap and mask as
-    dicts for the exact pre-test ``states.addable``, and the RHS verdict
-    of every combined state met, cleared when it reaches MEMO_LIMIT
-    entries.  The universe is held
+    dicts for the exact pre-test ``states.addable`` and the combinable cap
+    ``states.capped``, and the RHS verdict of every combined state met,
+    cleared when it reaches MEMO_LIMIT entries.  The universe is held
     weakly, so a cached check never keeps it alive.
     """
 
@@ -586,7 +586,7 @@ class WandCheck:
         for sigma_a, heap, mask in self._parts:
             if not st.addable(heap, mask, sigma_w, w.combinable):
                 continue  # add is undefined: nothing to check
-            fp = st.restrict(sigma_a, sigma_w) if w.combinable else sigma_w
+            fp = st.capped(mask, sigma_w) if w.combinable else sigma_w
             combined = st.add(sigma_a, fp)
             verdict = memo.get(combined)
             if verdict is None:

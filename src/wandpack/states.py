@@ -329,10 +329,32 @@ def restrict(sigma_a: State, sigma_w: State) -> State:
     """
     if not exists_compatible_scaled(sigma_a, sigma_w):
         return sigma_w
-    # every cap is positive: sigma_a holds less than 1 of each resource here
-    am = sigma_a.mask_dict()
-    mask = tuple((rid, min(amt, 1 - am.get(rid, ZERO))) for rid, amt in sigma_w.mask)
+    return capped(sigma_a.mask_dict(), sigma_w)
+
+
+def capped(a_mask: dict, sigma_w: State) -> State:
+    """``restrict(a, sigma_w)`` for the state a whose mask ``a_mask`` is,
+    once ``addable(..., restricted=True)`` has passed: each amount capped
+    at min(pi_w, 1 - pi_a).  Every cap is positive, since a holds less
+    than 1 of each resource sigma_w owns."""
+    mask = tuple((rid, min(amt, 1 - a_mask.get(rid, ZERO))) for rid, amt in sigma_w.mask)
     return State(mask, sigma_w.heap)
+
+
+def split_fields(s: State, fields: frozenset) -> tuple[State, State]:
+    """``s`` as (inside, outside) with ``add(inside, outside) == s``: outside
+    holds the mask and heap entries of the field locations whose field is
+    not in ``fields``; inside keeps the rest, predicate and wand instances
+    included."""
+    def out(rid) -> bool:
+        return isinstance(rid, FieldLoc) and rid.field not in fields
+
+    mask_in, mask_out, heap_in, heap_out = [], [], [], []
+    for e in s.mask:
+        (mask_out if out(e[0]) else mask_in).append(e)
+    for e in s.heap:
+        (heap_out if out(e[0]) else heap_in).append(e)
+    return State(tuple(mask_in), tuple(heap_in)), State(tuple(mask_out), tuple(heap_out))
 
 
 def bin_mask(s: State) -> State:

@@ -7,11 +7,17 @@ delegates to the selected algorithm, and apply trades a recorded wand
 instance plus its left-hand side for the right-hand side, discarding
 worlds the exchange makes inconsistent.  An empty world set verifies
 everything — the path is unreachable.
+
+A package runs once per class of worlds: worlds that agree on the store
+and on the part of the state the wand and its proof script reach.  Each
+world takes its class's footprints, audit and derivation tree, with the
+rest of its state added back to the post-states and its own outer state
+in its derivation document.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field, is_dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -22,10 +28,13 @@ from .assertions import (
     Assertion,
     Wand,
     AssertionError_,
+    PredA,
+    Pure,
     atoms,
     close_assertion,
     demands,
     format_assertion,
+    reach,
     typecheck,
     wand_key,
     wf,
@@ -368,10 +377,7 @@ def _exec_stmt(stmt: Stmt, worlds: list[World], env: _Env) -> list[World]:
             sub_else = _exec_stmt(s, sub_else, env)
         return _merge([sub_then, sub_else])
     if isinstance(stmt, Package):
-        results = [_package(w, stmt, env) for w in worlds]
-        for _, record in results:
-            env.mreport.packages.append(record)
-        return _merge([ws for ws, _ in results])
+        return _package(worlds, stmt, env)
     if isinstance(stmt, Apply):
         return _merge([_apply(w, stmt, env) for w in worlds])
     raise VerificationError(f"unknown statement {stmt!r}", None, getattr(stmt, "pos", (0, 0)))
@@ -407,32 +413,81 @@ def _heap_write(w: World, stmt: HeapWrite, u: Universe) -> World:
     return World(w.store_items, State.make(w.state.mask_dict(), heap))
 
 
-def _package(w: World, stmt: Package, env: _Env) -> tuple[list[World], PackageRecord]:
+def _package(worlds: list[World], stmt: Package, env: _Env) -> list[World]:
+    """Package once per class of worlds: worlds that agree on the store and
+    on the part of the state the wand and its script reach (``reach``)
+    package alike, since the package reads nothing else.  Each class is
+    packaged on that part, for its first world in world order, which is
+    the world a failure names.  Every world then takes the class's result
+    with the rest of its state added back, and a derivation document that
+    stores the world's own outer state."""
+    fields = _package_fields(env.u, stmt)
+    classes: dict[World, tuple[list[State], PackageRecord]] = {}
+    out, records = [], []
+    for w in worlds:
+        inside, rest = (w.state, EMPTY) if fields is None else st.split_fields(w.state, fields)
+        # a variable's values share one type, and so do a location's, so
+        # equal worlds here are equal under ``World.key`` too
+        cls = World(w.store_items, inside)
+        if cls not in classes:
+            classes[cls] = _package_class(w, inside, stmt, env)
+        posts, record = classes[cls]
+        if rest.mask or rest.heap:
+            posts = [st.add(p, rest) for p in posts]  # rest is disjoint from what the package reaches
+            if record.derivation is not None:
+                record = replace(record, derivation={**record.derivation, "outer": state_to_text(w.state)})
+        records.append(record)
+        out.extend(World(w.store_items, p) for p in posts)
+    env.mreport.packages.extend(records)  # a failing statement records no package
+    return _merge([out])
+
+
+def _package_fields(u: Universe, stmt: Package) -> Optional[frozenset]:
+    """The fields a package statement reaches through its wand and script,
+    or None when that is every field of the universe."""
+    sub = reach(u, stmt.wand, *_script_parts(stmt.script))
+    if len(sub.locations) == len(u.locations):
+        return None
+    return frozenset(loc.field for loc in sub.locations)
+
+
+def _script_parts(script: Sequence[Stmt]):
+    """The assertions a proof script reads: its asserts, ``if`` conditions,
+    folded and unfolded instances and applied wands."""
+    for s in script:
+        if isinstance(s, AssertStmt):
+            yield s.assertion
+        elif isinstance(s, If):
+            yield Pure(s.cond)
+            yield from _script_parts(s.then)
+            yield from _script_parts(s.els)
+        elif isinstance(s, (Fold, Unfold)):
+            yield PredA(s.name, s.args)
+        elif isinstance(s, Apply):
+            yield s.wand
+
+
+def _package_class(w: World, outer: State, stmt: Package, env: _Env) -> tuple[list[State], PackageRecord]:
+    """Package ``stmt`` from ``outer`` in ``w``'s store: the post-states,
+    each holding the new wand instance, and the record."""
     u = env.u
     store = w.store()
     packager = PACKAGERS[env.algorithm]
-    outcome: PackageOutcome = packager(w.state, stmt.wand, stmt.script, store, u)
+    outcome: PackageOutcome = packager(outer, stmt.wand, stmt.script, store, u)
     if not outcome.success:
         raise VerificationError(f"package failed: {outcome.diagnostic}", w, stmt.pos)
     try:
         key = wand_key(stmt.wand, store)
     except AssertionError_ as e:
         raise VerificationError(str(e), w, stmt.pos)
-    token = State.make({key: Fraction(1)}, {})
-    record = PackageRecord(
-        pos=stmt.pos,
-        algorithm=env.algorithm,
-        wand=key.key,
-        footprints=[],
-    )
+    record = PackageRecord(pos=stmt.pos, algorithm=env.algorithm, wand=key.key, footprints=[])
     if env.algorithm == FIA:
         fps = [fp for _, fp in outcome.case_footprints]
-        record.footprints = [state_to_json(fp) for _, fp in outcome.case_footprints]
     else:
         fps = [outcome.footprint]
-        record.footprints = [state_to_json(outcome.footprint)]
         conf, tree = outcome.configuration, outcome.derivation
         record.derivation = derivation_doc(u, store, stmt.wand, conf, tree, stmt.script)
+    record.footprints = [state_to_json(fp) for fp in fps]
     if env.audit:
         kind = COMBINABLE if stmt.wand.combinable else orc.STANDARD
         plan = orc.plan(u)
@@ -444,12 +499,9 @@ def _package(w: World, stmt: Package, env: _Env) -> tuple[list[World], PackageRe
             }
             for fp in fps
         ]
-    out = []
-    for post in outcome.post_states:
-        grown = st.add(post, token)
-        if grown is not None:
-            out.append(World(w.store_items, grown))
-    return out, record
+    token = State.make({key: Fraction(1)}, {})
+    posts = [grown for post in outcome.post_states if (grown := st.add(post, token)) is not None]
+    return posts, record
 
 
 def _apply(w: World, stmt: Apply, env: _Env) -> list[World]:

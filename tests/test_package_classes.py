@@ -1,0 +1,278 @@
+"""The verifier packages a statement once per class of worlds.
+
+Worlds that agree on the store and on the part of the state the wand and
+its proof script reach package alike, so ``verifier._package`` runs the
+packager once per class and rebuilds each world's result from it.  The
+reference here packages every world on its full state, as the verifier
+did before grouping: records, post-worlds, derivation documents and
+errors must come out the same.
+"""
+
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+import wandpack.oracle as orc
+import wandpack.states as st
+import wandpack.verifier as verifier
+from wandpack.algorithms import COMBINABLE, FIA, PACKAGERS
+from wandpack.assertions import Acc, PredA, Star, Wand, close_assertion, wand_key
+from wandpack.cli import main
+from wandpack.exprs import Eq, FieldAcc, Lit, Var
+from wandpack.parser import parse_program_text, parse_universe_text
+from wandpack.program import Apply, AssertStmt, Fold, If, Method, Package, Program, format_program
+from wandpack.serialization import derivation_doc, dumps_canonical, state_to_json, state_to_text
+from wandpack.states import State
+from wandpack.universe import make_universe
+from wandpack.verifier import ALGORITHMS, PackageRecord, VerificationError, World, run
+
+from conftest import CORPUS
+from gen import HALF, ONE, random_assertion, random_universe
+
+X = Var("x")
+# fields no generated wand or script names: the requires clause forks over them
+UNNAMED = {("x", "p"): [0, 1], ("x", "q"): [False, True]}
+
+
+def per_world_package(worlds, stmt, env):
+    """The reference: ``PACKAGERS[alg]`` on each world's full state."""
+    out, records = [], []
+    for w in worlds:
+        store = w.store()
+        outcome = PACKAGERS[env.algorithm](w.state, stmt.wand, stmt.script, store, env.u)
+        if not outcome.success:
+            raise VerificationError(f"package failed: {outcome.diagnostic}", w, stmt.pos)
+        key = wand_key(stmt.wand, store)
+        if env.algorithm == FIA:
+            fps, derivation = [fp for _, fp in outcome.case_footprints], None
+        else:
+            fps = [outcome.footprint]
+            derivation = derivation_doc(
+                env.u, store, stmt.wand, outcome.configuration, outcome.derivation, stmt.script
+            )
+        audit = None
+        if env.audit:
+            kind = COMBINABLE if stmt.wand.combinable else orc.STANDARD
+            closed = close_assertion(stmt.wand, store)
+            audit = [
+                {"footprint": state_to_json(fp), "valid": orc.audit_footprint(fp, closed, kind, orc.plan(env.u), {})}
+                for fp in fps
+            ]
+        fps_json = [state_to_json(fp) for fp in fps]
+        records.append(PackageRecord(stmt.pos, env.algorithm, key.key, fps_json, derivation, audit))
+        token = State.make({key: Fraction(1)}, {})
+        out += [World(w.store_items, g) for post in outcome.post_states if (g := st.add(post, token)) is not None]
+    env.mreport.packages.extend(records)
+    return verifier._merge([out])
+
+
+def traced_run(monkeypatch, program, algorithm, audit, package):
+    """Run with ``package`` as the package step; returns the report JSON,
+    each package statement's post-worlds, and how many worlds and packager
+    calls the package statements saw."""
+    posts, seen = [], {"worlds": 0, "calls": 0}
+    packager = PACKAGERS[algorithm]
+
+    def counted(*args):
+        seen["calls"] += 1
+        return packager(*args)
+
+    def step(worlds, stmt, env):
+        seen["worlds"] += len(worlds)
+        out = package(worlds, stmt, env)
+        posts.append((stmt.pos, [w.key() for w in out]))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setitem(PACKAGERS, algorithm, counted)
+        m.setattr(verifier, "_package", step)
+        report = run(program, algorithm, audit=audit)
+    return dumps_canonical(report.to_json()), posts, seen
+
+
+# -- generated programs ------------------------------------------------------------
+
+
+def _framed_guard(rng, u, framed):
+    loc = rng.choice(sorted(framed))
+    return Eq(FieldAcc(X, loc.field), Lit(rng.choice(list(u.domain(loc)))))
+
+
+def _script_assertion(rng, u0, framed):
+    """Mostly one permission the outer state holds, else a random assertion."""
+    if rng.random() < 0.6:
+        return Acc(X, rng.choice(u0.sorted_locations()).field, rng.choice([ONE, HALF]))
+    return random_assertion(rng, u0, 1, framed)[0]
+
+
+def random_package(rng, u0, combinable):
+    """A wand over ``u0`` and a proof script of one kind: none, assert,
+    if, fold (when ``u0`` has a predicate) or apply."""
+    kind = rng.choice(["none", "assert", "if", "apply"] + ["fold"] * 2 * bool(u0.predicates))
+    lhs, framed = random_assertion(rng, u0, rng.choice([0, 1, 2]))
+    rhs, _ = random_assertion(rng, u0, rng.choice([1, 2]), framed=framed)
+    script = ()
+    if kind == "assert":
+        script = (AssertStmt(_script_assertion(rng, u0, framed)),)
+    elif kind == "if":
+        # a guard the left-hand side frames, or one on an unnamed field
+        cond = _framed_guard(rng, u0, framed) if framed else Eq(FieldAcc(X, "p"), Lit(0))
+        then = (AssertStmt(_script_assertion(rng, u0, framed)),)
+        script = (If(cond, then, rng.choice([(), then])),)
+    elif kind == "fold":
+        name = rng.choice(sorted(u0.predicates))
+        script = (Fold(name, (X,)),)
+        # a right-hand side without the instance leaves the body's field to the script
+        rhs = rng.choice([PredA(name, (X,)), Star(PredA(name, (X,)), rhs), rhs])
+    elif kind == "apply":
+        f1, f2 = (rng.choice(u0.sorted_locations()).field for _ in range(2))
+        inner = Wand(Acc(X, f1), Acc(X, f2))
+        if rng.random() < 0.7:  # else the script takes x.f1 from the outer state, then finds no instance
+            lhs = Star(inner, lhs)
+        script = (Apply(inner),)
+    return kind, Package(Wand(lhs, rhs, combinable), script)
+
+
+def random_program(rng, combinable):
+    """A program whose requires clause forks over the unnamed fields and
+    most of the wand's: a package, then an assert of the unnamed fields."""
+    u0 = random_universe(rng, with_predicate=rng.random() < 0.5)
+    locs = {(loc.ref, loc.field): u0.domain(loc) for loc in u0.sorted_locations()}
+    u = make_universe(u0.refs, {**locs, **UNNAMED}, u0.granularity, u0.predicates)
+    kind, pkg = random_package(rng, u0, combinable)
+    held = [Acc(X, loc.field, rng.choice([ONE, ONE, HALF])) for loc in u0.sorted_locations() if rng.random() < 0.9]
+    held += [PredA(n, (X,)) for n in sorted(u0.predicates) if rng.random() < 0.3]
+    held += [Acc(X, "p"), Acc(X, "q")]
+    requires = held[0]
+    for a in held[1:]:
+        requires = Star(requires, a)
+    body = (pkg, AssertStmt(Star(Acc(X, "p"), Acc(X, "q"))))
+    text = format_program(Program("", (Method("m", ("x",), requires, body),)))
+    p = parse_program_text(text)  # positions for the report
+    return kind, Program("", p.methods, u)
+
+
+def programs(algorithm):
+    """60 programs; their wands are of the algorithm's kind, mixed under fia."""
+    rng = random.Random(f"package-classes:{algorithm}")
+    return [random_program(rng, algorithm == COMBINABLE or (algorithm == FIA and i % 2)) for i in range(60)]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_grouped_packaging_equals_per_world_packaging(monkeypatch, algorithm):
+    worlds = calls = 0
+    succeeded = set()
+    for i, (kind, p) in enumerate(programs(algorithm)):
+        audit = i % 2 == 0
+        got = traced_run(monkeypatch, p, algorithm, audit, verifier._package)
+        want = traced_run(monkeypatch, p, algorithm, audit, per_world_package)
+        assert got[:2] == want[:2], format_program(p)
+        worlds += got[2]["worlds"]
+        calls += got[2]["calls"]
+        if json.loads(got[0])["methods"][0]["packages"]:
+            succeeded.add(kind)
+    # the sweep groups worlds, and packages succeed with scripts of every kind
+    assert calls < worlds / 2
+    assert succeeded == {"none", "assert", "if", "apply", "fold"}
+
+
+# -- a package that fails in some worlds ---------------------------------------------
+
+PARTIAL_U = """
+universe v1
+granularity 2
+refs x
+loc x.f: int {0}
+loc x.g: int {0, 1}
+loc x.p: int {0, 1}
+loc x.q: int {0, 1}
+"""
+
+
+def test_failure_names_first_failing_world_with_its_full_state():
+    # x.p == 0 leaves x.g out of the worlds; x.p and x.q are outside the
+    # wand's reach, so both x.p == 0 worlds form one failing class
+    p = parse_program_text(
+        """
+        program v1
+        method m(x: Ref)
+          requires acc(x.p) * acc(x.q) * (x.p == 1 ==> acc(x.g))
+        {
+          package acc(x.f) --* acc(x.f) * acc(x.g)
+        }
+        """
+    )
+    p = Program("", p.methods, parse_universe_text(PARTIAL_U))
+    report = run(p, "sound")
+    (stmt,) = report.methods[0].statements
+    assert (stmt.status, stmt.worlds) == ("error", 6)
+    assert stmt.error == {
+        "message": "package failed: prove: insufficient permission for acc(x.g); "
+        "no way to satisfy it for pair ({x.f@0=0}, {x.f@1=0})",
+        "world": {"store": {"x": "x"}, "state": "{x.p @ 1 = 0, x.q @ 1 = 0}"},
+        "pos": [6, 11],
+    }
+    assert report.methods[0].packages == []
+
+
+# -- the corpus ------------------------------------------------------------------------
+
+FORKED = """
+program v1
+universe "{universe}"
+
+method m(x: Ref)
+  requires acc(x.f) * acc(x.g)
+{{
+  package acc(x.f, 1/2) {arrow} acc(x.f)
+}}
+"""
+
+
+@pytest.mark.parametrize("algorithm", ["sound", "combinable"])
+def test_corpus_documents_store_each_worlds_state(monkeypatch, tmp_path, capsys, algorithm):
+    forked = tmp_path / "forked.wnd"
+    arrow = "--*c" if algorithm == COMBINABLE else "--*"
+    forked.write_text(FORKED.format(universe=CORPUS / "laws.universe", arrow=arrow))
+    for path in sorted(CORPUS.glob("*.wnd")) + [forked]:
+        packaged, seen = [], {"audits": 0, "calls": 0, "failed": 0}
+        packager, package, audit = PACKAGERS[algorithm], verifier._package, orc.audit_footprint
+
+        def counted_audit(*args):
+            seen["audits"] += 1
+            return audit(*args)
+
+        def counted_packager(*args):
+            seen["calls"] += 1
+            return packager(*args)
+
+        def step(worlds, stmt, env):
+            try:
+                out = package(worlds, stmt, env)
+            except VerificationError:
+                seen["failed"] += 1
+                raise
+            packaged.extend(worlds)
+            return out
+
+        out = tmp_path / f"{path.stem}.{algorithm}.json"
+        with monkeypatch.context() as m:
+            m.setattr(orc, "audit_footprint", counted_audit)
+            m.setitem(PACKAGERS, algorithm, counted_packager)
+            m.setattr(verifier, "_package", step)
+            main(["verify", str(path), "--algorithm", algorithm, "--audit", "--emit-derivation", str(out)])
+        docs = json.loads(out.read_text())
+        assert [d["outer"] for d in docs] == [state_to_text(w.state) for w in packaged]
+        # one audit per class that packaged: sound and combinable packages
+        # have one footprint, and a failing statement stops at its first
+        # failing class
+        assert seen["audits"] == seen["calls"] - seen["failed"]
+        capsys.readouterr()
+        assert main(["check-derivation", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert printed.count("ACCEPTED") == len(docs) and "REJECTED" not in printed
+        if path == forked:
+            # x.g's two values fall in one class: 5 worlds, 3 classes
+            assert (len(packaged), seen["calls"], seen["audits"]) == (5, 3, 3)

@@ -8,6 +8,7 @@ from hypothesis import strategies as strat
 import wandpack.states as st
 from wandpack.parser import parse_universe_text
 from wandpack.states import EMPTY
+from wandpack.universe import FieldLoc
 
 from conftest import S, TINY_TEXT
 
@@ -401,3 +402,25 @@ def test_addable_holds_exactly_where_the_sum_is_defined(pool, restricted):
         for b in pool:
             fp = st.restrict(a, b) if restricted else b
             assert st.addable(heap, mask, b, restricted) == (st.add(a, fp) is not None), (a, b)
+
+
+@pytest.mark.parametrize("pool", [THIRDS, RICH_POOL], ids=["thirds", "rich"])
+def test_capped_is_restrict_once_addable(pool):
+    # a compiled combinable check caps from the mask it already holds
+    for a in pool:
+        heap, mask = a.heap_dict(), a.mask_dict()
+        for b in pool:
+            if st.addable(heap, mask, b, True):
+                assert st.capped(mask, b) == st.restrict(a, b), (a, b)
+
+
+@pytest.mark.parametrize("fields", [frozenset(), frozenset({"f"}), frozenset({"f", "g"})])
+def test_split_fields_partitions_a_state(fields):
+    for s in RICH_POOL + POOL:
+        inside, outside = st.split_fields(s, fields)
+        assert_normal(inside)
+        assert_normal(outside)
+        assert st.add(inside, outside) == s
+        assert all(not isinstance(r, FieldLoc) or r.field in fields for r, _ in inside.mask)
+        assert all(loc.field in fields for loc, _ in inside.heap)
+        assert all(loc.field not in fields for loc, _ in outside.mask + outside.heap)
