@@ -1,18 +1,21 @@
 """Executable law suite for the separation-algebra axioms.
 
 Each axiom is decided over all state tuples of an enumerated universe,
-on a precomputed addition table (built with numpy and cross-checked
-against the public ``add`` on a deterministic sample).  Associativity is
-decided on a generating set by Light's test: the entries m with
-(x+m)+y = x+(m+y) for all x, y are closed under addition, so the table is
-associative exactly when its generators are such entries, at n² work per
-generator instead of n³.  Every failing report is replayed through the
-public operations before being returned, so counterexamples always
-reproduce outside this module.
+on a precomputed addition table.  States are the product of per-resource
+options and addition acts on each resource alone, so the table is
+composed from one small table per resource in O(n²) work, then
+cross-checked against the public ``add`` on a deterministic sample.
+Associativity is decided on a generating set by Light's test: the
+entries m with (x+m)+y = x+(m+y) for all x, y are closed under addition,
+so the table is associative exactly when its generators are such
+entries, at n² work per generator instead of n³.  Every failing report
+is replayed through the public operations before being returned, so
+counterexamples always reproduce outside this module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,79 +49,66 @@ class AlgebraLawReport:
     detail: str = ""
 
 
-def _encode(states: list[State], u: Universe):
-    """Dense integer encodings: permission numerators per resource id and
-    per-location value codes (0 = absent)."""
-    locs = u.sorted_locations()
-    rids = list(locs) + u.predicate_instances()
-    rid_pos = {r: i for i, r in enumerate(rids)}
-    val_code = {
-        loc: {v: i + 1 for i, v in enumerate(u.domain(loc))} for loc in locs
-    }
-    n = len(states)
-    P = np.zeros((n, len(rids)), dtype=np.int64)
-    H = np.zeros((n, len(locs)), dtype=np.int64)
-    for i, s in enumerate(states):
-        for rid, amt in s.mask:
-            P[i, rid_pos[rid]] = amt.numerator * (u.granularity // amt.denominator)
-        for loc, v in s.heap:
-            H[i, rid_pos[loc]] = val_code[loc][v]
-    return P, H
-
-
-def _radixes(u: Universe) -> tuple[list[int], list[int]]:
-    locs = u.sorted_locations()
-    rids = locs + u.predicate_instances()
-    perm_radix = [u.granularity + 2] * len(rids)
-    heap_radix = [len(u.domain(loc)) + 2 for loc in locs]
-    total = 1
-    for r in perm_radix + heap_radix:
-        total *= r
-    if total >= 2**62:
-        raise BudgetExceeded(total, 2**62)
-    return perm_radix, heap_radix
-
-
-def _radix_encode(P: np.ndarray, H: np.ndarray, perm_radix, heap_radix) -> np.ndarray:
-    key = np.zeros(P.shape[:-1], dtype=np.int64)
-    for c, r in enumerate(perm_radix):
-        key = key * r + P[..., c]
-    for c, r in enumerate(heap_radix):
-        key = key * r + H[..., c]
-    return key
-
-
-def _build_add_table(P: np.ndarray, H: np.ndarray, u: Universe) -> np.ndarray:
-    """A[i, j] = index of states[i] (+) states[j], or n when undefined,
-    for the states whose encodings ``_encode`` gave as P and H.
-
-    Row n is the 'undefined' sentinel, absorbing on both sides.
-    """
-    n, nlocs = H.shape
+def _encode(u: Universe) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each resource's options (``states.resource_options``) as arrays of
+    permission numerators and value codes (0 = absent)."""
     g = u.granularity
-    perm_radix, heap_radix = _radixes(u)
-    keys = _radix_encode(P, H, perm_radix, heap_radix)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
+    codes = []
+    for opts in st.resource_options(u):
+        vals: dict = {}
+        codes.append((
+            np.array([0 if m is None else m[1].numerator * (g // m[1].denominator) for m, _ in opts]),
+            np.array([0 if h is None else vals.setdefault(h[1], len(vals) + 1) for _, h in opts]),
+        ))
+    return codes
 
-    A = np.full((n + 1, n + 1), n, dtype=np.int32)
-    # each chunk allocates several (rows, n, resource ids) int64 arrays
-    chunk = max(1, min(n, 2 * 10**6 // max(1, n * P.shape[1])))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        Psum = P[lo:hi, None, :] + P[None, :, :]
-        ok = (Psum <= g).all(axis=2)
-        Hl = H[lo:hi, None, :]
-        Hr = H[None, :, :]
-        clash = ((Hl != 0) & (Hr != 0) & (Hl != Hr)).any(axis=2)
-        ok &= ~clash
-        Hm = np.where(Hl != 0, Hl, np.broadcast_to(Hr, (hi - lo, n, nlocs)))
-        key = _radix_encode(Psum, Hm, perm_radix, heap_radix)
-        pos = np.searchsorted(sorted_keys, key)
-        pos = np.clip(pos, 0, n - 1)
-        found = sorted_keys[pos] == key
-        res = order[pos].astype(np.int32)
-        A[lo:hi, :n] = np.where(ok & found, res, np.int32(n))
+
+def _per_state(codes) -> tuple[np.ndarray, np.ndarray]:
+    """P and H: the numerators and value codes of every enumerated state,
+    one row per state and one column per resource."""
+    shape = [len(p) for p, _ in codes]
+    digits = np.indices(shape).reshape(len(shape), math.prod(shape))
+    P = np.array([p[d] for (p, _), d in zip(codes, digits)]).reshape(digits.shape)
+    H = np.array([h[d] for (_, h), d in zip(codes, digits)]).reshape(digits.shape)
+    return P.T, H.T
+
+
+def _resource_table(p: np.ndarray, h: np.ndarray, g: int, undefined: int) -> np.ndarray:
+    """T[a, b] = the option index of option a (+) option b of one resource:
+    numerators sum to at most g, and value codes agree or one is absent."""
+    at = np.full((g + 1, h.max() + 1), undefined, dtype=np.int32)
+    at[p, h] = np.arange(len(p))
+    s = p[:, None] + p[None, :]
+    hl, hr = h[:, None], h[None, :]
+    ok = (s <= g) & ((hl == 0) | (hr == 0) | (hl == hr))
+    return np.where(ok, at[np.minimum(s, g), np.maximum(hl, hr)], undefined)
+
+
+def _build_add_table(codes, g: int) -> np.ndarray:
+    """A[i, j] = index of states[i] (+) states[j], or n when undefined,
+    for the states of the universe whose resources ``_encode`` gave.
+
+    Row n is the 'undefined' sentinel, absorbing on both sides.  States
+    are the product of the resources' options, the first varying slowest,
+    so the table is the product of one small table per resource: with C
+    the table over the later resources, the sum of (a, x) and (b, y) is
+    T[a, b] * len(C) + C[x, y], undefined where either part is.  Every
+    undefined entry is kept at n or above, so one clamp per step keeps
+    it at n; the last step writes into A itself.
+    """
+    n = math.prod(len(p) for p, _ in codes)
+    A = np.empty((n + 1, n + 1), dtype=np.int32)
+    A[n], A[:, n] = n, n
+    A[0, 0] = 0  # the empty state alone, where there are no resources
+    C = np.zeros((1, 1), dtype=np.int32)
+    for k in reversed(range(len(codes))):
+        T = _resource_table(*codes[k], g, n) * len(C)
+        m = len(T) * len(C)
+        out = A[:n, :n] if k == 0 else np.empty((m, m), dtype=np.int32)
+        step = out.reshape(len(T), len(C), len(T), len(C))
+        np.add(T[:, None, :, None], C[None, :, None, :], out=step)
+        np.minimum(out, n, out=out)  # on the 4-d view, numpy would copy
+        C = out
     return A
 
 
@@ -151,9 +141,10 @@ def check_axioms(u: Universe) -> list[AlgebraLawReport]:
     if n > TABLE_BUDGET:
         raise BudgetExceeded(n, TABLE_BUDGET)
     idx = {s: i for i, s in enumerate(states)}
-    P, H = _encode(states, u)
-    A = _build_add_table(P, H, u)
+    codes = _encode(u)
+    A = _build_add_table(codes, u.granularity)
     _cross_check(states, A)
+    P, H = _per_state(codes)
 
     core_idx = np.array([idx[st.core(s)] for s in states] + [n], dtype=np.int32)
     stable = np.array([st.is_stable(s) for s in states] + [False])

@@ -353,13 +353,25 @@ def demands(
 
 
 def _prune(ds: Sequence[State]) -> list[State]:
+    """The demands that dominate no other demand, each once, in order of
+    first occurrence.  A demand can dominate another only when the other
+    has no more mask entries and the same heap or a shorter one, so only
+    such pairs reach the ``geq`` test: fork demands, which differ in heap
+    values alone, never do."""
+    if len(ds) < 2:
+        return list(ds)
+    distinct = list(dict.fromkeys(ds))
     out: list[State] = []
-    for d in ds:
-        if d in out:
-            continue
-        if any(d != o and st.geq(d, o) for o in ds):
-            continue
-        out.append(d)
+    for d in distinct:
+        dh, dm = d.heap_dict(), d.mask_dict()
+        if not any(
+            o is not d
+            and len(o.mask) <= len(dm)
+            and (o.heap == d.heap or len(o.heap) < len(dh))
+            and st.geq_dicts(dh, dm, o)
+            for o in distinct
+        ):
+            out.append(d)
     return out
 
 

@@ -270,6 +270,13 @@ def geq(a: State, b: State) -> bool:
     return all(ah.get(loc) == v for loc, v in b.heap)
 
 
+def geq_dicts(a_heap: dict, a_mask: dict, b: State) -> bool:
+    """``geq(a, b)`` for the state a whose heap and mask are given as dicts."""
+    return all(a_mask.get(rid, ZERO) >= amt for rid, amt in b.mask) and all(
+        a_heap.get(loc) == v for loc, v in b.heap
+    )
+
+
 def sub(a: State, b: State) -> State:
     """The largest r with a = b (+) r: mask difference, a's heap in full.
 
@@ -373,6 +380,8 @@ class BudgetExceeded(Exception):
 
 
 def count_states(u: Universe, stable_only: bool = False) -> int:
+    """The product of the lengths of ``resource_options``, in closed form so
+    that a budget refusal costs nothing even at a huge granularity."""
     g = u.granularity
     n = 1
     for loc in u.sorted_locations():
@@ -383,41 +392,39 @@ def count_states(u: Universe, stable_only: bool = False) -> int:
     return n
 
 
+def resource_options(u: Universe, stable_only: bool = False) -> list[list[tuple]]:
+    """Each resource's options on the granularity lattice, as (mask entry,
+    heap entry) pairs with None where absent: for a location, none, a value
+    at zero permission (unless ``stable_only``), or a value at each
+    positive amount; for a predicate instance, none or each positive
+    amount.  Locations come sorted and predicate instances follow them in
+    ``rid_key`` order, so the entries of every state come out sorted."""
+    amounts = u.fraction_lattice()[1:]
+    out = []
+    for loc in u.sorted_locations():
+        dom = u.domain(loc)
+        zero = [] if stable_only else [(None, (loc, v)) for v in dom]
+        out.append([(None, None)] + zero + [((loc, p), (loc, v)) for p in amounts for v in dom])
+    out += [[(None, None)] + [((pid, p), None) for p in amounts] for pid in u.predicate_instances()]
+    return out
+
+
 def enumerate_states(
     u: Universe,
     stable_only: bool = False,
     budget: Optional[int] = 10**6,
 ) -> Iterator[State]:
-    """All valid states of the universe on the granularity lattice, in a
-    deterministic order."""
+    """All valid states of the universe on the granularity lattice: the
+    product of ``resource_options``, the last resource varying fastest."""
     if budget is not None:
         n = count_states(u, stable_only)
         if n > budget:
             raise BudgetExceeded(n, budget)
-    fracs = u.fraction_lattice()
-    # each option is a (mask entry, heap entry) pair, None where absent;
-    # locations come sorted, so the entries of every state come out sorted
-    per_loc: list[list[tuple]] = []
-    for loc in u.sorted_locations():
-        dom = u.domain(loc)
-        opts: list[tuple] = []
-        for p in fracs:
-            if p == 0:
-                opts.append((None, None))
-                if not stable_only:
-                    opts.extend((None, (loc, v)) for v in dom)
-            else:
-                opts.extend(((loc, p), (loc, v)) for v in dom)
-        per_loc.append(opts)
-    nlocs = len(per_loc)
-    # predicate instances follow the locations in rid_key order, and
-    # predicate_instances() lists them in that order already
-    pred_opts = [[None] + [(pid, p) for p in fracs if p > 0] for pid in u.predicate_instances()]
-    for combo in itertools.product(*per_loc, *pred_opts):
-        cells = combo[:nlocs]
-        mask = [m for m, _ in cells if m is not None]
-        mask.extend(e for e in combo[nlocs:] if e is not None)
-        yield State(tuple(mask), tuple(h for _, h in cells if h is not None))
+    for combo in itertools.product(*resource_options(u, stable_only)):
+        yield State(
+            tuple([m for m, _ in combo if m is not None]),
+            tuple([h for _, h in combo if h is not None]),
+        )
 
 
 def minimal_elements(states: Iterable[State]) -> list[State]:

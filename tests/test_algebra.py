@@ -114,9 +114,37 @@ def _scan_associative(A):
 
 def _table(text):
     u = parse_universe_text(text)
-    states = list(enumerate_states(u))
-    P, H = algebra._encode(states, u)
-    return algebra._build_add_table(P, H, u)
+    return algebra._build_add_table(algebra._encode(u), u.granularity)
+
+
+BOOL_PRED_TEXT = """
+universe v1
+granularity 2
+refs x
+loc x.b: bool
+pred Cell(r) = acc(r.b)
+"""
+
+# three amounts per resource, and a predicate instance beside the locations
+GRANULARITY_3_TEXT = """
+universe v1
+granularity 3
+refs x
+loc x.f: int {0, 1}
+loc x.g: int {0}
+pred Cell(r) = acc(r.f)
+"""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [TINY_TEXT, U2_TEXT, BOOL_PRED_TEXT, GRANULARITY_3_TEXT],
+    ids=["tiny", "u2", "bool-pred", "granularity-3"],
+)
+def test_table_is_public_add_on_every_pair(text):
+    u = parse_universe_text(text)
+    brute = _broken_table(u, st.add)()  # the brute-force table of the real add
+    assert np.array_equal(_table(text), brute)
 
 
 @pytest.mark.parametrize("text, mutants", [(TINY_TEXT, 2000), (U2_TEXT, 1000)], ids=["tiny", "u2"])

@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from wandpack.parser import (
 from wandpack.states import EMPTY
 from wandpack.universe import FieldLoc, PredInst
 
+import gen
 from conftest import TINY_TEXT, U1_TEXT
 
 TINY = parse_universe_text(TINY_TEXT)
@@ -133,6 +135,43 @@ def test_demands_pred_and_wand_are_resources(u1, store1):
     w = A("acc(x.f) --* Cell(x)")
     (d,) = demands(u, w, {}, {"x": "x"})
     assert list(d.mask_dict()) == [wand_key(w, {"x": "x"})]
+
+
+def _prune_reference(ds):
+    """``_prune`` as one ``geq`` call per pair of demands."""
+    out = []
+    for d in ds:
+        if d in out:
+            continue
+        if any(d != o and st.geq(d, o) for o in ds):
+            continue
+        out.append(d)
+    return out
+
+
+def test_prune_matches_pairwise_reference_on_generated_demands():
+    rng = random.Random(1716)
+    pruned = by_heap = 0
+    for i in range(400):
+        u = gen.random_universe(rng, with_predicate=i % 3 == 0, granularity=2 + i % 2)
+        a, _ = gen.random_assertion(rng, u, rng.choice([1, 2, 3]))
+        ds = asn._demands(u, a, {}, gen.identity_store(u), None, asn.FRESH_FORK, None)
+        fields = sorted({loc.field for loc in u.sorted_locations()})
+        # cores, and their values at one field, hold values at zero
+        # permission, so among them strict heap inclusion alone dominates
+        for d in ds[:]:
+            if rng.random() < 0.5:
+                c = st.core(d)
+                ds += [c, st.split_fields(c, frozenset({rng.choice(fields)}))[0]]
+        ds += rng.sample(ds, len(ds) // 3)
+        rng.shuffle(ds)
+        got = asn._prune(ds)
+        assert got == _prune_reference(ds)
+        pruned += len(got) < len(set(ds))
+        by_heap += any(
+            d != o and not d.mask and o.heap and st.geq(d, o) for d in set(ds) for o in set(ds)
+        )
+    assert pruned > 200 and by_heap > 40
 
 
 # -- well-formedness ---------------------------------------------------------------
