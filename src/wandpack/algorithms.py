@@ -23,20 +23,18 @@ second check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import states as st
 from .assertions import (
-    FRESH_FORK,
     Assertion,
     PredA,
     Wand,
     demands,
     format_assertion,
+    grow,
     instance_body,
     lhs_cases,
-    wand_key,
     wf,
 )
 from .exprs import Expr, Not, Store, Unframed
@@ -182,18 +180,12 @@ def _instance_token(u, stmt, pair: WitnessPair, store, what: str) -> State:
 
 
 def _forks(u, a: Assertion, base: State, pair: WitnessPair, store, what: str) -> list[WitnessPair]:
-    """The pair with ``base`` grown by each demand of ``a``, forking over
-    values the pair leaves undetermined; no fork means the case is
-    inconsistent and is dropped."""
+    """The pair with ``base`` grown by ``a`` once per fork (``grow``); no
+    fork means the case is inconsistent and is dropped."""
     try:
-        ds = demands(u, a, base.heap_dict(), store, fresh=FRESH_FORK)
+        return [WitnessPair(s, pair.sigma_b, pair.anchor) for s in grow(u, a, base, store)]
     except Unframed as e:
         raise CheckFailure(f"{what}: {e.description}")
-    return [
-        WitnessPair(grown, pair.sigma_b, pair.anchor)
-        for d in ds
-        if (grown := st.add(base, d)) is not None
-    ]
 
 
 def _script_fold(ctx, stmt: Fold, conds, store, u, extracts) -> Context:
@@ -228,7 +220,7 @@ def _script_unfold(ctx, stmt: Unfold, conds, store, u) -> Context:
 
 def _script_apply(ctx, stmt: Apply, conds, store, u, extracts) -> Context:
     w = stmt.wand
-    token = State.make({wand_key(w, store): Fraction(1)}, {})
+    (token,) = demands(u, w, {}, store)
     ctx, choices = _cover(u, ctx, conds, w.lhs, store, extracts, "apply (left-hand side)")
 
     def apply(pair: WitnessPair) -> list[WitnessPair]:

@@ -348,31 +348,15 @@ def demands(
     footprint extraction).  The result is a dominance-pruned list in
     structural (leftmost-first) order.
     """
-    raw = _demands(u, a, heap, store, mask, fresh, fallback_heap)
-    return _prune(raw)
+    return st.antichain(_demands(u, a, heap, store, mask, fresh, fallback_heap))
 
 
-def _prune(ds: Sequence[State]) -> list[State]:
-    """The demands that dominate no other demand, each once, in order of
-    first occurrence.  A demand can dominate another only when the other
-    has no more mask entries and the same heap or a shorter one, so only
-    such pairs reach the ``geq`` test: fork demands, which differ in heap
-    values alone, never do."""
-    if len(ds) < 2:
-        return list(ds)
-    distinct = list(dict.fromkeys(ds))
-    out: list[State] = []
-    for d in distinct:
-        dh, dm = d.heap_dict(), d.mask_dict()
-        if not any(
-            o is not d
-            and len(o.mask) <= len(dm)
-            and (o.heap == d.heap or len(o.heap) < len(dh))
-            and st.geq_dicts(dh, dm, o)
-            for o in distinct
-        ):
-            out.append(d)
-    return out
+def grow(u: Universe, a: Assertion, base: State, store: Store, mask=None) -> list[State]:
+    """``base`` plus each demand of ``a`` read on its heap, forking over
+    values it leaves undetermined; sums that are undefined are dropped.
+    Raises Unframed like ``demands``."""
+    ds = demands(u, a, base.heap_dict(), store, mask, FRESH_FORK)
+    return [grown for d in ds if (grown := st.add(base, d)) is not None]
 
 
 def _demands(u, a, heap, store, mask, fresh, fallback) -> list[State]:

@@ -19,7 +19,8 @@ from pathlib import Path
 
 from . import algebra, oracle
 from .algorithms import COMBINABLE, FIA, SOUND, recheck_package
-from .assertions import Wand, format_assertion
+from .assertions import AssertionError_, Wand, format_assertion, typecheck
+from .exprs import ExprError
 from .package_logic import CheckFailure
 from .parser import (
     ParseError,
@@ -35,7 +36,7 @@ from .serialization import (
     state_to_text,
 )
 from .states import BudgetExceeded, StateError, is_stable, validate
-from .universe import Universe, UniverseError
+from .universe import REF, Universe, UniverseError
 from .verifier import ProgramError, run
 
 
@@ -174,15 +175,16 @@ def _cmd_oracle(args) -> int:
     u = load_universe(args.universe)
     store = identity_store(u)
     p = oracle.plan(u)
-    if args.query == "footprint":
-        wand = _parse_wand(args.wand)
+    if args.query in ("footprint", "minimal"):
+        wand = _assertion(args, "wand", u)
         kind = args.kind or (oracle.COMBINABLE if wand.combinable else oracle.STANDARD)
+    if args.query == "footprint":
         sigma = _footprint_state(args.state, u)
         ok = oracle.is_footprint(sigma, wand, kind, p, store)
         print("footprint" if ok else "not a footprint")
         return 0 if ok else 1
     if args.query == "combinable":
-        a = parse_assertion_text(args.assertion)
+        a = _assertion(args, "assertion", u)
         ok, cex = oracle.check_combinable(a, p, store)
         if ok:
             print("combinable")
@@ -191,14 +193,11 @@ def _cmd_oracle(args) -> int:
         print(f"not combinable: p={fp}, q={fq}, state {state_to_text(s)}")
         return 1
     if args.query == "entail":
-        a = parse_assertion_text(args.lhs)
-        b = parse_assertion_text(args.rhs)
+        a, b = _assertion(args, "lhs", u), _assertion(args, "rhs", u)
         ok = oracle.check_entailment(a, b, p, store)
         print("entails" if ok else "does not entail")
         return 0 if ok else 1
     if args.query == "minimal":
-        wand = _parse_wand(args.wand)
-        kind = args.kind or (oracle.COMBINABLE if wand.combinable else oracle.STANDARD)
         fps = oracle.minimal_footprints(wand, kind, p, store, compatible_with_lhs=args.compatible_only)
         for s in fps:
             print(state_to_text(s))
@@ -218,10 +217,17 @@ def _footprint_state(text: str, u: Universe):
     return sigma
 
 
-def _parse_wand(text: str) -> Wand:
-    a = parse_assertion_text(text)
-    if not isinstance(a, Wand):
+def _assertion(args, name: str, u: Universe):
+    """The assertion option ``--name`` gives, a wand for ``--wand``, typed
+    over the universe with its references as variables, as a wand
+    instance's text is typed by ``states.validate``."""
+    a = parse_assertion_text(getattr(args, name))
+    if name == "wand" and not isinstance(a, Wand):
         raise CliError(f"not a wand: {format_assertion(a)}")
+    try:
+        typecheck(a, u, dict.fromkeys(u.refs, REF))
+    except (AssertionError_, ExprError, UniverseError) as e:
+        raise CliError(f"--{name}: {e}")
     return a
 
 

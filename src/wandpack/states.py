@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .exprs import ExprError
 from .universe import (
@@ -159,11 +159,6 @@ def _validate_wand(rid: WandInst, u: Universe) -> None:
 
 
 # -- separation algebra ------------------------------------------------------
-
-
-def heaps_agree(a: State, b: State) -> bool:
-    bh = b.heap_dict()
-    return all(loc not in bh or bh[loc] == v for loc, v in a.heap)
 
 
 def add(a: State, b: State) -> Optional[State]:
@@ -321,9 +316,7 @@ def exists_compatible_scaled(sigma_a: State, sigma_w: State) -> bool:
     below 1 wherever sigma_a is not already full.  So: heaps must agree,
     and every resource sigma_w owns must be strictly below 1 in sigma_a.
     """
-    if not heaps_agree(sigma_a, sigma_w):
-        return False
-    return all(sigma_a.mask_of(rid) < 1 for rid, _ in sigma_w.mask)
+    return addable(sigma_a.heap_dict(), sigma_a.mask_dict(), sigma_w, restricted=True)
 
 
 def restrict(sigma_a: State, sigma_w: State) -> State:
@@ -427,11 +420,29 @@ def enumerate_states(
         )
 
 
-def minimal_elements(states: Iterable[State]) -> list[State]:
-    """The >=-antichain of minimal states, in deterministic order."""
-    pool = sorted(set(states), key=state_key)
+def antichain(states: Sequence[State]) -> list[State]:
+    """The states that dominate no other state, each once, in order of
+    first occurrence.  A state can dominate another only when the other
+    has no more mask entries and the same heap or a shorter one, so only
+    such pairs reach the ``geq`` test: fork demands, which differ in heap
+    values alone, never do."""
+    if len(states) < 2:
+        return list(states)
+    distinct = list(dict.fromkeys(states))
     out: list[State] = []
-    for s in pool:
-        if not any(s != t and geq(s, t) for t in pool):
+    for s in distinct:
+        sh, sm = s.heap_dict(), s.mask_dict()
+        if not any(
+            t is not s
+            and len(t.mask) <= len(sm)
+            and (t.heap == s.heap or len(t.heap) < len(sh))
+            and geq_dicts(sh, sm, t)
+            for t in distinct
+        ):
             out.append(s)
     return out
+
+
+def minimal_elements(states: Iterable[State]) -> list[State]:
+    """The >=-antichain of minimal states, in deterministic order."""
+    return sorted(antichain(list(states)), key=state_key)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, is_dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import oracle as orc
 from . import states as st
@@ -34,6 +34,7 @@ from .assertions import (
     close_assertion,
     demands,
     format_assertion,
+    grow,
     reach,
     typecheck,
     wand_key,
@@ -316,45 +317,44 @@ def _initial_worlds(m: Method, u: Universe) -> list[World]:
     return sorted(worlds, key=World.key)
 
 
-def _world_demands(w: World, a: Assertion, u: Universe, pos, fresh: str = "fail") -> list[State]:
+def _inhale(w: World, a: Assertion, u: Universe, pos) -> list[World]:
     try:
-        return demands(u, a, w.state.heap_dict(), w.store(), mask=w.state.mask_dict(), fresh=fresh)
+        grown = grow(u, a, w.state, w.store(), w.state.mask_dict())
     except Unframed as e:
         raise VerificationError(f"unframed evaluation in {format_assertion(a)}: {e.description}", w, pos)
+    return [World(w.store_items, s) for s in grown]
 
 
-def _inhale(w: World, a: Assertion, u: Universe, pos) -> list[World]:
-    out = []
-    for d in _world_demands(w, a, u, pos, fresh="fork"):
-        grown = st.add(w.state, d)
-        if grown is not None:
-            out.append(World(w.store_items, grown))
-    return out
+def _covered(w: World, a: Assertion, u: Universe, pos, failure: Callable[[], str]) -> State:
+    """The first demand of ``a`` that ``w``'s state covers, or the
+    statement's failure, ``failure()``, when it covers none."""
+    try:
+        ds = demands(u, a, w.state.heap_dict(), w.store(), w.state.mask_dict())
+    except Unframed as e:
+        raise VerificationError(f"unframed evaluation in {format_assertion(a)}: {e.description}", w, pos)
+    chosen = next((d for d in ds if st.geq(w.state, d)), None)
+    if chosen is None:
+        raise VerificationError(failure(), w, pos)
+    return chosen
+
+
+def _exec_block(stmts: Sequence[Stmt], worlds: list[World], env: _Env) -> list[World]:
+    for stmt in stmts:
+        worlds = _exec_stmt(stmt, worlds, env)
+    return worlds
 
 
 def _exec_stmt(stmt: Stmt, worlds: list[World], env: _Env) -> list[World]:
     u = env.u
     if isinstance(stmt, Inhale):
         return _merge([_inhale(w, stmt.assertion, u, stmt.pos) for w in worlds])
-    if isinstance(stmt, AssertStmt):
-        for w in worlds:
-            ds = _world_demands(w, stmt.assertion, u, stmt.pos)
-            if not any(st.geq(w.state, d) for d in ds):
-                raise VerificationError(
-                    f"assert failed: {format_assertion(stmt.assertion)}", w, stmt.pos
-                )
-        return worlds
-    if isinstance(stmt, Exhale):
-        out = []
-        for w in worlds:
-            ds = _world_demands(w, stmt.assertion, u, stmt.pos)
-            chosen = next((d for d in ds if st.geq(w.state, d)), None)
-            if chosen is None:
-                raise VerificationError(
-                    f"exhale failed: {format_assertion(stmt.assertion)}", w, stmt.pos
-                )
-            out.append(World(w.store_items, st.sub(w.state, chosen)))
-        return _merge([out])
+    if isinstance(stmt, (AssertStmt, Exhale)):
+        a = stmt.assertion
+        what = "assert" if isinstance(stmt, AssertStmt) else "exhale"
+        taken = [_covered(w, a, u, stmt.pos, lambda: f"{what} failed: {format_assertion(a)}") for w in worlds]
+        if isinstance(stmt, AssertStmt):
+            return worlds
+        return _merge([[World(w.store_items, st.sub(w.state, d)) for w, d in zip(worlds, taken)]])
     if isinstance(stmt, VarDecl):
         return _merge([[_assign_var(w, stmt.name, stmt.init, u, stmt.pos)] for w in worlds])
     if isinstance(stmt, Assign):
@@ -369,13 +369,7 @@ def _exec_stmt(stmt: Stmt, worlds: list[World], env: _Env) -> list[World]:
             except Unframed as e:
                 raise VerificationError(f"unframed condition: {e.description}", w, stmt.pos)
             (then_worlds if cond else else_worlds).append(w)
-        sub_then = then_worlds
-        for s in stmt.then:
-            sub_then = _exec_stmt(s, sub_then, env)
-        sub_else = else_worlds
-        for s in stmt.els:
-            sub_else = _exec_stmt(s, sub_else, env)
-        return _merge([sub_then, sub_else])
+        return _merge([_exec_block(stmt.then, then_worlds, env), _exec_block(stmt.els, else_worlds, env)])
     if isinstance(stmt, Package):
         return _package(worlds, stmt, env)
     if isinstance(stmt, Apply):
@@ -516,14 +510,10 @@ def _apply(w: World, stmt: Apply, env: _Env) -> list[World]:
         raise VerificationError(
             f"apply failed: no recorded instance of {format_assertion(stmt.wand)}", w, stmt.pos
         )
-    ds = _world_demands(w, stmt.wand.lhs, u, stmt.pos)
-    chosen = next((d for d in ds if st.geq(w.state, d)), None)
-    if chosen is None:
-        raise VerificationError(
-            f"apply failed: left-hand side of {format_assertion(stmt.wand)} does not hold",
-            w,
-            stmt.pos,
-        )
+    chosen = _covered(
+        w, stmt.wand.lhs, u, stmt.pos,
+        lambda: f"apply failed: left-hand side of {format_assertion(stmt.wand)} does not hold",
+    )
     # incompatible additions are inconsistent worlds, which inhale drops
     shrunk = World(w.store_items, st.sub(st.sub(w.state, token), chosen))
     return _inhale(shrunk, stmt.wand.rhs, u, stmt.pos)

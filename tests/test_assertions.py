@@ -138,7 +138,7 @@ def test_demands_pred_and_wand_are_resources(u1, store1):
 
 
 def _prune_reference(ds):
-    """``_prune`` as one ``geq`` call per pair of demands."""
+    """``states.antichain`` as one ``geq`` call per pair of demands."""
     out = []
     for d in ds:
         if d in out:
@@ -165,8 +165,9 @@ def test_prune_matches_pairwise_reference_on_generated_demands():
                 ds += [c, st.split_fields(c, frozenset({rng.choice(fields)}))[0]]
         ds += rng.sample(ds, len(ds) // 3)
         rng.shuffle(ds)
-        got = asn._prune(ds)
+        got = st.antichain(ds)
         assert got == _prune_reference(ds)
+        assert st.minimal_elements(ds) == sorted(_prune_reference(ds), key=st.state_key)
         pruned += len(got) < len(set(ds))
         by_heap += any(
             d != o and not d.mask and o.heap and st.geq(d, o) for d in set(ds) for o in set(ds)

@@ -115,6 +115,62 @@ def test_verify_missing_file_exit_2(capsys):
     assert run_cli("verify", "no-such-file.wnd") == 2
 
 
+# -- open gaps, pinned at their current verdicts ---------------------------------------
+# Each test names the ROADMAP open item that would change it; the change that
+# closes an item flips its pin and says why in CHANGES.md.
+
+
+def _verify_text(tmp_path, universe, program, *args):
+    (tmp_path / "u.universe").write_text(universe)
+    (tmp_path / "p.wnd").write_text('program v1\nuniverse "u.universe"\n\n' + program)
+    return run_cli("verify", tmp_path / "p.wnd", *args)
+
+
+README_PROGRAM = (
+    "method m(x: Ref)\n  requires acc(x.f) * Cell(x)\n{\n"
+    "  package acc(x.f, 1/2) --*c acc(x.f) * Cell(x)\n}\n"
+)
+NESTED_UNIVERSE = "universe v1\ngranularity 2\nrefs x\nloc x.f: int {0, 1}\nloc x.g: int {0, 1}\n"
+NESTED_PROGRAM = (
+    "method m(x: Ref)\n  requires acc(x.g) * (acc(x.f) --* acc(x.f) * acc(x.g))\n{\n"
+    "  package true --* (acc(x.f) --* acc(x.f) * acc(x.g))\n}\n"
+)
+
+
+def test_open_item_1_readme_cell_program_verifies_but_fails_its_audit(capsys, tmp_path):
+    # ROADMAP open item 1: the package logic reads Cell(x) as a token, the
+    # audit replaces it with its body
+    assert _verify_text(tmp_path, CELL_UNIVERSE, README_PROGRAM, "--algorithm", "combinable") == 0
+    assert "VERIFIED (combinable" in capsys.readouterr().out
+    assert _verify_text(tmp_path, CELL_UNIVERSE, README_PROGRAM, "--algorithm", "combinable", "--audit") == 1
+    out = capsys.readouterr().out
+    assert "REJECTED (combinable" in out and "audit violations: 2\n" in out
+
+
+def test_open_item_9_nested_wand_verifies_but_fails_its_audit(capsys, tmp_path):
+    # ROADMAP open item 9: the footprint is the held wand instance, which the
+    # audit reads semantically
+    assert _verify_text(tmp_path, NESTED_UNIVERSE, NESTED_PROGRAM, "--algorithm", "sound") == 0
+    assert "VERIFIED (sound" in capsys.readouterr().out
+    assert _verify_text(tmp_path, NESTED_UNIVERSE, NESTED_PROGRAM, "--algorithm", "sound", "--audit") == 1
+    out = capsys.readouterr().out
+    assert "REJECTED (sound" in out and "audit violations: 2\n" in out
+
+
+def test_open_item_8_script_apply_needs_the_instance_in_every_pair(capsys, tmp_path):
+    # ROADMAP open item 8: script apply does not extract the wand instance
+    # the outer state holds, as fold extracts its body
+    program = (
+        "method m(x: Ref, y: Ref)\n  requires acc(x.f) * acc(y.f) * (acc(x.f) --* Cell(x))\n{\n"
+        "  package acc(y.f, 1/2) --* acc(y.f, 1/2) * Cell(x) {\n    apply acc(x.f) --* Cell(x)\n  }\n}\n"
+    )
+    universe = (CORPUS / "preds.universe").read_text()
+    assert _verify_text(tmp_path, universe, program, "--algorithm", "sound") == 1
+    out = capsys.readouterr().out
+    assert "REJECTED (sound" in out
+    assert "no wand instance held by pair ({x.f@1=0, y.f@1/2=0})" in out
+
+
 # -- check-derivation ----------------------------------------------------------------
 
 
@@ -408,6 +464,24 @@ def test_oracle_minimal_kind_overrides_the_wand(capsys, kind, footprints):
         "--wand", "acc(x.f, 1/2) --*c acc(x.g)", "--kind", kind,
     ) == 0
     assert capsys.readouterr().out.splitlines() == footprints
+
+
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        (("footprint", "--wand", "acc(q.f) --* acc(q.f)", "--state", "{}"), "--wand: unbound variable q"),
+        (("minimal", "--wand", "acc(x.zz) --* true"), "--wand: unknown field zz"),
+        (("footprint", "--wand", "Nope(x) --* true", "--state", "{}"), "--wand: undeclared predicate Nope"),
+        (("combinable", "--assertion", "Cell(x, x)"), "--assertion: Cell expects 1 arguments"),
+        (("entail", "--lhs", "acc(x.f)", "--rhs", "x.f"), "--rhs: pure assertion must be boolean"),
+        (("entail", "--lhs", "Cell(1)", "--rhs", "true"), "--lhs: Cell arguments must be references"),
+    ],
+    ids=["unbound-variable", "unknown-field", "unknown-predicate", "arity", "not-boolean", "not-a-reference"],
+)
+def test_oracle_rejects_ill_typed_assertions_exit_2(capsys, query, message):
+    assert run_cli("oracle", query[0], "--universe", CORPUS / "preds.universe", *query[1:]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message}\n"
 
 
 # -- laws ----------------------------------------------------------------------------------
