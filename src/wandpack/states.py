@@ -9,13 +9,18 @@ verifier worlds rely on this.
 
 Normal form: a state's mask is a tuple of (resource id, positive
 ``Fraction``) entries and its heap a tuple of (location, value) entries,
-both sorted by ``rid_key`` with no repeated key.  ``State.make`` is the
-public constructor and establishes this from any input.  The algebra
-below receives normal states only, so it builds its results with the
-plain ``State(mask, heap)`` constructor, keeping entry order where it can
-(scaling, filtering, subtraction) and sorting once where it cannot (the
-keys an addition brings in).  Nothing outside this module builds a
-``State`` that way.
+both sorted by the ``rid_key`` each resource id stores, with no repeated
+key.  ``State.make`` is the public constructor and establishes this from
+any input.  The algebra below receives normal states only, so it builds
+its results with the plain ``State(mask, heap)`` constructor, keeping
+entry order where it can (scaling, filtering, subtraction) and sorting
+once where it cannot (the keys an addition brings in).  Nothing outside
+this module builds a ``State`` that way.
+
+Amounts stay ``Fraction``, but the kernel decides bounds and order on
+their numerators and denominators: ``a/b <= c/d`` as ``a*d <= c*b`` and
+``a/b + c/d > 1`` as ``a*d + c*b > b*d`` (denominators are positive),
+which skips the generic dispatch of ``Fraction`` comparison.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .universe import (
     format_value,
     rid_key,
     value_key,
+    value_type,
     WandInst,
 )
 
@@ -63,16 +69,18 @@ class State:
         mask: Mapping[ResourceId, Fraction] | Iterable[tuple[ResourceId, Fraction]] = (),
         heap: Mapping[FieldLoc, Value] | Iterable[tuple[FieldLoc, Value]] = (),
     ) -> "State":
-        mitems = mask.items() if isinstance(mask, Mapping) else mask
-        hitems = heap.items() if isinstance(heap, Mapping) else heap
+        if isinstance(mask, (dict, Mapping)):  # dict first: the ABC's check is slow
+            mask = mask.items()
         m = {}
-        for rid, amt in mitems:
-            amt = Fraction(amt)
-            if amt < 0 or amt > 1:
+        for rid, amt in mask:
+            if type(amt) is not Fraction:
+                amt = Fraction(amt)
+            n = amt.numerator
+            if n < 0 or n > amt.denominator:
                 raise StateError(f"permission {amt} for {rid} outside [0, 1]")
-            if amt > 0:
+            if n:
                 m[rid] = amt
-        h = dict(hitems)
+        h = heap if isinstance(heap, dict) else dict(heap)
         return State(
             mask=tuple(sorted(m.items(), key=_entry_key)),
             heap=tuple(sorted(h.items(), key=_entry_key)),
@@ -141,7 +149,8 @@ def validate(s: State, u: Universe) -> None:
     for loc, v in s.heap:
         if not u.has_location(loc):
             raise StateError(f"heap entry for undeclared location {loc}")
-        if v not in u.domain(loc):
+        dom = u.domain(loc)
+        if v not in dom or value_type(v) != value_type(dom[0]):
             raise StateError(f"value {format_value(v)} outside domain of {loc}")
 
 
@@ -179,7 +188,7 @@ def add(a: State, b: State) -> Optional[State]:
             grew = True
             continue
         tot = have + amt
-        if tot > 1:
+        if tot.numerator > tot.denominator:
             return None
         m[rid] = tot
     # a's keys keep their order; only keys b brings in need a sort
@@ -228,11 +237,17 @@ def addable(a_heap: dict, a_mask: dict, b: State, restricted: bool) -> bool:
         if a_heap.get(loc, v) != v:
             return False
     if restricted:
-        return all(a_mask.get(rid, ZERO) < 1 for rid, _ in b.mask)
+        for rid, _ in b.mask:
+            have = a_mask.get(rid)
+            if have is not None and have.numerator >= have.denominator:
+                return False
+        return True
     for rid, amt in b.mask:
         have = a_mask.get(rid)
-        if have is not None and have + amt > 1:
-            return False
+        if have is not None:
+            hd, ad = have.denominator, amt.denominator
+            if have.numerator * ad + amt.numerator * hd > hd * ad:
+                return False
     return True
 
 
@@ -257,19 +272,17 @@ def is_stable(a: State) -> bool:
 
 def geq(a: State, b: State) -> bool:
     """a >= b in the induced order: some r exists with a = b (+) r."""
-    am = a.mask_dict()
-    for rid, amt in b.mask:
-        if am.get(rid, ZERO) < amt:
-            return False
-    ah = a.heap_dict()
-    return all(ah.get(loc) == v for loc, v in b.heap)
+    return geq_dicts(a.heap_dict(), a.mask_dict(), b)
 
 
 def geq_dicts(a_heap: dict, a_mask: dict, b: State) -> bool:
-    """``geq(a, b)`` for the state a whose heap and mask are given as dicts."""
-    return all(a_mask.get(rid, ZERO) >= amt for rid, amt in b.mask) and all(
-        a_heap.get(loc) == v for loc, v in b.heap
-    )
+    """``geq(a, b)`` for the state a whose heap and mask are given as dicts.
+    A missing mask entry holds 0, below every amount of a normal mask."""
+    for rid, amt in b.mask:
+        have = a_mask.get(rid)
+        if have is None or have.numerator * amt.denominator < amt.numerator * have.denominator:
+            return False
+    return all(a_heap.get(loc) == v for loc, v in b.heap)
 
 
 def sub(a: State, b: State) -> State:
@@ -296,13 +309,14 @@ def sub(a: State, b: State) -> State:
 
 def mult(alpha: Fraction, s: State) -> Optional[State]:
     """alpha (*) s: scale every permission; undefined if any amount exceeds 1."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
+    if type(alpha) is not Fraction:
+        alpha = Fraction(alpha)
+    if alpha.numerator <= 0:
         raise StateError("scaling factor must be positive")
     mask = []
     for rid, amt in s.mask:
         scaled = alpha * amt
-        if scaled > 1:
+        if scaled.numerator > scaled.denominator:
             return None
         mask.append((rid, scaled))
     return State(tuple(mask), s.heap)

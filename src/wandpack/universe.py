@@ -48,33 +48,84 @@ def format_value(v: Value) -> str:
     return str(v)
 
 
-@dataclass(frozen=True, order=True)
+# Resource ids are dict and set keys throughout the state algebra, so each
+# computes its hash and its ``rid_key`` once, in its constructor.  The hash
+# is the one the dataclass would generate (the hash of the tuple of the
+# compared fields), so iteration orders do not depend on the caching; the
+# cached values are not dataclass fields, so equality, order and ``repr``
+# ignore them.  Slots keep the two cached values from costing an instance
+# dict.  Pickling and copying rebuild through the constructor: a string's
+# hash differs between processes.
+
+_set = object.__setattr__
+
+
+def _cached_hash(rid) -> int:
+    return rid._hash
+
+
+@dataclass(frozen=True, order=True, init=False)
 class FieldLoc:
     """A concrete heap location: a (reference, field) pair."""
 
+    __slots__ = ("ref", "field", "_hash", "_key")
     ref: str
     field: str
+
+    def __init__(self, ref: str, field: str):
+        _set(self, "ref", ref)
+        _set(self, "field", field)
+        _set(self, "_hash", hash((ref, field)))
+        _set(self, "_key", (0, ref, field))
+
+    __hash__ = _cached_hash
+
+    def __reduce__(self):
+        return FieldLoc, (self.ref, self.field)
 
     def __str__(self) -> str:
         return f"{self.ref}.{self.field}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PredInst:
     """A predicate-instance resource; the held fraction lives in the mask."""
 
+    __slots__ = ("name", "args", "_hash", "_key")
     name: str
     args: tuple[Value, ...]
+
+    def __init__(self, name: str, args: tuple[Value, ...]):
+        _set(self, "name", name)
+        _set(self, "args", args)
+        _set(self, "_hash", hash((name, args)))
+        _set(self, "_key", (1, name, tuple(value_key(a) for a in args)))
+
+    __hash__ = _cached_hash
+
+    def __reduce__(self):
+        return PredInst, (self.name, self.args)
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(format_value(a) for a in self.args)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WandInst:
     """A recorded wand instance, keyed by its closed, printed form."""
 
+    __slots__ = ("key", "_hash", "_key")
     key: str
+
+    def __init__(self, key: str):
+        _set(self, "key", key)
+        _set(self, "_hash", hash((key,)))
+        _set(self, "_key", (2, key))
+
+    __hash__ = _cached_hash
+
+    def __reduce__(self):
+        return WandInst, (self.key,)
 
     def __str__(self) -> str:
         return f"wand[{self.key}]"
@@ -82,13 +133,12 @@ class WandInst:
 
 ResourceId = Union[FieldLoc, PredInst, WandInst]
 
+
 def rid_key(rid: ResourceId) -> tuple:
-    """Deterministic order: field locations, then predicates, then wands."""
-    if isinstance(rid, FieldLoc):
-        return (0, rid.ref, rid.field)
-    if isinstance(rid, PredInst):
-        return (1, rid.name, tuple(value_key(a) for a in rid.args))
-    return (2, rid.key)
+    """Deterministic order: field locations, then predicates, then wands.
+    Stored at construction: (0, ref, field), (1, name, the ``value_key``
+    of each argument) or (2, key)."""
+    return rid._key
 
 
 @dataclass(frozen=True)

@@ -292,6 +292,8 @@ HEADER = '"format": "wandpack-derivation-2", "universe": "universe v1\\ngranular
         json.dumps({**SHIPPED, "universe": SHIPPED["universe"] + "loc y.f: int {0}\n"}),
         # states the document's universe cannot hold
         json.dumps({**SHIPPED, "outer": "{x.b @ 1 = false, x.f @ 1 = 7}"}),
+        json.dumps({**SHIPPED, "outer": "{x.b @ 1 = 0, x.f @ 1 = 0}"}),
+        json.dumps({**SHIPPED, "outer": "{x.b @ 1 = false, x.f @ 1 = false}"}),
         json.dumps({**SHIPPED, "outer": "{x.b @ 1 = false, x.f @ 1 = 0, z.q @ 1 = 3}"}),
         json.dumps({**SHIPPED, "outer": "{x.b @ 1 = false, x.f @ 1 = 0, Nope(x) @ 1}"}),
         json.dumps({**SHIPPED, "outer": "{x.b @ 1 = false, x.f @ 1 = 0, wand[acc(q.z) --* acc(q.z)] @ 1}"}),
@@ -309,7 +311,8 @@ HEADER = '"format": "wandpack-derivation-2", "universe": "universe v1\\ngranular
     ],
     ids=[
         "not-json", "no-format", "not-an-object", "missing-field", "bad-store", "store-string", "format-1",
-        "zero-denominator", "undeclared-ref", "value-outside-domain", "undeclared-location",
+        "zero-denominator", "undeclared-ref", "value-outside-domain", "int-at-a-bool-location",
+        "bool-at-an-int-location", "undeclared-location",
         "undeclared-predicate-instance", "wand-over-undeclared-location", "store-missing-variable",
         "store-undeclared-reference", "wand-ill-typed", "wand-not-self-framing", "script-parse-error",
         "script-method-statement", "script-undeclared-predicate", "script-wrong-arity",
@@ -396,6 +399,9 @@ def test_oracle_footprint_queries(capsys):
         ("{x.f @ 1}", "owned location x.f has no heap value"),
         ("{z.q @ 1 = 5}", "mask entry for undeclared location z.q"),
         ("{x.f @ 1 = 7}", "value 7 outside domain of x.f"),
+        # 0 == False and 1 == True in Python: the value's type is checked too
+        ("{x.b @ 1 = 0}", "value 0 outside domain of x.b"),
+        ("{x.f @ 1 = false}", "value false outside domain of x.f"),
         ("{x.f @ 0 = 0}", "is not stable"),
     ],
 )

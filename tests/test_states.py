@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,9 @@ from hypothesis import strategies as strat
 import wandpack.states as st
 from wandpack.parser import parse_universe_text
 from wandpack.states import EMPTY
-from wandpack.universe import FieldLoc
+from wandpack.universe import FieldLoc, PredInst
 
-from conftest import S, TINY_TEXT
+from conftest import S, TINY_TEXT, U2_TEXT
 
 HALF = Fraction(1, 2)
 
@@ -134,6 +135,12 @@ def test_mult_examples():
     assert st.mult(HALF, s) == S("{x.f @ 1/2 = y}")
     assert st.mult(Fraction(2), s) is None
     assert st.mult(Fraction(2), S("{x.f @ 1/2 = y}")) == s
+
+
+@pytest.mark.parametrize("alpha", [0, Fraction(0), Fraction(-1, 2)], ids=repr)
+def test_mult_refuses_a_factor_that_is_not_positive(alpha):
+    with pytest.raises(st.StateError, match="positive"):
+        st.mult(alpha, S("{x.f @ 1 = y}"))
 
 
 def test_mult_distributes_over_add(pool):
@@ -424,3 +431,93 @@ def test_split_fields_partitions_a_state(fields):
         assert all(not isinstance(r, FieldLoc) or r.field in fields for r, _ in inside.mask)
         assert all(loc.field in fields for loc, _ in inside.heap)
         assert all(loc.field not in fields for loc, _ in outside.mask + outside.heap)
+
+
+# -- the integer bound tests against Fraction arithmetic --------------------------------------
+#
+# The kernel decides sums against 1 and the order of amounts on numerators
+# and denominators; each decision must be the one plain Fraction arithmetic
+# gives, on every pair of amounts, at a field location and at a predicate
+# instance.
+
+AMOUNTS = [Fraction(0), Fraction(1, 3), HALF, Fraction(2, 3), Fraction(1)]
+LOC = FieldLoc("x", "f")
+CELL = PredInst("Cell", ("x",))
+
+
+def single(rid, amt):
+    return st.State.make({rid: amt}, {rid: 0} if isinstance(rid, FieldLoc) else {})
+
+
+def check_bounds(rid, p, q):
+    a, b = single(rid, p), single(rid, q)
+    check_unary_ops(a)  # mult against ref_mult, at every factor in ALPHAS
+    total = st.add(a, b)
+    if p + q > 1:
+        assert total is None
+    else:
+        assert total.mask_of(rid) == p + q and type(total.mask_of(rid)) is Fraction
+    heap, mask = a.heap_dict(), a.mask_dict()
+    assert st.addable(heap, mask, b, restricted=False) == (p + q <= 1)
+    assert st.addable(heap, mask, b, restricted=True) == (q == 0 or p < 1)
+    assert st.geq(a, b) == st.geq_dicts(heap, mask, b) == (p >= q)
+
+
+@pytest.mark.parametrize("rid", [LOC, CELL], ids=str)
+@pytest.mark.parametrize("p, q", itertools.product(AMOUNTS, AMOUNTS), ids=str)
+def test_integer_bounds_agree_with_fraction_arithmetic(rid, p, q):
+    check_bounds(rid, p, q)
+
+
+def test_integer_bounds_agree_on_every_amount_up_to_fifths():
+    # pairs such as 2/5 and 1/2 tell a*d + c*b from a*b + c*d
+    amounts = sorted({Fraction(n, d) for d in range(1, 6) for n in range(d + 1)})
+    for p, q in itertools.product(amounts, amounts):
+        check_bounds(CELL, p, q)
+
+
+def test_make_reads_every_input_form():
+    mask = {LOC: HALF, CELL: 1, FieldLoc("x", "g"): 0}
+    heap = {LOC: 0, FieldLoc("x", "g"): 1}
+    want = st.State.make(list(mask.items()), list(heap.items()))
+    for m, h in [(mask, heap), (MappingProxyType(mask), MappingProxyType(heap)), (iter(mask.items()), heap)]:
+        assert st.State.make(m, h) == want
+    assert want.mask == ((LOC, HALF), (CELL, Fraction(1)))
+    assert want.heap == ((LOC, 0), (FieldLoc("x", "g"), 1))
+
+
+@pytest.mark.parametrize("amt", [1, "1/2", Fraction(2, 3), "2/6", True], ids=repr)
+def test_make_stores_every_amount_as_a_fraction(amt):
+    (entry,) = st.State.make({CELL: amt}).mask
+    assert type(entry[1]) is Fraction and entry[1] == Fraction(amt)
+
+
+@pytest.mark.parametrize("amt", [0, "0", Fraction(0)], ids=repr)
+def test_make_drops_zero_amounts(amt):
+    assert st.State.make({CELL: amt, LOC: 1}, {LOC: 0}).mask == ((LOC, Fraction(1)),)
+
+
+@pytest.mark.parametrize("amt", [Fraction(-1, 2), Fraction(3, 2), "-1/2", "3/2", -1, 2], ids=repr)
+def test_make_refuses_amounts_outside_the_unit_interval(amt):
+    with pytest.raises(st.StateError, match=r"outside \[0, 1\]"):
+        st.State.make({CELL: amt})
+
+
+# -- validation against a universe ----------------------------------------------------------
+
+MIXED = parse_universe_text(U2_TEXT)  # x.b: bool, x.f and x.g: int {0}
+
+
+@pytest.mark.parametrize(
+    "loc, value, ok",
+    [("b", False, True), ("b", 0, False), ("f", 0, True), ("f", False, False), ("b", 1, False), ("f", True, False)],
+)
+def test_validate_refuses_a_value_of_another_type(loc, value, ok):
+    # 0 == False and 1 == True in Python, so membership alone let these through
+    fl = FieldLoc("x", loc)
+    s = st.State.make({fl: 1}, {fl: value})
+    if ok:
+        st.validate(s, MIXED)
+    else:
+        with pytest.raises(st.StateError, match=f"outside domain of x.{loc}"):
+            st.validate(s, MIXED)
