@@ -49,20 +49,6 @@ class AlgebraLawReport:
     detail: str = ""
 
 
-def _encode(u: Universe) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each resource's options (``states.resource_options``) as arrays of
-    permission numerators and value codes (0 = absent)."""
-    g = u.granularity
-    codes = []
-    for opts in st.resource_options(u):
-        vals: dict = {}
-        codes.append((
-            np.array([0 if m is None else m[1].numerator * (g // m[1].denominator) for m, _ in opts]),
-            np.array([0 if h is None else vals.setdefault(h[1], len(vals) + 1) for _, h in opts]),
-        ))
-    return codes
-
-
 def _per_state(codes) -> tuple[np.ndarray, np.ndarray]:
     """P and H: the numerators and value codes of every enumerated state,
     one row per state and one column per resource."""
@@ -86,7 +72,7 @@ def _resource_table(p: np.ndarray, h: np.ndarray, g: int, undefined: int) -> np.
 
 def _build_add_table(codes, g: int) -> np.ndarray:
     """A[i, j] = index of states[i] (+) states[j], or n when undefined,
-    for the states of the universe whose resources ``_encode`` gave.
+    for the states of the universe whose resources ``Codec.options`` gave.
 
     Row n is the 'undefined' sentinel, absorbing on both sides.  States
     are the product of the resources' options, the first varying slowest,
@@ -112,10 +98,10 @@ def _build_add_table(codes, g: int) -> np.ndarray:
     return A
 
 
-def _cross_check(states: list[State], A: np.ndarray) -> None:
-    """Spot-check the vectorized table against the public add operation."""
+def _cross_check(states: list[State], idx: dict, A: np.ndarray) -> None:
+    """Spot-check the vectorized table against the public add operation;
+    ``idx`` maps each state to its row."""
     n = len(states)
-    idx = {s: i for i, s in enumerate(states)}
     stride = max(1, n // 47)
     samples = [(i, j) for i in range(0, n, stride) for j in range(0, n, stride)]
     samples += [(i, i) for i in range(0, n, max(1, n // 100))]
@@ -141,9 +127,9 @@ def check_axioms(u: Universe) -> list[AlgebraLawReport]:
     if n > TABLE_BUDGET:
         raise BudgetExceeded(n, TABLE_BUDGET)
     idx = {s: i for i, s in enumerate(states)}
-    codes = _encode(u)
+    codes = st.Codec(u).options()
     A = _build_add_table(codes, u.granularity)
-    _cross_check(states, A)
+    _cross_check(states, idx, A)
     P, H = _per_state(codes)
 
     core_idx = np.array([idx[st.core(s)] for s in states] + [n], dtype=np.int32)

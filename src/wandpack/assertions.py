@@ -424,6 +424,10 @@ def sat(u: Universe, sigma: State, a: Assertion, store: Store) -> bool:
 
 
 def _sat(u, sigma: State, a: Assertion, store) -> bool:
+    if isinstance(a, Wand):
+        return wand_holds(u, sigma, a, store)
+    if isinstance(a, OrA):
+        return _sat(u, sigma, a.left, store) or _sat(u, sigma, a.right, store)
     heap = sigma.heap_dict()
     mask = sigma.mask_dict()
     if isinstance(a, Pure):
@@ -437,14 +441,10 @@ def _sat(u, sigma: State, a: Assertion, store) -> bool:
     if isinstance(a, PredA):
         vals = tuple(eval_expr(x, heap, store, mask) for x in a.args)
         return sigma.mask_of(PredInst(a.name, vals)) >= a.frac
-    if isinstance(a, Wand):
-        return wand_holds(u, sigma, a, store)
     if isinstance(a, Imp):
         if eval_bool(a.guard, heap, store, mask):
             return _sat(u, sigma, a.body, store)
         return True
-    if isinstance(a, OrA):
-        return _sat(u, sigma, a.left, store) or _sat(u, sigma, a.right, store)
     if isinstance(a, Star):
         ds = demands(u, a, heap, store, mask)
         return any(st.geq(sigma, d) for d in ds)

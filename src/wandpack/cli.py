@@ -12,6 +12,7 @@ Exit codes: 0 verified/accepted/true, 1 rejected/false, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -68,7 +69,10 @@ def identity_store(u: Universe) -> dict:
     return {r: r for r in u.refs}
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process:
+    parsing reads it and changes nothing in it."""
     parser = argparse.ArgumentParser(
         prog="wandpack",
         description=__doc__,
@@ -112,8 +116,11 @@ def main(argv=None) -> int:
     pl = sub.add_parser("laws", help="run the algebra law suite on a universe")
     pl.set_defaults(run=_cmd_laws)
     pl.add_argument("file")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except (ParseError, UniverseError, CliError, ProgramError, BudgetExceeded, OSError) as e:

@@ -24,6 +24,10 @@ cached check of ``assertions.wand_check``, which keeps at most
 ``assertions.CHECK_LIMIT`` and drops a universe's with it, except
 ``audit_footprint``: its desugared wand is new on every call, so it
 builds one uncached check for all the realizations of its candidate.
+
+``check_combinable`` recombines pairs of satisfying states a block at a
+time on the integer codes of ``states.Codec``, with numpy, and calls
+``sat`` once per recombined state it cannot look up.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
+
+import numpy as np
 
 from . import assertions
 from . import states as st
@@ -183,6 +189,10 @@ def minimal_footprints(
     return st.minimal_elements(found)
 
 
+# at most this many entries in any one array of the combinability sweep
+SWEEP_ENTRIES = 1 << 16
+
+
 def check_combinable(
     a: Assertion, p: EnumerationPlan, store: Store = {}
 ) -> tuple[bool, Optional[tuple[Fraction, Fraction, State]]]:
@@ -193,44 +203,70 @@ def check_combinable(
     (p, q, combined state) that satisfies the split but not the sum.
     The split fractions and split states range over the granularity
     lattice only; the recombination side is decided exactly.
+
+    The sweep runs on ``states.Codec`` codes: with p = kp/g and q = kq/g,
+    states j and l combine to kp*N[j] + kq*N[l] over g², wherever their
+    heaps agree.  No sum can be over-full (it holds at most p + q <= 1),
+    nor the whole it recombines to (a weighted mean of amounts <= 1).
+    Each unordered split is visited once: kp <= kq, and j <= l when
+    kp == kq; a skipped mirror gives the same state and total and comes
+    earlier in the full ordered sweep, so the first counterexample is
+    unchanged.  Each distinct (total, combined state) is decided once:
+    true when its whole is a satisfying state, else by ``sat`` on the
+    exact whole.
     """
     u = p.universe
-    fracs = [f for f in u.fraction_lattice() if f > 0]
+    g = u.granularity
     sats = sat_states(a, p, store)
-    # scale each satisfying state once per fraction; addition commutes, so
-    # each unordered split is visited once: fp <= fq, and for fp == fq only
-    # state pairs i <= j.  A skipped quadruple's mirror combines to the same
-    # state and total and comes earlier in the full (fp, fq, s1, s2) order,
-    # so the first failure, and with it the counterexample, is unchanged.
-    scaled = [[m for s in sats if (m := st.mult(f, s)) is not None] for f in fracs]
-    # f * s recombines at total f to the satisfying s itself, so those
-    # splits (every fp == fq, i == j one among them) cost no sat call
-    memo = {(m, f): True for f, ms in zip(fracs, scaled) for m in ms}
+    codec = st.Codec(reach(u, a))
+    N, V = codec.encode(sats)
+    satisfying = set(map(tuple, np.hstack((N, V)).tolist()))
+    verdicts: dict[tuple, bool] = {}
 
-    def recombines(sigma: State, total: Fraction) -> bool:
-        # sigma satisfies the fraction ``total`` of the assertion: decided
-        # exactly by inverting the scaling, off the lattice too
-        key = (sigma, total)
-        if key not in memo:
-            whole = st.mult(1 / total, sigma) if total != 1 else sigma
-            memo[key] = whole is not None and sat(u, whole, a, store)
-        return memo[key]
+    def recombines(total: int, nums: list, vals: list) -> bool:
+        # the whole holds nums[i] / (g * total) of each resource
+        if all(c % total == 0 for c in nums) and (*(c // total for c in nums), *vals) in satisfying:
+            return True
+        return sat(u, codec.decode(nums, g * total, vals), a, store)
 
-    for i, fp in enumerate(fracs):
-        for k in range(i, len(fracs)):
-            fq = fracs[k]
-            total = fp + fq
-            if total > 1:
-                break  # the lattice ascends
-            rights = scaled[k]
-            for j, left in enumerate(scaled[i]):
-                for right in rights[j:] if k == i else rights:
-                    combined = st.add(left, right)
-                    if combined is None:
-                        continue
-                    if not recombines(combined, total):
-                        return False, (fp, fq, combined)
+    for kp in range(1, g + 1):
+        for kq in range(kp, g - kp + 1):
+            total = kp + kq
+            for js, ls in _agreeing_pairs(V, upper=kp == kq):
+                sums = (kp * N[js] + kq * N[ls]).tolist()
+                heaps = np.maximum(V[js], V[ls]).tolist()
+                for j, l, nums, vals in zip(js.tolist(), ls.tolist(), sums, heaps):
+                    key = (total, *nums, *vals)
+                    ok = verdicts.get(key)
+                    if ok is None:
+                        ok = verdicts[key] = recombines(total, nums, vals)
+                    if not ok:
+                        fp, fq = Fraction(kp, g), Fraction(kq, g)
+                        return False, (fp, fq, st.add(st.mult(fp, sats[j]), st.mult(fq, sats[l])))
     return True, None
+
+
+def _agreeing_pairs(V: np.ndarray, upper: bool):
+    """Index arrays (js, ls), one block at a time, of the pairs of rows of
+    ``V`` whose value codes agree wherever both are set: in order of j,
+    then l, with l >= j when ``upper``.  Rows go in blocks, and one row in
+    column blocks where it is too wide, so that no array built here or
+    from one block's pairs holds more than ``SWEEP_ENTRIES`` entries (a
+    single pair is the smallest block)."""
+    m, R = V.shape
+    width = max(1, R)
+    cols = max(1, min(m, SWEEP_ENTRIES // width))
+    rows = max(1, SWEEP_ENTRIES // (cols * width)) if cols == m else 1
+    for j0 in range(0, m, rows):
+        j1 = min(m, j0 + rows)
+        for l0 in range(j0 if upper else 0, m, cols):
+            l1 = min(m, l0 + cols)
+            Vj, Vl = V[j0:j1, None], V[None, l0:l1]
+            ok = ((Vj == Vl) | (Vj == 0) | (Vl == 0)).all(axis=2)
+            if upper:
+                ok &= np.arange(l0, l1) >= np.arange(j0, j1)[:, None]
+            js, ls = np.nonzero(ok)
+            yield js + j0, ls + l0
 
 
 def check_entailment(a: Assertion, b: Assertion, p: EnumerationPlan, store: Store = {}) -> bool:

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .exprs import ExprError
 from .universe import (
     REF,
@@ -414,6 +416,65 @@ def resource_options(u: Universe, stable_only: bool = False) -> list[list[tuple]
         out.append([(None, None)] + zero + [((loc, p), (loc, v)) for p in amounts for v in dom])
     out += [[(None, None)] + [((pid, p), None) for p in amounts] for pid in u.predicate_instances()]
     return out
+
+
+class Codec:
+    """The integer codes of a universe's states, shared by the law suite and
+    the oracle's combinability sweep: one column per resource, in
+    ``resource_options`` order; an amount as its numerator over the
+    granularity; a heap value as 1 + its index in the location's domain,
+    and 0 where there is none (predicate columns never hold one)."""
+
+    def __init__(self, u: Universe):
+        self.universe = u
+        self.g = u.granularity
+        self.locs = u.sorted_locations()
+        self.rids = [*self.locs, *u.predicate_instances()]
+        self._domains = [u.domain(loc) for loc in self.locs]
+        self._column = {rid: i for i, rid in enumerate(self.rids)}
+        self._values = [{v: i + 1 for i, v in enumerate(dom)} for dom in self._domains]
+
+    def amount(self, amt: Fraction) -> int:
+        """``amt`` as a numerator over the granularity."""
+        q, r = divmod(self.g, amt.denominator)
+        if r:
+            raise StateError(f"permission {amt} is off the lattice of granularity {self.g}")
+        return amt.numerator * q
+
+    def value(self, loc: FieldLoc, v: Value) -> int:
+        return self._values[self._column[loc]][v]
+
+    def options(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each resource's ``resource_options`` as an array of numerators and
+        an array of value codes, one entry per option."""
+        return [
+            (
+                np.array([0 if m is None else self.amount(m[1]) for m, _ in opts], dtype=np.int64),
+                np.array([0 if h is None else self.value(*h) for _, h in opts], dtype=np.int64),
+            )
+            for opts in resource_options(self.universe)
+        ]
+
+    def encode(self, states: Sequence[State]) -> tuple[np.ndarray, np.ndarray]:
+        """N and V: the numerators and value codes of lattice ``states`` over
+        this universe, one row per state and one column per resource."""
+        N = np.zeros((len(states), len(self.rids)), dtype=np.int64)
+        V = np.zeros_like(N)
+        for i, s in enumerate(states):
+            for rid, amt in s.mask:
+                N[i, self._column[rid]] = self.amount(amt)
+            for loc, v in s.heap:
+                V[i, self._column[loc]] = self.value(loc, v)
+        return N, V
+
+    def decode(self, nums: Sequence[int], den: int, vals: Sequence[int]) -> State:
+        """The state holding nums[i]/den of column i's resource, exactly, and
+        the value coded vals[i] there: ``encode``'s inverse at den = g.
+        Each numerator must lie in [0, den]."""
+        return State(
+            tuple((rid, Fraction(n, den)) for rid, n in zip(self.rids, nums) if n),
+            tuple((loc, dom[c - 1]) for loc, dom, c in zip(self.locs, self._domains, vals) if c),
+        )
 
 
 def enumerate_states(

@@ -114,7 +114,7 @@ def _scan_associative(A):
 
 def _table(text):
     u = parse_universe_text(text)
-    return algebra._build_add_table(algebra._encode(u), u.granularity)
+    return algebra._build_add_table(st.Codec(u).options(), u.granularity)
 
 
 BOOL_PRED_TEXT = """

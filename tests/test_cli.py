@@ -377,6 +377,22 @@ def test_unreadable_input_exit_2(tmp_path, capsys, args):
     assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error: ")
 
 
+
+def test_parser_is_built_once_and_answers_alike_on_every_call(capsys):
+    from wandpack import cli
+
+    assert cli._parser() is cli._parser()
+    seen = []
+    for _ in range(2):
+        for argv in (["--help"], ["oracle", "combinable", "--help"], ["verify"], ["laws", "--bogus", "x"]):
+            with pytest.raises(SystemExit) as e:
+                main(argv)
+            seen.append((argv, e.value.code, capsys.readouterr()))
+    assert seen[:4] == seen[4:]
+    assert [code for _, code, _ in seen[:4]] == [0, 0, 2, 2]
+    assert seen[0][2].out.startswith("usage: wandpack [-h] {verify,check-derivation,oracle,laws}")
+
+
 # -- oracle ------------------------------------------------------------------------------
 
 
@@ -423,6 +439,14 @@ def test_oracle_combinable_queries():
     assert run_cli(
         "oracle", "combinable", "--universe", u, "--assertion", "acc(x.f) || acc(x.g)"
     ) == 1
+
+
+def test_oracle_combinable_counterexample_is_the_readmes(capsys):
+    assert run_cli(
+        "oracle", "combinable", "--universe", CORPUS / "mixed.universe", "--assertion", "acc(x.f) || acc(x.g)"
+    ) == 1
+    out = capsys.readouterr().out
+    assert out == "not combinable: p=1/2, q=1/2, state {x.f @ 3/4 = 0, x.g @ 1/2 = 0}\n"
 
 
 def test_oracle_entail_queries():

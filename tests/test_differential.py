@@ -15,10 +15,12 @@ traversal are compared with the hand-written recursions they replaced.
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Mapping
 
+import numpy as np
 import pytest
 
 import wandpack.assertions as asr
@@ -404,8 +406,11 @@ def test_combinable_sweep_matches_reference_on_known_cases(u1, u2, store1, store
 
 
 # granularity 2 splits only into halves; granularity 3 adds the unequal
-# split 1/3 + 2/3, where both orders of the split states are swept
-@pytest.mark.parametrize("with_predicate,granularity,count", [(False, 2, 90), (True, 2, 30), (False, 3, 15)])
+# split 1/3 + 2/3, where both orders of the split states are swept;
+# at granularity 4, 1/4 + 3/4 and 1/2 + 1/2 share the total 1
+@pytest.mark.parametrize(
+    "with_predicate,granularity,count", [(False, 2, 90), (True, 2, 30), (False, 3, 15), (False, 4, 15)]
+)
 def test_combinable_sweep_matches_reference_on_generated(with_predicate, granularity, count):
     rng = random.Random(3407 + 10 * granularity + with_predicate)
     queries = refuted = 0
@@ -420,6 +425,120 @@ def test_combinable_sweep_matches_reference_on_generated(with_predicate, granula
             refuted += not assert_same_combinability(a, p, store)
             queries += 1
     assert refuted > 0
+
+
+QUARTERS = parse_universe_text(
+    "universe v1\ngranularity 4\nrefs x\nloc x.f: int {0, 1}\nloc x.g: int {0}\n"
+)
+CELLS = parse_universe_text(
+    "universe v1\ngranularity 2\nrefs x\nloc x.f: int {0, 1}\nloc x.g: bool\npred Cell(r) = acc(r.f)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "u, text, combinable",
+    [
+        # several splits share a total
+        (QUARTERS, "acc(x.f) || acc(x.g)", False),
+        (QUARTERS, "acc(x.f, 1/4) * acc(x.g, 3/4) || acc(x.f, 1/2) * acc(x.g, 1/2)", False),
+        (QUARTERS, "acc(x.f, 1/2)", True),
+        # full amounts: a 1/4 + 3/4 sum holds exactly 1, the most any sum can
+        (QUARTERS, "acc(x.f) * acc(x.g)", True),
+        # restricted and standard wands
+        (QUARTERS, "acc(x.f, 1/2) --*c acc(x.f) * acc(x.g)", True),
+        (QUARTERS, "acc(x.f, 1/2) --* acc(x.f) * acc(x.g)", True),
+        (CELLS, "acc(x.g) --*c Cell(x) * acc(x.g)", True),
+        # predicate instances
+        (CELLS, "Cell(x) || acc(x.g)", False),
+        (CELLS, "acc(Cell(x), 1/2) * acc(x.g, 1/2)", True),
+        # assertions that reach no resource
+        (QUARTERS, "true", True),
+        (QUARTERS, "false", True),
+        (QUARTERS, "x == x", True),
+    ],
+)
+def test_combinable_sweep_matches_reference_on_chosen_cases(u, text, combinable):
+    a = parse_assertion_text(text)
+    assert assert_same_combinability(a, orc.plan(u), identity_store(u)) == combinable
+
+
+def test_combinable_sweep_matches_reference_on_unstable_satisfying_states():
+    a = parse_assertion_text("acc(x.f, 1/2) * x.g == 0")
+    for u in (QUARTERS, CELLS):
+        p, store = orc.plan(u), identity_store(u)
+        assert any(not st.is_stable(s) for s in orc.sat_states(a, p, store))
+        assert_same_combinability(a, p, store)
+    # heap values at zero permission must agree for a pair to combine
+    mixed = parse_assertion_text("acc(x.f, 1/2) * (x.g == 0 || x.g == 1) || acc(x.g)")
+    wide = parse_universe_text("universe v1\ngranularity 3\nrefs x\nloc x.f: int {0}\nloc x.g: int {0, 1}\n")
+    assert not assert_same_combinability(mixed, orc.plan(wide), identity_store(wide))
+
+
+@pytest.mark.parametrize(
+    "u, text",
+    [
+        (QUARTERS, "acc(x.f, 1/2)"),
+        (QUARTERS, "acc(x.f, 1/2) * x.g == 0"),
+        (QUARTERS, "acc(x.f, 1/2) --* acc(x.f) * acc(x.g)"),
+        (CELLS, "acc(Cell(x), 1/2) * acc(x.g, 1/2)"),
+    ],
+)
+def test_combinable_sweep_runs_sat_once_per_recombination(monkeypatch, u, text):
+    """One ``sat`` call per distinct (total, combined state) whose whole
+    is not a satisfying state, and none on a satisfying state."""
+    a = parse_assertion_text(text)
+    p, store = orc.plan(u), identity_store(u)
+    sats = orc.sat_states(a, p, store)
+    fracs = [f for f in u.fraction_lattice() if f > 0]
+    recombinations = {
+        (fp + fq, c)
+        for fp, fq in itertools.product(fracs, repeat=2)
+        if fp + fq <= 1
+        for s1, s2 in itertools.product(sats, repeat=2)
+        if (c := st.add(st.mult(fp, s1), st.mult(fq, s2))) is not None
+    }
+    wholes = [st.mult(1 / total, c) for total, c in recombinations]
+    expected = Counter(w for w in wholes if w not in set(sats))
+    assert expected and len(expected) < len(wholes)
+    calls = Counter()
+
+    def counted_sat(u_, sigma, a_, store_):
+        calls[sigma] += 1
+        return sat(u_, sigma, a_, store_)
+
+    monkeypatch.setattr(orc, "sat_states", lambda *_: sats)
+    monkeypatch.setattr(orc, "sat", counted_sat)
+    assert orc.check_combinable(a, p, store) == (True, None)
+    assert calls == expected
+
+
+@pytest.mark.parametrize("entries", [1, 5, 64, orc.SWEEP_ENTRIES])
+@pytest.mark.parametrize("upper", [False, True])
+def test_agreeing_pairs_come_in_sweep_order_in_bounded_blocks(monkeypatch, entries, upper):
+    V = np.random.default_rng(7).integers(0, 3, size=(40, 3))
+    monkeypatch.setattr(orc, "SWEEP_ENTRIES", entries)
+    got = []
+    for js, ls in orc._agreeing_pairs(V, upper):
+        assert len(js) * V.shape[1] <= max(entries, V.shape[1])
+        got += zip(js.tolist(), ls.tolist())
+    want = [
+        (j, l)
+        for j in range(len(V))
+        for l in range(j if upper else 0, len(V))
+        if all(a == b or not a or not b for a, b in zip(V[j], V[l]))
+    ]
+    assert got == want
+
+
+@pytest.mark.parametrize("entries", [1, 7])
+def test_combinable_sweep_in_small_blocks_matches_reference(monkeypatch, entries):
+    monkeypatch.setattr(orc, "SWEEP_ENTRIES", entries)
+    for u, text in [
+        (QUARTERS, "acc(x.f) || acc(x.g)"),
+        (QUARTERS, "acc(x.f, 1/2) --* acc(x.f) * acc(x.g)"),
+        (CELLS, "Cell(x) || acc(x.g)"),
+    ]:
+        assert_same_combinability(parse_assertion_text(text), orc.plan(u), identity_store(u))
 
 
 # -- the syntax-tree traversal ----------------------------------------------------------

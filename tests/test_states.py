@@ -521,3 +521,47 @@ def test_validate_refuses_a_value_of_another_type(loc, value, ok):
     else:
         with pytest.raises(st.StateError, match=f"outside domain of x.{loc}"):
             st.validate(s, MIXED)
+
+
+# -- the integer codec --------------------------------------------------------
+
+
+CODEC_TEXT = """
+universe v1
+granularity 2
+refs x
+loc x.b: bool
+loc x.f: int {0, 1}
+pred Cell(r) = acc(r.f)
+"""
+
+
+def test_codec_decodes_every_state_it_encodes():
+    u = parse_universe_text(CODEC_TEXT)
+    codec = st.Codec(u)
+    states = list(st.enumerate_states(u))
+    N, V = codec.encode(states)
+    assert N.shape == V.shape == (len(states), 3)
+    assert V[:, 2].max() == 0  # a predicate column holds no value
+    for s, nums, vals in zip(states, N.tolist(), V.tolist()):
+        assert codec.decode(nums, u.granularity, vals) == s
+
+
+def test_codec_options_encode_each_resource_option_alone():
+    u = parse_universe_text(CODEC_TEXT)
+    codec = st.Codec(u)
+    for k, ((nums, vals), opts) in enumerate(zip(codec.options(), st.resource_options(u))):
+        alone = [st.State.make([m] if m else [], [h] if h else []) for m, h in opts]
+        N, V = codec.encode(alone)
+        assert N[:, k].tolist() == nums.tolist() and V[:, k].tolist() == vals.tolist()
+        assert N.sum() == nums.sum() and V.sum() == vals.sum()  # no other column is set
+
+
+def test_codec_decodes_off_the_lattice_exactly_and_refuses_to_encode_there():
+    u = parse_universe_text(CODEC_TEXT)
+    codec = st.Codec(u)
+    s = codec.decode([1, 3, 0], 6, [2, 1, 0])
+    assert s.mask_dict() == {FieldLoc("x", "b"): Fraction(1, 6), FieldLoc("x", "f"): Fraction(1, 2)}
+    assert s.heap_dict() == {FieldLoc("x", "b"): True, FieldLoc("x", "f"): 0}
+    with pytest.raises(st.StateError, match="off the lattice"):
+        codec.encode([s])
