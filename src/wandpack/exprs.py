@@ -283,7 +283,7 @@ def format_expr(e: Expr) -> str:
     return _fmt(e, 0)
 
 
-# precedence: 0 ternary, 1 implies, 2 or, 3 and, 4 eq, 5 unary/atom
+# precedence: 0 ternary, 1 implies, 2 or, 3 and, 4 eq, 5 unary, 6 field access/atom
 def _fmt(e: Expr, prec: int) -> str:
     if isinstance(e, Var):
         return e.name
@@ -298,14 +298,14 @@ def _fmt(e: Expr, prec: int) -> str:
             return "null"
         return f"ref({e.value})"
     if isinstance(e, FieldAcc):
-        return f"{_fmt(e.base, 5)}.{e.field}"
+        return f"{_fmt(e.base, 6)}.{e.field}"
     if isinstance(e, PermOf):
-        return f"perm({_fmt(e.base, 5)}.{e.field})"
+        return f"perm({_fmt(e.base, 6)}.{e.field})"
     if isinstance(e, Eq):
         s = f"{_fmt(e.left, 5)} == {_fmt(e.right, 5)}"
         return _paren(s, 4, prec)
     if isinstance(e, Not):
-        return f"!{_fmt(e.arg, 5)}"
+        return _paren(f"!{_fmt(e.arg, 5)}", 5, prec)
     if isinstance(e, BoolOp):
         sym, level = {"implies": ("==>", 1), "or": ("||", 2), "and": ("&&", 3)}[e.op]
         if e.op == "implies":  # right-associative in the grammar

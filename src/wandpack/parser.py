@@ -8,6 +8,7 @@ errors with line/column positions.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from typing import Optional
 
@@ -65,17 +66,30 @@ KEYWORDS = {
 # the statements a package's proof script admits
 _SCRIPT_KEYWORDS = ("assert", "fold", "unfold", "apply", "if")
 
+# One match per token: the whitespace and comments before it, then the token
+# in group 1, which is empty at the end of the source (the eof token), or in
+# group 2 a character no token starts with.  Since group 2 takes any other
+# character, a match never fails, so the regex never backtracks into a
+# comment to read part of it as tokens.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*|//[^\n]*)
-  | (?P<string>"[^"\n]*")
-  | (?P<number>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>--\*c|--\*|==>|:=|==|!=|\|\||&&|[(){}\[\].,:;=@?!*/])
+    (?:[ \t\r\n]+|\#[^\n]*|//[^\n]*)*
+    (?:
+        ( "[^"\n]*"                                             # string
+        | \d+                                                   # number
+        | [A-Za-z_][A-Za-z_0-9]*                                # ident
+        | --\*c|--\*|==>|:=|==|!=|\|\||&&|[(){}\[\].,:;=@?!*/]  # op
+        | \Z )
+      | (.)
+    )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
+
+_VALUES = {"true": True, "false": False, "null": NULL}
+_AMOUNTS = {"write": Fraction(1), "none": Fraction(0)}
+_TYPES = {"ref": (REF, str), "int": (INT, int), "bool": (BOOL, bool)}
+_ASSERTION_STMTS = {"inhale": pr.Inhale, "exhale": pr.Exhale, "assert": pr.AssertStmt}
 
 
 class ParseError(Exception):
@@ -86,86 +100,134 @@ class ParseError(Exception):
         self.col = col
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
+class _Lines:
+    """The 1-based (line, col) of an offset into ``src``.  The line starts are
+    found on first use: only an error or a statement's pos asks."""
 
-    def __init__(self, kind: str, text: str, line: int, col: int):
+    __slots__ = ("src", "starts")
+
+    def __init__(self, src: str):
+        self.src = src
+        self.starts: Optional[list[int]] = None
+
+    def __call__(self, offset: int) -> tuple[int, int]:
+        if self.starts is None:
+            self.starts = [0] + [m.end() for m in re.finditer("\n", self.src)]
+        line = bisect_right(self.starts, offset)
+        return line, offset - self.starts[line - 1] + 1
+
+
+def _scan(src: str) -> tuple[list[str], list[int]]:
+    """The texts of ``src``'s tokens and their offsets, ending with the eof
+    token's empty text at the end of ``src``."""
+    texts: list[str] = []
+    offsets: list[int] = []
+    for m in _TOKEN_RE.finditer(src):
+        text = m.group(1)
+        if text is None:
+            at = m.start(2)
+            raise ParseError(f"unexpected character {src[at]!r}", *_Lines(src)(at))
+        texts.append(text)
+        offsets.append(m.start(1))
+        if not text:
+            # after a match ending in whitespace at the end of src, finditer
+            # would match the empty eof token there once more
+            break
+    return texts, offsets
+
+
+def _kind(text: str) -> str:
+    """The kind of a token, told by its text."""
+    if not text:
+        return "eof"
+    if text[0] == '"':
+        return "string"
+    if text.isdecimal():
+        return "number"
+    return "ident" if text.isidentifier() else "op"
+
+
+class Token:
+    __slots__ = ("kind", "text", "offset", "_lines")
+
+    def __init__(self, kind: str, text: str, offset: int, lines: _Lines):
         self.kind = kind
         self.text = text
-        self.line = line
-        self.col = col
+        self.offset = offset
+        self._lines = lines
+
+    @property
+    def line(self) -> int:
+        return self._lines(self.offset)[0]
+
+    @property
+    def col(self) -> int:
+        return self._lines(self.offset)[1]
 
     def __repr__(self):
         return f"Token({self.kind!r}, {self.text!r}, {self.line}:{self.col})"
 
 
 def tokenize(src: str) -> list[Token]:
-    toks: list[Token] = []
-    line, col, i = 1, 1, 0
-    while i < len(src):
-        m = _TOKEN_RE.match(src, i)
-        if not m:
-            raise ParseError(f"unexpected character {src[i]!r}", line, col)
-        kind = m.lastgroup
-        text = m.group()
-        if kind not in ("ws", "comment"):
-            toks.append(Token(kind, text, line, col))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        i = m.end()
-    toks.append(Token("eof", "", line, col))
-    return toks
+    texts, offsets = _scan(src)
+    lines = _Lines(src)
+    return [Token(_kind(t), t, o, lines) for t, o in zip(texts, offsets)]
 
 
 class Parser:
+    """Recursive descent over the token texts of one source.  The cursor ``i``
+    indexes ``texts``, whose last entry is the eof token's empty text; no rule
+    moves past it, so a token that is not eof always has a successor.  A
+    token's kind shows in its text: a string starts with a quote, a number
+    is decimal digits, an ident is an identifier, and no keyword or operator
+    equals a string's text."""
+
     def __init__(self, src: str):
-        self.toks = tokenize(src)
+        self.texts, self.offsets = _scan(src)
+        self.lines = _Lines(src)
         self.i = 0
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.i + k, len(self.toks) - 1)]
-
-    def next(self) -> Token:
-        t = self.toks[self.i]
-        if t.kind != "eof":
+    def next(self) -> str:
+        t = self.texts[self.i]
+        if t:
             self.i += 1
         return t
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "string"
+        return self.texts[self.i] == text
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
+        if self.texts[self.i] == text:
+            self.i += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.text != text or t.kind == "string":
-            raise ParseError(f"expected {text!r}, found {t.text!r}", t.line, t.col)
-        return self.next()
+    def pos(self, i: Optional[int] = None) -> tuple[int, int]:
+        """(line, col) of token ``i``, by default the current one."""
+        return self.lines(self.offsets[self.i if i is None else i])
 
-    def expect_ident(self, reserved_ok: bool = False) -> Token:
-        t = self.peek()
-        if t.kind != "ident" or (not reserved_ok and t.text in KEYWORDS):
-            raise ParseError(f"expected an identifier, found {t.text!r}", t.line, t.col)
-        return self.next()
+    def error(self, msg: str, i: Optional[int] = None):
+        raise ParseError(msg, *self.pos(i))
 
-    def error(self, msg: str):
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col)
+    def expect(self, text: str) -> None:
+        t = self.texts[self.i]
+        if t != text:
+            self.error(f"expected {text!r}, found {t!r}")
+        self.i += 1
+
+    def expect_ident(self, reserved_ok: bool = False) -> str:
+        t = self.texts[self.i]
+        if not t.isidentifier() or (not reserved_ok and t in KEYWORDS):
+            self.error(f"expected an identifier, found {t!r}")
+        self.i += 1
+        return t
 
     def expect_eof(self):
-        t = self.peek()
-        if t.kind != "eof":
-            raise ParseError(f"unexpected trailing input {t.text!r}", t.line, t.col)
+        t = self.texts[self.i]
+        if t:
+            self.error(f"unexpected trailing input {t!r}")
 
     def items(self, item, close: Optional[str] = None) -> list:
         """One or more ``item``s separated by commas; given ``close``, none or
@@ -180,41 +242,35 @@ class Parser:
     # -- fractions and values ----------------------------------------------
 
     def parse_fraction(self) -> Fraction:
-        if self.accept("write"):
-            return Fraction(1)
-        if self.accept("none"):
-            return Fraction(0)
-        t = self.peek()
-        if t.kind != "number":
+        t = self.texts[self.i]
+        if t in _AMOUNTS:
+            self.i += 1
+            return _AMOUNTS[t]
+        if not t.isdecimal():
             self.error("expected a permission amount")
-        self.next()
-        if self.accept("/"):
-            return self._ratio(t)
-        return Fraction(int(t.text))
+        self.i += 1
+        return self._ratio(t) if self.accept("/") else Fraction(int(t))
 
-    def _ratio(self, num: Token) -> Fraction:
+    def _ratio(self, num: str) -> Fraction:
         """The fraction num/den, after num's "/"."""
         den = self.next()
-        if den.kind != "number":
+        if not den.isdecimal():
             self.error("expected a denominator")
-        if int(den.text) == 0:
-            raise ParseError("zero denominator", den.line, den.col)
-        return Fraction(int(num.text), int(den.text))
+        if int(den) == 0:
+            self.error("zero denominator", self.i - 1)
+        return Fraction(int(num), int(den))
 
     def parse_value(self) -> Value:
-        t = self.peek()
-        if t.kind == "number":
-            self.next()
-            return int(t.text)
-        if self.accept("true"):
-            return True
-        if self.accept("false"):
-            return False
-        if self.accept("null"):
-            return NULL
-        if t.kind == "ident":
-            self.next()
-            return t.text
+        t = self.texts[self.i]
+        if t.isdecimal():
+            self.i += 1
+            return int(t)
+        if t in _VALUES:
+            self.i += 1
+            return _VALUES[t]
+        if t.isidentifier():
+            self.i += 1
+            return t
         self.error("expected a value")
 
     # -- expressions ---------------------------------------------------------
@@ -251,9 +307,12 @@ class Parser:
 
     def _cmp(self) -> Expr:
         e = self._unary()
-        if self.accept("=="):
+        t = self.texts[self.i]
+        if t == "==":
+            self.i += 1
             return Eq(e, self._unary())
-        if self.accept("!="):
+        if t == "!=":
+            self.i += 1
             return Not(Eq(e, self._unary()))
         return e
 
@@ -264,49 +323,40 @@ class Parser:
 
     def _postfix(self) -> Expr:
         e = self._atom_expr()
-        while self.at(".") and self.peek(1).kind == "ident":
-            self.next()
-            fld = self.expect_ident(reserved_ok=True)
-            e = FieldAcc(e, fld.text)
+        texts = self.texts
+        while texts[self.i] == "." and texts[self.i + 1].isidentifier():
+            e = FieldAcc(e, texts[self.i + 1])
+            self.i += 2
         return e
 
     def _atom_expr(self) -> Expr:
-        t = self.peek()
-        if self.accept("("):
+        start = self.i
+        t = self.next()
+        if t == "(":
             e = self.parse_expr()
             self.expect(")")
             return e
-        if t.kind == "number":
-            self.next()
-            if self.accept("/"):
-                return Lit(self._ratio(t))
-            return Lit(int(t.text))
-        if self.accept("true"):
-            return Lit(True)
-        if self.accept("false"):
-            return Lit(False)
-        if self.accept("null"):
-            return Lit(NULL)
-        if self.accept("write"):
-            return Lit(Fraction(1))
-        if self.accept("none"):
-            return Lit(Fraction(0))
-        if self.accept("ref"):
+        if t.isdecimal():
+            return Lit(self._ratio(t) if self.accept("/") else int(t))
+        if t in _VALUES:
+            return Lit(_VALUES[t])
+        if t in _AMOUNTS:
+            return Lit(_AMOUNTS[t])
+        if t == "ref":
             self.expect("(")
             name = self.expect_ident()
             self.expect(")")
-            return Lit(name.text)
-        if self.accept("perm"):
+            return Lit(name)
+        if t == "perm":
             self.expect("(")
             inner = self._postfix()
             self.expect(")")
             if not isinstance(inner, FieldAcc):
-                raise ParseError("perm() takes a field access", t.line, t.col)
+                self.error("perm() takes a field access", start)
             return PermOf(inner.base, inner.field)
-        if t.kind == "ident" and t.text not in KEYWORDS:
-            self.next()
-            return Var(t.text)
-        self.error("expected an expression")
+        if t.isidentifier() and t not in KEYWORDS:
+            return Var(t)
+        self.error("expected an expression", start)
 
     # -- assertions ------------------------------------------------------------
 
@@ -315,18 +365,21 @@ class Parser:
 
     def _wand(self) -> Assertion:
         left = self._imp_a()
-        if self.at("--*") or self.at("--*c"):
-            comb = self.next().text == "--*c"
-            right = self._wand()
-            return Wand(left, right, comb)
+        t = self.texts[self.i]
+        if t == "--*" or t == "--*c":
+            self.i += 1
+            return Wand(left, self._wand(), t == "--*c")
         return left
 
     def _imp_a(self) -> Assertion:
         left = self._or_a()
-        if self.accept("==>"):
+        t = self.texts[self.i]
+        if t == "==>":
+            self.i += 1
             guard = self._as_pure_expr(left)
             return Imp(guard, self._imp_a())
-        if self.accept("?"):
+        if t == "?":
+            self.i += 1
             guard = self._as_pure_expr(left)
             then = self._imp_a()
             self.expect(":")
@@ -338,8 +391,7 @@ class Parser:
     def _as_pure_expr(self, a: Assertion) -> Expr:
         e = self._try_pure_expr(a)
         if e is None:
-            t = self.peek()
-            raise ParseError("guard must be a pure expression", t.line, t.col)
+            self.error("guard must be a pure expression")
         return e
 
     def _try_pure_expr(self, a: Assertion) -> Optional[Expr]:
@@ -365,46 +417,54 @@ class Parser:
         return a
 
     def _atom_a(self) -> Assertion:
-        t = self.peek()
-        if self.at("("):
+        texts = self.texts
+        start = self.i
+        t = texts[start]
+        if t == "(":
             # parenthesized assertion; a parenthesized pure expression is
             # re-wrapped by the expression fallback below when needed
-            save = self.i
-            self.next()
+            self.i += 1
             try:
                 a = self.parse_assertion()
                 self.expect(")")
             except ParseError:
-                self.i = save
+                self.i = start
                 return Pure(self.parse_expr())
-            # allow expression operators to continue a parenthesized pure
-            # expression, e.g. (x.f == y ? y : z) == w
-            if isinstance(a, Pure) and (self.at("==") or self.at("!=") or self.at("&&")):
-                self.i = save
-                return Pure(self.parse_expr())
+            # expression operators continue a parenthesized expression, e.g.
+            # (x.f == y ? y : z) == w or (x.b ? y : z).f, whose span parses as
+            # a conditional assertion.  The errors of a pure span followed by
+            # an operator stand; any other span that is no expression stands
+            # as the assertion it is.
+            t = texts[self.i]
+            if t in ("==", "!=", "&&", "."):
+                after = self.i
+                self.i = start
+                try:
+                    return Pure(self.parse_expr())
+                except ParseError:
+                    if isinstance(a, Pure) and t != ".":
+                        raise
+                    self.i = after
             return a
-        if self.accept("acc"):
+        if t == "acc":
+            self.i += 1
             self.expect("(")
-            if self.peek().kind == "ident" and self.peek().text not in KEYWORDS and self.peek(1).text == "(":
-                name = self.expect_ident()
+            name = texts[self.i]
+            if name.isidentifier() and name not in KEYWORDS and texts[self.i + 1] == "(":
+                self.i += 1
                 args = self._call_args()
-                frac = Fraction(1)
-                if self.accept(","):
-                    frac = self.parse_fraction()
+                frac = self.parse_fraction() if self.accept(",") else Fraction(1)
                 self.expect(")")
-                return PredA(name.text, args, frac)
+                return PredA(name, args, frac)
             inner = self._postfix()
             if not isinstance(inner, FieldAcc):
-                raise ParseError("acc() takes a field access", t.line, t.col)
-            amount = Fraction(1)
-            if self.accept(","):
-                amount = self.parse_fraction()
+                self.error("acc() takes a field access", start)
+            amount = self.parse_fraction() if self.accept(",") else Fraction(1)
             self.expect(")")
             return Acc(inner.base, inner.field, amount)
-        if t.kind == "ident" and t.text not in KEYWORDS and self.peek(1).text == "(":
-            name = self.expect_ident()
-            args = self._call_args()
-            return PredA(name.text, args, Fraction(1))
+        if t.isidentifier() and t not in KEYWORDS and texts[start + 1] == "(":
+            self.i += 1
+            return PredA(t, self._call_args(), Fraction(1))
         # a pure expression atom; || / ==> / ?: at assertion level belong to
         # the assertion grammar, so stop below them
         return Pure(self._and())
@@ -422,32 +482,34 @@ class Parser:
         refs: list[str] = []
         locations: dict[tuple[str, str], tuple[Value, ...]] = {}
         raw_preds: list[tuple[str, tuple[str, ...], Assertion]] = []
-        while self.peek().kind != "eof":
-            if self.accept("granularity"):
-                t = self.next()
-                if t.kind != "number":
+        while self.texts[self.i]:
+            start = self.i
+            t = self.next()
+            if t == "granularity":
+                n = self.next()
+                if not n.isdecimal():
                     self.error("expected the granularity integer")
-                granularity = int(t.text)
-            elif self.accept("refs"):
-                refs += self.items(lambda: self.expect_ident().text)
-            elif self.accept("loc"):
-                r = self.expect_ident().text
+                granularity = int(n)
+            elif t == "refs":
+                refs += self.items(self.expect_ident)
+            elif t == "loc":
+                r = self.expect_ident()
                 self.expect(".")
-                f = self.expect_ident(reserved_ok=True).text
+                f = self.expect_ident(reserved_ok=True)
                 self.expect(":")
                 dom = self._parse_domain()
                 if (r, f) in locations:
                     self.error(f"duplicate location {r}.{f}")
                 locations[(r, f)] = dom
-            elif self.accept("pred"):
-                name = self.expect_ident().text
+            elif t == "pred":
+                name = self.expect_ident()
                 self.expect("(")
-                params = self.items(lambda: self.expect_ident().text, ")")
+                params = self.items(self.expect_ident, ")")
                 self.expect("=")
                 body = self.parse_assertion()
                 raw_preds.append((name, tuple(params), body))
             else:
-                self.error("expected a universe declaration")
+                self.error("expected a universe declaration", start)
         if granularity is None:
             raise ParseError("missing granularity declaration", 1, 1)
         try:
@@ -457,21 +519,17 @@ class Parser:
             raise ParseError(str(e), 1, 1)
 
     def _parse_domain(self) -> tuple[Value, ...]:
-        if self.accept("ref"):
-            ty = REF
-        elif self.accept("int"):
-            ty = INT
-        elif self.accept("bool"):
-            ty = BOOL
-        else:
+        t = self.texts[self.i]
+        if t not in _TYPES:
             self.error("expected a location type (ref/int/bool)")
+        self.i += 1
+        ty, want = _TYPES[t]
         if ty == BOOL and not self.at("{"):
             return (False, True)
         self.expect("{")
         vals = self.items(self.parse_value)
         self.expect("}")
         for v in vals:
-            want = {REF: str, INT: int, BOOL: bool}[ty]
             if ty == INT and isinstance(v, bool):
                 self.error("boolean value in an int domain")
             if not isinstance(v, want):
@@ -481,52 +539,58 @@ class Parser:
     # -- state literals --------------------------------------------------------
 
     def parse_state(self) -> State:
-        start = self.expect("{")
+        start = self.i
+        self.expect("{")
         mask: dict = {}
         heap: dict = {}
+        seen: set = set()
         while not self.at("}"):
-            if self.accept("wand"):
-                self.expect("[")
-                depth = 1
-                parts = []
-                while depth:
-                    t = self.next()
-                    if t.kind == "eof":
-                        self.error("unterminated wand key")
-                    if t.text == "[":
-                        depth += 1
-                    elif t.text == "]":
-                        depth -= 1
-                        if not depth:
-                            break
-                    parts.append(t.text)
-                # normalize the key through the assertion grammar
-                key = format_assertion(parse_assertion_text(" ".join(parts)))
-                self.expect("@")
-                mask[WandInst(key)] = self.parse_fraction()
+            entry = self.i
+            rid = self._resource()
+            if rid in seen:
+                self.error(f"duplicate resource {rid}", entry)
+            seen.add(rid)
+            self.expect("@")
+            amount = self.parse_fraction()
+            if isinstance(rid, FieldLoc):
+                if amount > 0:
+                    mask[rid] = amount
+                if self.accept("="):
+                    heap[rid] = self.parse_value()
             else:
-                name = self.expect_ident().text
-                if self.accept("("):
-                    args = self.items(self.parse_value, ")")
-                    self.expect("@")
-                    mask[PredInst(name, tuple(args))] = self.parse_fraction()
-                else:
-                    self.expect(".")
-                    fld = self.expect_ident(reserved_ok=True).text
-                    loc = FieldLoc(name, fld)
-                    self.expect("@")
-                    amt = self.parse_fraction()
-                    if amt > 0:
-                        mask[loc] = amt
-                    if self.accept("="):
-                        heap[loc] = self.parse_value()
+                mask[rid] = amount
             if not self.accept(","):
                 break
         self.expect("}")
         try:
             return State.make(mask, heap)
         except StateError as e:
-            raise ParseError(str(e), start.line, start.col)
+            self.error(str(e), start)
+
+    def _resource(self):
+        """The resource a state literal's entry names."""
+        if self.accept("wand"):
+            self.expect("[")
+            depth = 1
+            parts = []
+            while True:
+                t = self.next()
+                if not t:
+                    self.error("unterminated wand key")
+                if t == "[":
+                    depth += 1
+                elif t == "]":
+                    depth -= 1
+                    if not depth:
+                        break
+                parts.append(t)
+            # normalize the key through the assertion grammar
+            return WandInst(format_assertion(parse_assertion_text(" ".join(parts))))
+        name = self.expect_ident()
+        if self.accept("("):
+            return PredInst(name, tuple(self.items(self.parse_value, ")")))
+        self.expect(".")
+        return FieldLoc(name, self.expect_ident(reserved_ok=True))
 
     # -- programs ----------------------------------------------------------------
 
@@ -535,11 +599,11 @@ class Parser:
         self.expect("v1")
         universe_ref = ""
         if self.accept("universe"):
-            t = self.peek()
-            if t.kind != "string":
+            t = self.texts[self.i]
+            if not t.startswith('"'):
                 self.error("expected a quoted universe path")
-            self.next()
-            universe_ref = t.text[1:-1]
+            self.i += 1
+            universe_ref = t[1:-1]
         methods = []
         while self.at("method"):
             methods.append(self._method())
@@ -549,21 +613,23 @@ class Parser:
         return pr.Program(universe_ref, tuple(methods))
 
     def _method(self) -> pr.Method:
-        t = self.expect("method")
-        name = self.expect_ident().text
+        pos = self.pos()
+        self.expect("method")
+        name = self.expect_ident()
         self.expect("(")
         params = self.items(self._param, ")")
         requires = None
         if self.accept("requires"):
             requires = self.parse_assertion()
         body = self._block(script=False)
-        return pr.Method(name, tuple(params), requires, tuple(body), (t.line, t.col))
+        return pr.Method(name, tuple(params), requires, tuple(body), pos)
 
     def _param(self) -> str:
-        name = self.expect_ident().text
+        name = self.expect_ident()
         self.expect(":")
-        if not (self.accept("Ref") or self.accept("ref")):
+        if self.texts[self.i] not in ("Ref", "ref"):
             self.error("method parameters must have type Ref")
+        self.i += 1
         return name
 
     def _block(self, script: bool) -> list[pr.Stmt]:
@@ -579,25 +645,24 @@ class Parser:
     def _stmt(self, script: bool) -> pr.Stmt:
         """One statement of a method body or, when ``script``, of a
         package's proof script."""
-        t = self.peek()
-        pos = (t.line, t.col)
-        if script and not any(self.at(k) for k in _SCRIPT_KEYWORDS):
+        t = self.texts[self.i]
+        pos = self.pos()
+        if script and t not in _SCRIPT_KEYWORDS:
             self.error("expected a proof-script statement")
-        if self.accept("inhale"):
-            return pr.Inhale(self.parse_assertion(), pos)
-        if self.accept("exhale"):
-            return pr.Exhale(self.parse_assertion(), pos)
-        if self.accept("assert"):
-            return pr.AssertStmt(self.parse_assertion(), pos)
-        if self.accept("var"):
-            name = self.expect_ident().text
+        if t in _ASSERTION_STMTS:
+            self.i += 1
+            return _ASSERTION_STMTS[t](self.parse_assertion(), pos)
+        if t == "var":
+            self.i += 1
+            name = self.expect_ident()
             self.expect(":")
-            ty = self.next().text
+            ty = self.next()
             if ty not in ("Ref", "Int", "Bool", "ref", "int", "bool"):
                 self.error("variable type must be Ref, Int or Bool")
             self.expect(":=")
             return pr.VarDecl(name, ty.lower(), self.parse_expr(), pos)
-        if self.accept("if"):
+        if t == "if":
+            self.i += 1
             self.expect("(")
             cond = self.parse_expr()
             self.expect(")")
@@ -606,20 +671,23 @@ class Parser:
             if self.accept("else"):
                 els = self._block(script)
             return pr.If(cond, tuple(then), tuple(els), pos)
-        if self.accept("package"):
+        if t == "package":
+            self.i += 1
             wand = self.parse_assertion()
             if not isinstance(wand, Wand):
-                raise ParseError("package takes a wand", pos[0], pos[1])
+                raise ParseError("package takes a wand", *pos)
             body = tuple(self._block(script=True)) if self.at("{") else ()
             return pr.Package(wand, body, pos)
-        if self.accept("apply"):
+        if t == "apply":
+            self.i += 1
             wand = self.parse_assertion()
             if not isinstance(wand, Wand):
-                raise ParseError("apply takes a wand", pos[0], pos[1])
+                raise ParseError("apply takes a wand", *pos)
             return pr.Apply(wand, pos)
-        if script and (self.accept("fold") or self.accept("unfold")):
-            kind = pr.Fold if t.text == "fold" else pr.Unfold
-            name = self.expect_ident().text
+        if script and t in ("fold", "unfold"):
+            self.i += 1
+            kind = pr.Fold if t == "fold" else pr.Unfold
+            name = self.expect_ident()
             return kind(name, self._call_args(), pos)
         # assignment or heap write
         target = self._postfix()

@@ -433,6 +433,17 @@ def test_oracle_footprint_rejects_a_state_off_the_universe(capsys, state, messag
     assert line.startswith("error: --state: ") and message in line
 
 
+def test_oracle_footprint_rejects_a_state_naming_a_resource_twice(capsys):
+    code = run_cli(
+        "oracle", "footprint", "--universe", CORPUS / "mixed.universe",
+        "--wand", "acc(x.f, 1/2) --* acc(x.g)", "--state", "{x.f @ 1 = 0, x.f @ 1/2 = 0}",
+    )
+    assert code == 2
+    out = capsys.readouterr()
+    assert not out.out
+    assert out.err.splitlines() == ["error: 1:15: duplicate resource x.f"]
+
+
 def test_oracle_combinable_queries():
     u = CORPUS / "mixed.universe"
     assert run_cli("oracle", "combinable", "--universe", u, "--assertion", "acc(x.f)") == 0

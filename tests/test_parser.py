@@ -1,9 +1,12 @@
+import random
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as strat
 
 from wandpack.assertions import Imp, OrA, Pure, Star, Wand, format_assertion
-from wandpack.exprs import Not, format_expr
+from wandpack.exprs import BoolOp, Eq, Expr, FieldAcc, Ite, Lit, Not, PermOf, Var, format_expr
 from wandpack.parser import (
     KEYWORDS,
     ParseError,
@@ -18,6 +21,7 @@ from wandpack.parser import (
 )
 from wandpack.program import format_program
 
+import gen
 from conftest import U1_TEXT, U2_TEXT
 
 
@@ -67,6 +71,66 @@ ASSERTIONS = [
 def test_assertion_round_trip(src):
     a = parse_assertion_text(src)
     assert parse_assertion_text(format_assertion(a)) == a
+
+
+# the printer parenthesizes a conditional or a disjunction that an expression
+# operator follows; the parenthesized span alone parses as an assertion
+ITE = Ite(Eq(FieldAcc(Var("x"), "f"), Var("y")), Var("y"), Var("z"))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        Pure(Eq(ITE, Var("w"))),
+        Pure(Eq(Var("w"), ITE)),
+        Pure(BoolOp("and", Ite(Lit(True), Lit(True), Lit(False)), Lit(True))),
+        Pure(BoolOp("and", BoolOp("or", Var("a"), Var("b")), Var("c"))),
+        Pure(Eq(FieldAcc(Ite(FieldAcc(Var("x"), "b"), Var("y"), Var("z")), "f"), Var("w"))),
+    ],
+)
+def test_parenthesized_span_continued_as_an_expression_round_trips(a):
+    assert parse_assertion_text(format_assertion(a)) == a
+
+
+def test_parenthesized_conditional_continues_with_not_equal():
+    assert parse_assertion_text("(x.f == y ? y : z) != w") == Pure(Not(Eq(ITE, Var("w"))))
+
+
+def test_parenthesized_assertion_stands_before_an_expression_operator():
+    # the span is no expression, so the error is the one after the assertion
+    with pytest.raises(ParseError) as e:
+        parse_assertion_text("(acc(x.f) * acc(x.g)) == w")
+    assert (e.value.message, e.value.line, e.value.col) == ("unexpected trailing input '=='", 1, 23)
+
+
+def random_expr(rng: random.Random, depth: int, ite: bool) -> Expr:
+    """A random expression over x, y and field f; given ``ite``, one of its
+    subexpressions is a conditional."""
+    if depth <= 0:
+        if ite:
+            return Ite(random_expr(rng, 0, False), random_expr(rng, 0, False), random_expr(rng, 0, False))
+        return rng.choice([Var("x"), Var("y"), FieldAcc(Var("x"), "f"), Lit(0), Lit(True), Lit("null"), PermOf(Var("x"), "f")])
+    kind = rng.choice(["eq", "not", "and", "or", "implies", "ite", "field"])
+    if kind == "ite":
+        return Ite(*(random_expr(rng, depth - 1, False) for _ in range(3)))
+    if kind in ("not", "field"):
+        arg = random_expr(rng, depth - 1, ite)
+        return Not(arg) if kind == "not" else FieldAcc(arg, "f")
+    left, right = random_expr(rng, depth - 1, False), random_expr(rng, depth - 1, False)
+    if ite:
+        if rng.random() < 0.5:
+            left = random_expr(rng, depth - 1, True)
+        else:
+            right = random_expr(rng, depth - 1, True)
+    return Eq(left, right) if kind == "eq" else BoolOp(kind, left, right)
+
+
+def test_printed_pure_expressions_with_conditionals_parse():
+    rng = random.Random(2121)
+    for _ in range(500):
+        e = random_expr(rng, rng.randint(1, 4), True)
+        assert parse_expr_text(format_expr(e)) == e
+        parse_assertion_text(format_assertion(Pure(e)))
 
 
 def test_disjunction_is_assertion_level():
@@ -190,6 +254,22 @@ def test_state_round_trip(src):
     assert parse_state_text(format_state(s)) == s
 
 
+@pytest.mark.parametrize(
+    "src, message, col",
+    [
+        ("{x.f @ 1 = 0, x.f @ 1/2 = 0}", "duplicate resource x.f", 15),
+        ("{x.f @ 0, y.g @ 1 = 0, x.f @ 1 = 0}", "duplicate resource x.f", 24),
+        ("{Cell(x) @ 1/2, Cell(x) @ 1/2}", "duplicate resource Cell(x)", 17),
+        ("{wand[acc(x.f) --* acc(x.g)] @ 1, wand[acc(x.f)  --*  acc(x.g)] @ 1}",
+         "duplicate resource wand[acc(x.f) --* acc(x.g)]", 35),
+    ],
+)
+def test_state_literal_names_each_resource_once(src, message, col):
+    with pytest.raises(ParseError) as e:
+        parse_state_text(src)
+    assert (e.value.message, e.value.line, e.value.col) == (message, 1, col)
+
+
 def test_program_round_trip(corpus_dir):
     # positions shift when comments are stripped, so compare the printed
     # fixpoint rather than the raw ASTs
@@ -275,10 +355,6 @@ def test_apply_of_non_wand_is_type_error():
 
 
 def test_print_parse_identity_on_random_assertions():
-    import random
-
-    import gen
-
     rng = random.Random(424242)
     for i in range(600):
         u = gen.random_universe(rng)
@@ -358,3 +434,108 @@ def test_parsers_raise_only_parse_errors(text):
             parse(text)
         except ParseError:
             pass
+
+
+# -- the tokenizer against a reference ---------------------------------------------------
+
+# the tokenizer as it was before tokens kept source offsets: one match per
+# token, whitespace run or comment, with line and column counted as it goes
+_REFERENCE_RE = re.compile(
+    r"""
+    (?P<ws>[ \t\r\n]+)
+  | (?P<comment>\#[^\n]*|//[^\n]*)
+  | (?P<string>"[^"\n]*")
+  | (?P<number>\d+)
+  | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+  | (?P<op>--\*c|--\*|==>|:=|==|!=|\|\||&&|[(){}\[\].,:;=@?!*/])
+    """,
+    re.VERBOSE,
+)
+
+
+class ReferenceToken:
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
+
+
+def reference_tokenize(src: str) -> list[ReferenceToken]:
+    toks: list[ReferenceToken] = []
+    line, col, i = 1, 1, 0
+    while i < len(src):
+        m = _REFERENCE_RE.match(src, i)
+        if not m:
+            raise ParseError(f"unexpected character {src[i]!r}", line, col)
+        kind = m.lastgroup
+        text = m.group()
+        if kind not in ("ws", "comment"):
+            toks.append(ReferenceToken(kind, text, line, col))
+        nl = text.count("\n")
+        if nl:
+            line += nl
+            col = len(text) - text.rfind("\n")
+        else:
+            col += len(text)
+        i = m.end()
+    toks.append(ReferenceToken("eof", "", line, col))
+    return toks
+
+
+def token_stream(tokenizer, src: str):
+    """(kind, text, line, col) of every token, or the error's message and position."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenizer(src)]
+    except ParseError as e:
+        return ("error", e.message, e.line, e.col)
+
+
+def assert_tokenizes_like_reference(src: str):
+    assert token_stream(tokenize, src) == token_stream(reference_tokenize, src)
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [
+        lambda text: text,
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: re.sub(r"(?m)^ +", "\t", text),
+        lambda text: re.sub(r"(?m)^", "# a comment line\n// another\n", text),
+    ],
+    ids=["as-is", "crlf", "tabs", "comment-lines"],
+)
+def test_tokenize_matches_reference_on_the_corpus(corpus_dir, variant):
+    files = sorted(p for p in corpus_dir.rglob("*") if p.is_file())
+    assert files
+    for path in files:
+        assert_tokenizes_like_reference(variant(path.read_text()))
+
+
+def test_tokenize_matches_reference_on_generated_texts():
+    rng = random.Random(2121)
+    for i in range(300):
+        u = gen.random_universe(rng, with_predicate=i % 3 == 0)
+        wand = gen.random_wand(rng, u, combinable=i % 2 == 1)
+        for text in (format_universe(u), format_assertion(wand), format_state(gen.random_outer(rng, u))):
+            assert_tokenizes_like_reference(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts)
+@example("x $ y")
+@example("acc(x.f)\r\n\t* @ # only a comment\r\n// and another\n")
+@example('x == "unterminated')
+@example("acc(x.f)\n\n  \u00e9")
+@example("")
+@example("  \n# trailing comment")
+def test_tokenize_matches_reference_on_token_soup(text):
+    assert_tokenizes_like_reference(text)
+
+
+def test_unexpected_character_reports_its_position():
+    with pytest.raises(ParseError) as e:
+        tokenize("acc(x.f)\n  * $")
+    assert (e.value.message, e.value.line, e.value.col) == ("unexpected character '$'", 2, 5)
