@@ -49,16 +49,6 @@ class AlgebraLawReport:
     detail: str = ""
 
 
-def _per_state(codes) -> tuple[np.ndarray, np.ndarray]:
-    """P and H: the numerators and value codes of every enumerated state,
-    one row per state and one column per resource."""
-    shape = [len(p) for p, _ in codes]
-    digits = np.indices(shape).reshape(len(shape), math.prod(shape))
-    P = np.array([p[d] for (p, _), d in zip(codes, digits)]).reshape(digits.shape)
-    H = np.array([h[d] for (_, h), d in zip(codes, digits)]).reshape(digits.shape)
-    return P.T, H.T
-
-
 def _resource_table(p: np.ndarray, h: np.ndarray, g: int, undefined: int) -> np.ndarray:
     """T[a, b] = the option index of option a (+) option b of one resource:
     numerators sum to at most g, and value codes agree or one is absent."""
@@ -127,10 +117,10 @@ def check_axioms(u: Universe) -> list[AlgebraLawReport]:
     if n > TABLE_BUDGET:
         raise BudgetExceeded(n, TABLE_BUDGET)
     idx = {s: i for i, s in enumerate(states)}
-    codes = st.Codec(u).options()
-    A = _build_add_table(codes, u.granularity)
+    codec = st.Codec(u)
+    A = _build_add_table(codec.options(), u.granularity)
     _cross_check(states, idx, A)
-    P, H = _per_state(codes)
+    P, H = codec.encode(states)
 
     core_idx = np.array([idx[st.core(s)] for s in states] + [n], dtype=np.int32)
     stable = np.array([st.is_stable(s) for s in states] + [False])

@@ -412,10 +412,12 @@ def _demands(u, a, heap, store, mask, fresh, fallback) -> list[State]:
 def sat(u: Universe, sigma: State, a: Assertion, store: Store) -> bool:
     """Does sigma satisfy the assertion?
 
-    Stars are decided through demand sets (equivalent to the existential
-    split for this fragment); top-level wand atoms use the semantic
-    footprint quantification over the enumerated left-hand-side states.
-    Unframed expression evaluation makes the assertion false.
+    Stars and predicate instances are decided through the demand walk:
+    sigma satisfies them when it lies above one of their demands
+    (equivalent to the existential split for this fragment), and a
+    predicate instance is read as its token.  Top-level wand atoms use the
+    semantic footprint quantification over the enumerated left-hand-side
+    states.  Unframed expression evaluation makes the assertion false.
     """
     try:
         return _sat(u, sigma, a, store)
@@ -438,16 +440,14 @@ def _sat(u, sigma: State, a: Assertion, store) -> bool:
             return False  # null carries no locations
         loc = FieldLoc(base, a.field)
         return u.has_location(loc) and sigma.mask_of(loc) >= a.amount
-    if isinstance(a, PredA):
-        vals = tuple(eval_expr(x, heap, store, mask) for x in a.args)
-        return sigma.mask_of(PredInst(a.name, vals)) >= a.frac
     if isinstance(a, Imp):
         if eval_bool(a.guard, heap, store, mask):
             return _sat(u, sigma, a.body, store)
         return True
-    if isinstance(a, Star):
-        ds = demands(u, a, heap, store, mask)
-        return any(st.geq(sigma, d) for d in ds)
+    if isinstance(a, (PredA, Star)):
+        # every demand lies above a minimal one: no antichain is needed
+        ds = _demands(u, a, heap, store, mask, FRESH_FAIL, None)
+        return any(st.geq_dicts(heap, mask, d) for d in ds)
     raise AssertionError_(f"unknown assertion node {a!r}")
 
 

@@ -214,10 +214,10 @@ def _cmd_oracle(args) -> int:
 
 def _footprint_state(text: str, u: Universe):
     """A footprint candidate: a stable state over the universe."""
-    sigma = parse_state_text(text)
     try:
+        sigma = parse_state_text(text)
         validate(sigma, u)
-    except StateError as e:
+    except (ParseError, StateError) as e:
         raise CliError(f"--state: {e}")
     if not is_stable(sigma):
         raise CliError(f"--state: {state_to_text(sigma)} is not stable: it holds a value without permission")
@@ -228,9 +228,12 @@ def _assertion(args, name: str, u: Universe):
     """The assertion option ``--name`` gives, a wand for ``--wand``, typed
     over the universe with its references as variables, as a wand
     instance's text is typed by ``states.validate``."""
-    a = parse_assertion_text(getattr(args, name))
+    try:
+        a = parse_assertion_text(getattr(args, name))
+    except ParseError as e:
+        raise CliError(f"--{name}: {e}")
     if name == "wand" and not isinstance(a, Wand):
-        raise CliError(f"not a wand: {format_assertion(a)}")
+        raise CliError(f"--{name}: not a wand: {format_assertion(a)}")
     try:
         typecheck(a, u, dict.fromkeys(u.refs, REF))
     except (AssertionError_, ExprError, UniverseError) as e:

@@ -177,12 +177,7 @@ def eval_expr(
         base = eval_expr(e.base, heap, store, mask)
         if not isinstance(base, str) or base == NULL:
             raise Unframed(f"perm() on non-reference or null base {base!r}")
-        loc = FieldLoc(base, e.field)
-        amt = Fraction(0)
-        for rid, a in mask.items() if isinstance(mask, Mapping) else mask:
-            if rid == loc:
-                amt = a
-        return amt
+        return mask.get(FieldLoc(base, e.field), Fraction(0))
     raise ExprError(f"unknown expression node {e!r}")
 
 

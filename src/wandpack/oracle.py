@@ -44,8 +44,8 @@ from .assertions import (
     Assertion,
     PredA,
     Wand,
-    demands,
     desugar_predicates,
+    grow,
     reach,
     sat,
     wand_holds,
@@ -115,23 +115,16 @@ def _require_stable(sigma_w: State) -> None:
 def desugar_state(s: State, p: EnumerationPlan) -> list[State]:
     """All realizations of a state with predicate tokens replaced by the
     demands of their bodies, scaled by the token's amount first as
-    ``desugar_predicates`` scales them, forking over undetermined body
-    values."""
+    ``desugar_predicates`` scales them: ``assertions.grow`` adds each
+    token's body to every realization so far, forking over body values
+    the realization leaves undetermined and dropping undefined sums."""
     u = p.universe
     base_mask = {rid: amt for rid, amt in s.mask if not isinstance(rid, PredInst)}
     out = [State.make(base_mask, s.heap_dict())]
     for rid, amt in s.mask:
-        if not isinstance(rid, PredInst):
-            continue
-        body = desugar_predicates(PredA(rid.name, tuple(map(Lit, rid.args)), amt), u)
-        variants = demands(u, body, {}, {}, fresh="fork")
-        out = [
-            grown
-            for acc in out
-            for v in variants
-            for grown in [st.add(acc, v)]
-            if grown is not None
-        ]
+        if isinstance(rid, PredInst):
+            body = desugar_predicates(PredA(rid.name, tuple(map(Lit, rid.args)), amt), u)
+            out = [grown for acc in out for grown in grow(u, body, acc, {})]
     return sorted(set(out), key=state_key)
 
 

@@ -175,28 +175,26 @@ def init_witness_set(
     store: Store,
     combinable: bool = False,
 ) -> tuple[WitnessPair, ...]:
-    """Initial pairs (sigma_a, e), one per stable state satisfying the LHS.
+    """Initial pairs (sigma_a, e), one per order-minimal stable state
+    satisfying the LHS — sound because the assertion fragment is
+    intuitionistic.  ``minimal`` is ignored and kept for callers that pass
+    it, such as the benchmark's staged replay.
 
-    With ``minimal`` only the order-minimal satisfying states are kept —
-    sound because the assertion fragment is intuitionistic.  They are
-    built from the LHS's demands, so the cost follows the assertion, not
-    the universe; the LHS must be self-framing, as every package entry
-    point checks.  States are enumerated only for all satisfying states
-    (``minimal=False``, over the whole universe) and for an LHS holding a
-    wand atom (demands read a wand as a token, satisfaction reads it
-    semantically); every minimal state of such an LHS lies inside the
-    sub-universe it reaches, so only that is enumerated.  For the lifted
-    (combinable) form each pair is anchored at the satisfying state
-    itself.
+    The states are built from the LHS's demands, so the cost follows the
+    assertion, not the universe; the LHS must be self-framing, as every
+    package entry point checks.  States are enumerated only for an LHS
+    holding a wand atom (demands read a wand as a token, satisfaction
+    reads it semantically); every minimal state of such an LHS lies
+    inside the sub-universe it reaches, so only that is enumerated.  For
+    the lifted (combinable) form each pair is anchored at the satisfying
+    state itself.
     """
-    if minimal and not contains_wand(a):
+    if not contains_wand(a):
         sats = minimal_lhs_states(u, a, store)
     else:
         from .assertions import lhs_states
 
-        sats = lhs_states(reach(u, a) if minimal else u, a, store)
-        if minimal:
-            sats = st.minimal_elements(sats)
+        sats = st.minimal_elements(lhs_states(reach(u, a), a, store))
     pairs = [WitnessPair(s, EMPTY, s if combinable else None) for s in sats]
     return Context.make(EMPTY, pairs).pairs
 

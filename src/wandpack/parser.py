@@ -1,8 +1,9 @@
 """Parsers for the text formats: expressions, assertions, universes,
 programs, and state literals.  Every format round-trips with the printers.
 
-All parsers are recursive descent over a shared tokenizer and report
-errors with line/column positions.
+All parsers are recursive descent over the token texts and offsets that
+``_scan`` reads in one regex pass; a token's kind shows in its text.
+Errors report the line/column position ``_Lines`` finds for an offset.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from typing import Optional
 
 from . import program as pr
@@ -134,44 +136,6 @@ def _scan(src: str) -> tuple[list[str], list[int]]:
             # would match the empty eof token there once more
             break
     return texts, offsets
-
-
-def _kind(text: str) -> str:
-    """The kind of a token, told by its text."""
-    if not text:
-        return "eof"
-    if text[0] == '"':
-        return "string"
-    if text.isdecimal():
-        return "number"
-    return "ident" if text.isidentifier() else "op"
-
-
-class Token:
-    __slots__ = ("kind", "text", "offset", "_lines")
-
-    def __init__(self, kind: str, text: str, offset: int, lines: _Lines):
-        self.kind = kind
-        self.text = text
-        self.offset = offset
-        self._lines = lines
-
-    @property
-    def line(self) -> int:
-        return self._lines(self.offset)[0]
-
-    @property
-    def col(self) -> int:
-        return self._lines(self.offset)[1]
-
-    def __repr__(self):
-        return f"Token({self.kind!r}, {self.text!r}, {self.line}:{self.col})"
-
-
-def tokenize(src: str) -> list[Token]:
-    texts, offsets = _scan(src)
-    lines = _Lines(src)
-    return [Token(_kind(t), t, o, lines) for t, o in zip(texts, offsets)]
 
 
 class Parser:
@@ -707,16 +671,10 @@ def _check_predicates(raw: list[tuple[str, tuple[str, ...], Assertion]]) -> dict
         raise AssertionError_("duplicate predicate definition")
 
     deps = {n: {x.name for x in atoms(b) if isinstance(x, PredA)} & names for n, _, b in raw}
-    # topological check: no (mutual) recursion
-    resolved: set[str] = set()
-    pending = dict(deps)
-    while pending:
-        ready = [n for n, d in pending.items() if d <= resolved]
-        if not ready:
-            raise AssertionError_("recursive predicate definitions are not supported")
-        for n in ready:
-            resolved.add(n)
-            del pending[n]
+    try:
+        TopologicalSorter(deps).prepare()
+    except CycleError:
+        raise AssertionError_("recursive predicate definitions are not supported")
     out = {}
     for name, params, body in raw:
         if contains_wand(body):

@@ -225,7 +225,7 @@ def check_stmts(stmts: Sequence[Stmt], u, var_types: dict) -> None:
         elif isinstance(s, (Fold, Unfold)):
             try:
                 d = u.predicate(s.name)
-            except Exception as e:
+            except UniverseError as e:
                 raise ProgramError(str(e), s.pos)
             if len(d.params) != len(s.args):
                 raise ProgramError(f"{s.name} expects {len(d.params)} arguments", s.pos)

@@ -4,9 +4,17 @@ import pytest
 
 from wandpack.algorithms import prove_rhs
 from wandpack.cli import load_universe, main
-from wandpack.package_logic import Configuration, Context, init_witness_set
+from wandpack.package_logic import (
+    Configuration,
+    Context,
+    DAtom,
+    DDisjunction,
+    init_witness_set,
+    initial_configuration,
+)
 from wandpack.parser import parse_assertion_text, parse_state_text
 from wandpack.serialization import derivation_doc, dumps_canonical, state_to_json
+from wandpack.states import EMPTY
 from wandpack.universe import FieldLoc
 
 from conftest import CORPUS
@@ -216,6 +224,57 @@ def test_check_rejects_a_document_whose_script_fails(tmp_path, capsys):
     assert run_cli("check-derivation", derivs) == 1
     assert capsys.readouterr().out == (
         "derivation 0: REJECTED: script: unfold Cell: no full instance held by pair ({x.f@1=0})\n"
+    )
+
+
+ATOM = {"rule": "atom", "choices": []}
+
+
+@pytest.mark.parametrize(
+    "node, edit, line",
+    [
+        (
+            ("child", "right"),
+            {"rule": "star", "left": ATOM, "right": ATOM},
+            "extract > star > right > star: implication needs an implication rule, got star",
+        ),
+        (
+            ("child", "left"),
+            {"rule": "star", "left": ATOM, "right": ATOM},
+            "extract > star > left > star: atom assertion needs an atom rule, got star",
+        ),
+        (
+            ("child", "left"),
+            {"rule": "disjunction", "left_pairs": [], "left": ATOM, "right": ATOM},
+            "extract > star > left > disjunction: disjunction rule applied to a non-disjunction",
+        ),
+    ],
+    ids=["star-for-implication", "star-for-atom", "disjunction-for-atom"],
+)
+def test_check_rejects_a_rule_that_does_not_fit_its_assertion(tmp_path, capsys, node, edit, line):
+    doc = json.loads((CORPUS / "derivations" / "two_footprints_half_xb.json").read_text())
+    parent = doc["derivation"]
+    for key in node[:-1]:
+        parent = parent[key]
+    parent[node[-1]] = edit
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run_cli("check-derivation", bad) == 1
+    assert capsys.readouterr().out == f"derivation 0: REJECTED: {line}\n"
+
+
+def test_check_rejects_a_partition_naming_a_pair_outside_the_witness_set(tmp_path, capsys):
+    u = load_universe(CORPUS / "pointers.universe")
+    store = {"x": "x", "y": "y", "z": "z"}
+    wand = parse_assertion_text("acc(x.f) * (x.f == y || x.f == z) --* acc(y.g) || acc(z.g)")
+    conf = initial_configuration(u, wand, store, parse_state_text("{y.g @ 1 = 0, z.g @ 1 = 0}"))
+    stranger = parse_state_text("{x.f @ 1/2 = y}")  # the witness set holds x.f at 1 only
+    tree = DDisjunction(((stranger, EMPTY),), DAtom.make({}), DAtom.make({}))
+    forged = tmp_path / "forged.json"
+    forged.write_text(dumps_canonical(derivation_doc(u, store, wand, conf, tree)))
+    assert run_cli("check-derivation", forged) == 1
+    assert capsys.readouterr().out == (
+        "derivation 0: REJECTED: disjunction: partition names a pair that is not in the witness set\n"
     )
 
 
@@ -441,7 +500,7 @@ def test_oracle_footprint_rejects_a_state_naming_a_resource_twice(capsys):
     assert code == 2
     out = capsys.readouterr()
     assert not out.out
-    assert out.err.splitlines() == ["error: 1:15: duplicate resource x.f"]
+    assert out.err.splitlines() == ["error: --state: 1:15: duplicate resource x.f"]
 
 
 def test_oracle_combinable_queries():
@@ -516,8 +575,18 @@ def test_oracle_minimal_kind_overrides_the_wand(capsys, kind, footprints):
         (("combinable", "--assertion", "Cell(x, x)"), "--assertion: Cell expects 1 arguments"),
         (("entail", "--lhs", "acc(x.f)", "--rhs", "x.f"), "--rhs: pure assertion must be boolean"),
         (("entail", "--lhs", "Cell(1)", "--rhs", "true"), "--lhs: Cell arguments must be references"),
+        (
+            ("footprint", "--wand", "acc(x.f) --* acc(x.f)", "--state", "{x.f @ 1 = 0, x.f @ 1/2 = 0}"),
+            "--state: 1:15: duplicate resource x.f",
+        ),
+        (("footprint", "--wand", "acc(x.f) --* ", "--state", "{}"), "--wand: 1:14: expected an expression"),
+        (("entail", "--lhs", "acc(x.", "--rhs", "true"), "--lhs: 1:1: acc() takes a field access"),
+        (("minimal", "--wand", "acc(x.f)"), "--wand: not a wand: acc(x.f)"),
     ],
-    ids=["unbound-variable", "unknown-field", "unknown-predicate", "arity", "not-boolean", "not-a-reference"],
+    ids=[
+        "unbound-variable", "unknown-field", "unknown-predicate", "arity", "not-boolean", "not-a-reference",
+        "duplicate-resource", "truncated-wand", "truncated-acc", "not-a-wand",
+    ],
 )
 def test_oracle_rejects_ill_typed_assertions_exit_2(capsys, query, message):
     assert run_cli("oracle", query[0], "--universe", CORPUS / "preds.universe", *query[1:]) == 2
@@ -536,3 +605,21 @@ def test_laws_exit_0(capsys):
 
 def test_laws_bad_file_exit_2():
     assert run_cli("laws", CORPUS / "proof_of_false.wnd") == 2
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("granularity 0\nrefs x\nloc x.f: int {0}", "granularity must be a positive integer"),
+        ("granularity 2\nrefs x\nloc y.f: int {0}", "location y.f roots at undeclared reference"),
+        ("granularity 2\nrefs x\nloc x.n: ref {x, y}", "location x.n domain names undeclared reference y"),
+        ("granularity 2\nrefs x, y\nloc x.f: int {0}\nloc y.f: bool", "field f has inconsistent value types"),
+    ],
+    ids=["granularity-0", "undeclared-root", "undeclared-ref-value", "inconsistent-field"],
+)
+def test_laws_rejects_an_ill_formed_universe_exit_2(tmp_path, capsys, body, message):
+    path = tmp_path / "bad.universe"
+    path.write_text(f"universe v1\n{body}\n")
+    assert run_cli("laws", path) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: 1:1: {message}\n"

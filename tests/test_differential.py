@@ -11,6 +11,9 @@ stable state satisfying the LHS.  The per-case baseline's LHS cases are
 compared with the separate interpreter that built them before they came
 from the same demand walk.  The walkers built on the generic child
 traversal are compared with the hand-written recursions they replaced.
+``sat`` and ``oracle.desugar_state`` are compared with the copies they
+replaced, which read predicate instances and stars and forked predicate
+bodies with code of their own.
 """
 
 import itertools
@@ -67,7 +70,7 @@ from wandpack.oracle import EnumerationPlan
 from wandpack.states import EMPTY, State, state_key
 from wandpack.package_logic import init_witness_set
 from wandpack.parser import parse_assertion_text, parse_state_text, parse_universe_text
-from wandpack.universe import Universe, UniverseError
+from wandpack.universe import NULL, FieldLoc, PredInst, Universe, UniverseError
 
 from gen import identity_store, random_assertion, random_universe, random_wand
 
@@ -837,3 +840,113 @@ def test_traversal_matches_replaced_walkers_on_generated(with_predicate, granula
     for _ in range(750):
         u = random_universe(rng, with_predicate=with_predicate, granularity=granularity)
         assert_walkers_agree(random_wand(rng, u), u)
+
+
+# -- sat and desugar_state against the copies they replaced -----------------------------------
+
+# sat as it was when predicate instances and stars had cases of their own:
+# an instance read its token's amount from the mask, and a star took the
+# antichain of its demands before asking whether sigma lies above one
+
+
+def reference_sat(u, sigma: State, a: Assertion, store) -> bool:
+    try:
+        return _reference_sat(u, sigma, a, store)
+    except Unframed:
+        return False
+
+
+def _reference_sat(u, sigma: State, a: Assertion, store) -> bool:
+    if isinstance(a, Wand):
+        return asr.wand_holds(u, sigma, a, store)
+    if isinstance(a, OrA):
+        return _reference_sat(u, sigma, a.left, store) or _reference_sat(u, sigma, a.right, store)
+    heap = sigma.heap_dict()
+    mask = sigma.mask_dict()
+    if isinstance(a, Pure):
+        return eval_bool(a.expr, heap, store, mask)
+    if isinstance(a, Acc):
+        base = ex.eval_expr(a.ref_expr, heap, store, mask)
+        if base == NULL:
+            return False  # null carries no locations
+        loc = FieldLoc(base, a.field)
+        return u.has_location(loc) and sigma.mask_of(loc) >= a.amount
+    if isinstance(a, PredA):
+        vals = tuple(ex.eval_expr(x, heap, store, mask) for x in a.args)
+        return sigma.mask_of(PredInst(a.name, vals)) >= a.frac
+    if isinstance(a, Imp):
+        if eval_bool(a.guard, heap, store, mask):
+            return _reference_sat(u, sigma, a.body, store)
+        return True
+    if isinstance(a, Star):
+        ds = demands(u, a, heap, store, mask)
+        return any(st.geq(sigma, d) for d in ds)
+    raise AssertionError_(f"unknown assertion node {a!r}")
+
+
+def test_sat_matches_reference_on_generated():
+    rng = random.Random(2208)
+    seen = Counter()
+    for i in range(80):
+        u = random_universe(rng, with_predicate=i % 4 != 3)
+        store = identity_store(u)
+        pool = [random_assertion(rng, u, rng.choice([1, 2, 3]))[0] for _ in range(6)]
+        w = random_wand(rng, u, combinable=i % 2 == 1)
+        pool += [w, Star(w, pool[0]), Star(pool[1], OrA(w, pool[2]))]
+        states = list(st.enumerate_states(u))
+        for a in pool:
+            asr.typecheck(a, u, dict.fromkeys(u.refs, "ref"))
+            for sigma in rng.sample(states, min(len(states), 40)):
+                got = sat(u, sigma, a, store)
+                assert got == reference_sat(u, sigma, a, store), (a, sigma)
+                seen[type(a).__name__, got] += 1
+            seen.update(type(x).__name__ for x in asr.atoms(a))
+    # both verdicts of top-level stars, predicate and wand atoms, and
+    # predicate atoms below the top
+    assert all(seen[kind, v] for kind in ("Star", "PredA", "Wand") for v in (False, True))
+    assert seen["PredA"] > 50
+
+
+def reference_desugar_state(s: State, p: EnumerationPlan) -> list[State]:
+    """desugar_state as it was with its own fork-and-add loop."""
+    u = p.universe
+    base_mask = {rid: amt for rid, amt in s.mask if not isinstance(rid, PredInst)}
+    out = [State.make(base_mask, s.heap_dict())]
+    for rid, amt in s.mask:
+        if not isinstance(rid, PredInst):
+            continue
+        body = asr.desugar_predicates(PredA(rid.name, tuple(map(Lit, rid.args)), amt), u)
+        variants = demands(u, body, {}, {}, fresh="fork")
+        out = [
+            grown
+            for acc in out
+            for v in variants
+            for grown in [st.add(acc, v)]
+            if grown is not None
+        ]
+    return sorted(set(out), key=state_key)
+
+
+def assert_same_desugaring(states, p: EnumerationPlan) -> int:
+    """The number of states holding a predicate token."""
+    tokens = 0
+    for s in states:
+        assert orc.desugar_state(s, p) == reference_desugar_state(s, p), s
+        tokens += any(isinstance(rid, PredInst) for rid, _ in s.mask)
+    return tokens
+
+
+def test_desugar_state_matches_reference_on_every_state_of_preds(corpus_dir):
+    p = orc.plan(parse_universe_text((corpus_dir / "preds.universe").read_text()))
+    assert assert_same_desugaring(p.states(), p) > 0
+
+
+def test_desugar_state_matches_reference_on_generated():
+    rng = random.Random(2209)
+    tokens = 0
+    for granularity in (2, 3):
+        for _ in range(100):
+            p = orc.plan(random_universe(rng, with_predicate=True, granularity=granularity))
+            states = p.states()
+            tokens += assert_same_desugaring(rng.sample(states, min(len(states), 50)), p)
+    assert tokens > 1000

@@ -50,13 +50,6 @@ def test_init_witness_set_fractional(u2, store2):
     ]
 
 
-def test_init_witness_set_nonminimal_superset(u2, store2):
-    few = init_witness_set(A("acc(x.b, 1/2)"), u2, True, store2)
-    many = init_witness_set(A("acc(x.b, 1/2)"), u2, False, store2)
-    assert {p.sigma_a for p in few} <= {p.sigma_a for p in many}
-    assert len(many) > len(few)
-
-
 # -- the checker: acceptance ------------------------------------------------------------
 
 

@@ -1,7 +1,8 @@
 """Resource ids compute their hash and ``rid_key`` once, at construction;
 these tests pin that the cached values are the ones the plain dataclasses
 would compute, that nothing else sees them, and that they never travel
-between processes."""
+between processes.  The last tests pin the universe's well-formedness
+errors that the text format cannot express."""
 
 import copy
 import dataclasses
@@ -12,7 +13,7 @@ import sys
 
 import pytest
 
-from wandpack.universe import FieldLoc, PredInst, WandInst, rid_key, value_key
+from wandpack.universe import NULL, FieldLoc, PredInst, UniverseError, WandInst, make_universe, rid_key, value_key
 
 IDS = [
     FieldLoc("x", "f"),
@@ -85,3 +86,18 @@ def test_unpickled_ids_hash_as_the_receiving_process_does():
         done = subprocess.run([sys.executable, "-c", child], input=pickle.dumps(IDS), env=env,
                               capture_output=True)
         assert done.returncode == 0, done.stderr.decode()
+
+
+@pytest.mark.parametrize(
+    "refs, locations, message",
+    [
+        (["x", NULL], {}, "null is implicit and declares no locations"),
+        (["x"], {(NULL, "f"): [0]}, "locations rooted at null are not allowed"),
+        (["x"], {("x", "f"): []}, "location x.f has an empty value domain"),
+        (["x"], {("x", "f"): [0, True]}, "location x.f mixes value types in its domain"),
+    ],
+    ids=["null-ref", "null-rooted", "empty-domain", "mixed-domain"],
+)
+def test_make_universe_rejects_what_the_grammar_cannot_express(refs, locations, message):
+    with pytest.raises(UniverseError, match=f"^{message}$"):
+        make_universe(refs, locations, 2)
