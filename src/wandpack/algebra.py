@@ -5,6 +5,10 @@ on a precomputed addition table.  States are the product of per-resource
 options and addition acts on each resource alone, so the table is
 composed from one small table per resource in O(n²) work, then
 cross-checked against the public ``add`` on a deterministic sample.
+The table is int16, since every entry is a state index or the sentinel
+n and n stays within ``TABLE_BUDGET``.  Every n² pass, the table's last
+composition step included, runs one block of rows at a time, so no
+temporary holds more than about ``BLOCK_ENTRIES`` entries.
 Associativity is decided on a generating set by Light's test: the
 entries m with (x+m)+y = x+(m+y) for all x, y are closed under addition,
 so the table is associative exactly when its generators are such
@@ -39,6 +43,13 @@ AXIOMS = (
 
 # beyond this many states the quadratic table stops being practical
 TABLE_BUDGET = 5000
+# the table's entries are state indices and the sentinel, all at most
+# TABLE_BUDGET; an explicit raise, so the check survives python -O
+TABLE_DTYPE = np.int16
+if TABLE_BUDGET + 1 > np.iinfo(TABLE_DTYPE).max:
+    raise ImportError(f"TABLE_BUDGET + 1 does not fit the table dtype {np.dtype(TABLE_DTYPE)}")
+# the n² passes run in row blocks of about this many table entries
+BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -47,6 +58,23 @@ class AlgebraLawReport:
     passed: bool
     counterexample: Optional[tuple[State, ...]] = None
     detail: str = ""
+
+
+def _blocks(rows: int, cols: int):
+    """Slices covering range(rows) in order, each a block of rows of a
+    table ``cols`` wide that holds about ``BLOCK_ENTRIES`` entries."""
+    step = max(1, BLOCK_ENTRIES // max(cols, 1))
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def _hits(n: int, mask):
+    """``np.argwhere`` of the n x n boolean table whose row block s is
+    ``mask(s)``, built a block at a time and yielded lazily, in row-major
+    order."""
+    for s in _blocks(n, n):
+        hits = np.argwhere(mask(s))
+        hits[:, 0] += s.start
+        yield from hits
 
 
 def _resource_table(p: np.ndarray, h: np.ndarray, g: int, undefined: int) -> np.ndarray:
@@ -70,27 +98,32 @@ def _build_add_table(codes, g: int) -> np.ndarray:
     the table over the later resources, the sum of (a, x) and (b, y) is
     T[a, b] * len(C) + C[x, y], undefined where either part is.  Every
     undefined entry is kept at n or above, so one clamp per step keeps
-    it at n; the last step writes into A itself.
+    it at n.  The steps compose in int32; the last one, over the first
+    resource, writes the int16 table a row block at a time.
     """
     n = math.prod(len(p) for p, _ in codes)
-    A = np.empty((n + 1, n + 1), dtype=np.int32)
-    A[n], A[:, n] = n, n
-    A[0, 0] = 0  # the empty state alone, where there are no resources
+    # with no resources, the one state is the empty state and e (+) e = e
+    tables = [_resource_table(*c, g, n) for c in codes] or [np.zeros((1, 1), dtype=np.int32)]
     C = np.zeros((1, 1), dtype=np.int32)
-    for k in reversed(range(len(codes))):
-        T = _resource_table(*codes[k], g, n) * len(C)
+    for T in reversed(tables[1:]):
         m = len(T) * len(C)
-        out = A[:n, :n] if k == 0 else np.empty((m, m), dtype=np.int32)
+        out = np.empty((m, m), dtype=np.int32)
         step = out.reshape(len(T), len(C), len(T), len(C))
-        np.add(T[:, None, :, None], C[None, :, None, :], out=step)
-        np.minimum(out, n, out=out)  # on the 4-d view, numpy would copy
-        C = out
+        np.add((T * len(C))[:, None, :, None], C[None, :, None, :], out=step)
+        C = np.minimum(out, n, out=out)  # on the 4-d view, numpy would copy
+    T = tables[0] * len(C)
+    A = np.empty((n + 1, n + 1), dtype=TABLE_DTYPE)
+    A[n], A[:, n] = n, n
+    for s in _blocks(n, n):
+        i = np.arange(s.start, s.stop)
+        part = T[i // len(C), :, None] + C[i % len(C), None, :]
+        A[s, :n] = np.minimum(part, n, out=part).reshape(len(i), n)
     return A
 
 
-def _cross_check(states: list[State], idx: dict, A: np.ndarray) -> None:
-    """Spot-check the vectorized table against the public add operation;
-    ``idx`` maps each state to its row."""
+def _cross_check(states: list[State], A: np.ndarray) -> None:
+    """Spot-check the vectorized table against the public add operation:
+    each sampled sum must be the state its table entry names."""
     n = len(states)
     stride = max(1, n // 47)
     samples = [(i, j) for i in range(0, n, stride) for j in range(0, n, stride)]
@@ -101,7 +134,7 @@ def _cross_check(states: list[State], idx: dict, A: np.ndarray) -> None:
         # explicit raises: the check must survive python -O
         if got is None and want != n:
             raise AssertionError(f"table defines add({states[i]}, {states[j]}) but add() does not")
-        if got is not None and want != idx[got]:
+        if got is not None and (want == n or states[want] != got):
             raise AssertionError(f"table disagrees with add() at ({i}, {j})")
 
 
@@ -119,7 +152,7 @@ def check_axioms(u: Universe) -> list[AlgebraLawReport]:
     idx = {s: i for i, s in enumerate(states)}
     codec = st.Codec(u)
     A = _build_add_table(codec.options(), u.granularity)
-    _cross_check(states, idx, A)
+    _cross_check(states, A)
     P, H = codec.encode(states)
 
     core_idx = np.array([idx[st.core(s)] for s in states] + [n], dtype=np.int32)
@@ -134,7 +167,7 @@ def check_axioms(u: Universe) -> list[AlgebraLawReport]:
         _core_a(states, A, core_idx),
         _core_b(states, A, P, H),
         _core_c(states, A, core_idx),
-        _stability_d(states, idx, A, stable),
+        _stability_d(states, A, stable),
         _positivity_e(states, A, pure),
         _cancellativity_f(states, A, core_idx),
     ]
@@ -168,11 +201,9 @@ def _neutral(states, idx, A) -> AlgebraLawReport:
 
 def _commutativity(states, A) -> AlgebraLawReport:
     n = len(states)
-    body = A[:n, :n]
-    bad = np.argwhere(body != body.T)
     return _replay(
         "commutativity",
-        _at(states, bad),
+        _at(states, _hits(n, lambda s: A[s, :n] != A[:n, s].T)),
         lambda a, b: st.add(a, b) == st.add(b, a),
         "a (+) b differs from b (+) a",
     )
@@ -185,7 +216,9 @@ def _generators(A) -> list[int]:
     m = len(A)
     ids = np.arange(m)
     reducible = np.zeros(m, dtype=bool)
-    reducible[A[(A != ids[:, None]) & (A != ids[None, :])]] = True
+    for s in _blocks(m, m):
+        rows = A[s]
+        reducible[rows[(rows != ids[s, None]) & (rows != ids)]] = True
     gens = [m - 1] + np.nonzero(~reducible[:-1])[0].tolist()
     reached = np.zeros(m, dtype=bool)
     frontier = np.array(gens)
@@ -202,11 +235,24 @@ def _generators(A) -> list[int]:
         frontier = np.nonzero(reached)[0]
 
 
+def _symmetric(m: int, entries) -> bool:
+    """Whether the m x m table whose block of rows r and columns c is
+    ``entries(r, c)`` is symmetric: each row block is compared with the
+    matching column block, right of the diagonal only."""
+    for s in _blocks(m, m):
+        rest = slice(s.start, m)
+        if not np.array_equal(entries(s, rest), entries(rest, s).T):
+            return False
+    return True
+
+
 def _table_associative(A) -> bool:
-    """Light's test where A commutes, so x+(g+y) is (y+g)+x: one gather and
-    its transpose per generator.  Other tables are left to the triple scan."""
-    return np.array_equal(A, A.T) and all(
-        np.array_equal(L := A[A[:, g]], L.T) for g in _generators(A)
+    """Light's test where A commutes, so x+(g+y) is (y+g)+x: per generator,
+    the table L = A[A[:, g]] gathered a block at a time and compared with
+    its transpose.  Other tables are left to the triple scan."""
+    m = len(A)
+    return _symmetric(m, lambda r, c: A[r, c]) and all(
+        _symmetric(m, lambda r, c, col=A[:, g]: A[col[r], c]) for g in _generators(A)
     )
 
 
@@ -214,9 +260,8 @@ def _associativity(states, A) -> AlgebraLawReport:
     def triples():  # the triple scan, run only on a table Light's test refuses
         n = len(states)
         for i in range(n):
-            left_rows = A[A[i, :n]][:, :n]  # (j, k) -> (a+b)+c
-            right_rows = A[i][A[:n, :n]]  # (j, k) -> a+(b+c)
-            for j, k in np.argwhere(left_rows != right_rows):
+            # (j, k) -> (a+b)+c against a+(b+c), a block of j at a time
+            for j, k in _hits(n, lambda s: A[A[i, s], :n] != np.take(A[i], A[s, :n])):
                 yield states[i], states[int(j)], states[int(k)]
 
     def law(a, b, c):
@@ -242,13 +287,19 @@ def _core_a(states, A, core_idx) -> AlgebraLawReport:
 
 def _core_b(states, A, P, H) -> AlgebraLawReport:
     n = len(states)
-    pairs = np.argwhere(A[:n, :n] == np.arange(n)[:, None])
-    xs, cs = pairs[:, 0], pairs[:, 1]
-    # c <= |x|: c holds no permission and each value of c's heap is x's
-    below = ~P[cs].any(axis=1) & ((H[cs] == 0) | (H[cs] == H[xs])).all(axis=1)
+
+    def bad(s):  # the pairs x = x (+) c of the block, less those with c <= |x|
+        hit = A[s, :n] == np.arange(s.start, s.stop)[:, None]
+        r, cs = np.nonzero(hit)
+        xs = r + s.start
+        # c <= |x|: c holds no permission and each value of c's heap is x's
+        below = ~P[cs].any(axis=1) & ((H[cs] == 0) | (H[cs] == H[xs])).all(axis=1)
+        hit[r[below], cs[below]] = False
+        return hit
+
     return _replay(
         "core-b",
-        _at(states, pairs[~below]),
+        _at(states, _hits(n, bad)),
         lambda x, c: st.geq(st.core(x), c),
         "x = x (+) c but |x| does not contain c",
     )
@@ -256,56 +307,66 @@ def _core_b(states, A, P, H) -> AlgebraLawReport:
 
 def _core_c(states, A, core_idx) -> AlgebraLawReport:
     n = len(states)
-    body = A[:n, :n]
-    lhs = core_idx[body]
-    rhs = A[np.ix_(core_idx[:n], core_idx[:n])]
-    # the axiom constrains only pairs whose sum is defined
-    bad = np.argwhere((body != n) & (lhs != rhs))
+
+    def bad(s):  # the axiom constrains only pairs whose sum is defined
+        body = A[s, :n]
+        return (body != n) & (np.take(core_idx, body) != np.take(A[core_idx[s]], core_idx[:n], axis=1))
+
     return _replay(
         "core-c",
-        _at(states, bad),
+        _at(states, _hits(n, bad)),
         lambda a, b: (s := st.add(a, b)) is None or st.core(s) == st.add(st.core(a), st.core(b)),
         "|a (+) b| differs from |a| (+) |b|",
     )
 
 
-def _stability_d(states, idx, A, stable) -> AlgebraLawReport:
+def _stability_d(states, A, stable) -> AlgebraLawReport:
     n = len(states)
     if not st.is_stable(EMPTY):
         return AlgebraLawReport("stability-d", False, (EMPTY,), "the empty state is not stable")
-    body = A[:n, :n]
-    bad = np.argwhere(stable[:n, None] & stable[None, :n] & (body != n) & ~stable[body])
+
+    def bad(s):
+        body = A[s, :n]
+        return stable[s, None] & stable[None, :n] & (body != n) & ~np.take(stable, body)
 
     def law(a, b):
         s = st.add(a, b)
         return s is None or not (st.is_stable(a) and st.is_stable(b)) or st.is_stable(s)
 
-    return _replay("stability-d", _at(states, bad), law, "sum of stable states is unstable")
+    return _replay("stability-d", _at(states, _hits(n, bad)), law, "sum of stable states is unstable")
 
 
 def _positivity_e(states, A, pure) -> AlgebraLawReport:
     n = len(states)
-    body = A[:n, :n]
-    bad = np.argwhere((body != n) & pure[body] & ~pure[:n, None])
+
+    def bad(s):
+        body = A[s, :n]
+        return (body != n) & np.take(pure, body) & ~pure[s, None]
+
     return _replay(
         "positivity-e",
-        _at(states, bad),
+        _at(states, _hits(n, bad)),
         lambda a, b: (c := st.add(a, b)) is None or not st.is_pure(c) or st.is_pure(a),
         "a pure sum has an impure summand",
     )
 
 
 def _cancellativity_f(states, A, core_idx) -> AlgebraLawReport:
+    n = len(states)
+
     def candidates():  # (b (+) x, b, x, y) wherever the table has b (+) x = b (+) y, |x| = |y|
-        n = len(states)
-        for b in range(n):
-            row = A[b, :n].astype(np.int64)
-            key = np.where(row != n, row * (n + 1) + core_idx[:n], np.int64(-1))
-            order = np.argsort(key, kind="stable")
-            ks = key[order]
-            for d in np.nonzero((ks[1:] == ks[:-1]) & (ks[1:] >= 0))[0]:
-                sb, sx, sy = states[b], states[int(order[d])], states[int(order[d + 1])]
-                yield st.add(sb, sx), sb, sx, sy
+        for s in _blocks(n, n):
+            body = A[s, :n].astype(np.int32)
+            keys = np.where(body != n, body * (n + 1) + core_idx[:n], -1)
+            # a sorted copy finds the rows with a repeated defined key; only
+            # those rows take the stable argsort that orders the candidates
+            ks = np.sort(keys, axis=1)
+            for r in np.nonzero(((ks[:, 1:] == ks[:, :-1]) & (ks[:, 1:] >= 0)).any(axis=1))[0]:
+                order = np.argsort(keys[r], kind="stable")
+                sk = keys[r][order]
+                for d in np.nonzero((sk[1:] == sk[:-1]) & (sk[1:] >= 0))[0]:
+                    sb, sx, sy = states[s.start + r], states[int(order[d])], states[int(order[d + 1])]
+                    yield st.add(sb, sx), sb, sx, sy
 
     return _replay(
         "cancellativity-f",

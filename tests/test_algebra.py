@@ -144,7 +144,9 @@ pred Cell(r) = acc(r.f)
 def test_table_is_public_add_on_every_pair(text):
     u = parse_universe_text(text)
     brute = _broken_table(u, st.add)()  # the brute-force table of the real add
-    assert np.array_equal(_table(text), brute)
+    table = _table(text)
+    assert table.dtype == algebra.TABLE_DTYPE == np.int16
+    assert np.array_equal(table, brute)
 
 
 @pytest.mark.parametrize("text, mutants", [(TINY_TEXT, 2000), (U2_TEXT, 1000)], ids=["tiny", "u2"])
@@ -320,13 +322,142 @@ def corrupt(*args):
 algebra._build_add_table = corrupt
 algebra.check_axioms(parse_universe_text(%r))
 """ % TINY_TEXT
+    proc = _run_optimized(script)
+    assert proc.returncode != 0
+    assert "table disagrees with add() at (0, 0)" in proc.stderr
+
+
+def _run_optimized(script):
+    """Run ``script`` under python -O on this checkout's sources."""
     src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-O", "-c", script],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
         timeout=120,
     )
+
+
+def test_cross_check_rejects_a_sum_outside_the_universe():
+    # add returns a state over a location the universe does not declare:
+    # the cross-check names the pair instead of failing on the lookup
+    script = """
+import wandpack.algebra as algebra
+from wandpack.parser import parse_state_text, parse_universe_text
+foreign = parse_state_text("{x.h @ 1 = 0}")
+algebra.st.add = lambda a, b: foreign
+algebra.check_axioms(parse_universe_text(%r))
+""" % TINY_TEXT
+    proc = _run_optimized(script)
     assert proc.returncode != 0
+    assert "KeyError" not in proc.stderr
     assert "table disagrees with add() at (0, 0)" in proc.stderr
+
+
+# -- the row-blocked passes against their unblocked forms ---------------------------
+
+
+def _light_unblocked(A):
+    """Light's test on the whole table at once, with the generators found
+    in one block."""
+    return np.array_equal(A, A.T) and all(
+        np.array_equal(L := A[A[:, g]], L.T) for g in algebra._generators(A)
+    )
+
+
+def _cancellation_scan(A, core_idx):
+    """(b, x, y) wherever row b's keys b (+) x and |x|, stably sorted, hold
+    two equal defined neighbours: the per-row scan, on every row."""
+    n = len(A) - 1
+    out = []
+    for b in range(n):
+        row = A[b, :n].astype(np.int64)
+        key = np.where(row != n, row * (n + 1) + core_idx[:n], -1)
+        order = np.argsort(key, kind="stable")
+        ks = key[order]
+        for d in np.nonzero((ks[1:] == ks[:-1]) & (ks[1:] >= 0))[0]:
+            out.append((b, int(order[d]), int(order[d + 1])))
+    return out
+
+
+def _unblocked_candidates(A, P, H, core_idx, stable):
+    """Each pass's candidate index tuples, computed on the whole table."""
+    n = len(A) - 1
+    body = A[:n, :n]
+    ids = np.arange(n)
+    pure = np.concatenate([body.diagonal() == ids, [False]])
+    pairs = np.argwhere(body == ids[:, None])
+    xs, cs = pairs[:, 0], pairs[:, 1]
+    below = ~P[cs].any(axis=1) & ((H[cs] == 0) | (H[cs] == H[xs])).all(axis=1)
+    triples = [
+        (i, int(j), int(k))
+        for i in range(n)
+        for j, k in np.argwhere(A[A[i, :n]][:, :n] != A[i][A[:n, :n]])
+    ]
+    found = {
+        "neutral": np.argwhere(A[0, :n] != ids),
+        "commutativity": np.argwhere(body != body.T),
+        "associativity": [] if _light_unblocked(A) else triples,
+        "core-a": np.argwhere((A[ids, core_idx[:n]] != ids) | (A[core_idx[:n], core_idx[:n]] != core_idx[:n])),
+        "core-b": pairs[~below],
+        "core-c": np.argwhere((body != n) & (core_idx[body] != A[np.ix_(core_idx[:n], core_idx[:n])])),
+        "stability-d": np.argwhere(stable[:n, None] & stable[None, :n] & (body != n) & ~stable[body]),
+        "positivity-e": np.argwhere((body != n) & pure[body] & ~pure[:n, None]),
+    }
+    found = {k: [tuple(int(i) for i in t) for t in v] for k, v in found.items()}
+    found["cancellativity-f"] = _cancellation_scan(A, core_idx)
+    return found
+
+
+@pytest.mark.parametrize("text, mutants", [(TINY_TEXT, 200), (U2_TEXT, 20)], ids=["tiny", "u2"])
+def test_blocked_passes_match_unblocked_on_mutated_tables(monkeypatch, text, mutants):
+    u = parse_universe_text(text)
+    states = list(enumerate_states(u))
+    idx = {s: i for i, s in enumerate(states)}
+    n = len(states)
+    assert states[0] == EMPTY  # the unblocked neutral pass reads row 0
+    P, H = st.Codec(u).encode(states)
+    core_idx = np.array([idx[st.core(s)] for s in states] + [n])
+    stable = np.array([st.is_stable(s) for s in states] + [False])
+    # blocks of `rows` rows, a size that divides neither n nor n + 1
+    rows = next(r for r in range(3, n) if n % r and (n + 1) % r)
+    monkeypatch.setattr(algebra, "BLOCK_ENTRIES", rows * (n + 1))
+    assert [s.stop - s.start for s in algebra._blocks(n, n)][:2] == [rows, rows]
+    assert [s.stop - s.start for s in algebra._blocks(n + 1, n + 1)][:2] == [rows, rows]
+
+    base = _table(text)
+    table = [base]
+    found = {}
+
+    def capture(axiom, candidates, law, detail):
+        # cancellativity's candidates lead with the sum b (+) x
+        cut = 1 if axiom == "cancellativity-f" else 0
+        found[axiom] = [tuple(idx[s] for s in c[cut:]) for c in candidates]
+        return algebra.AlgebraLawReport(axiom, True)
+
+    monkeypatch.setattr(algebra, "_build_add_table", lambda *_: table[0])
+    monkeypatch.setattr(algebra, "_cross_check", lambda *_: None)
+    monkeypatch.setattr(algebra, "_replay", capture)
+    rng = random.Random(n)
+    nominated = set()
+    for _ in range(mutants):
+        A = base.copy()
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            # any entry, or i itself (x + c = x), or another entry of row i
+            A[i, j] = v = rng.choice([rng.randrange(n + 1), i, A[i, rng.randrange(n)]])
+            if rng.random() < 0.5:  # keep commutativity in half the edits
+                A[j, i] = v
+        table[0] = A
+        check_axioms(u)
+        assert found == _unblocked_candidates(A, P, H, core_idx, stable)
+        assert algebra._table_associative(A) == _light_unblocked(A)
+        with monkeypatch.context() as one_block:
+            one_block.setattr(algebra, "BLOCK_ENTRIES", (n + 1) ** 2)
+            gens = algebra._generators(A)
+        assert algebra._generators(A) == gens
+        nominated |= {axiom for axiom, c in found.items() if c}
+    # every blocked pass nominated candidates on some mutant, so each
+    # comparison bit
+    assert nominated >= set(AXIOMS) - {"neutral", "core-a"}
