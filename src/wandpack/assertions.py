@@ -456,10 +456,10 @@ def _sat(u, sigma: State, a: Assertion, store) -> bool:
 # store restricted to the assertion's free variables, budget), so stores
 # that differ only in variables the assertion never reads share an entry.
 # Checks are keyed by (universe id, the wand's sides by identity, its kind,
-# the store with each value's type) and at most CHECK_LIMIT are kept, the
-# oldest dropped first.  A universe's entries of both caches are dropped
-# when it is garbage-collected: neither cache keeps a universe alive nor
-# outlives it, and a recycled id never meets a stale entry.
+# the store with each value's type).  Each cache keeps at most CHECK_LIMIT
+# entries, the oldest dropped first.  A universe's entries of both caches
+# are dropped when it is garbage-collected: neither cache keeps a universe
+# alive nor outlives it, and a recycled id never meets a stale entry.
 _LHS_CACHE: dict = {}
 _CHECKS: dict = {}
 _KEYS: dict[int, set] = {}
@@ -473,12 +473,19 @@ def _forget_universe(uid: int) -> None:
         _CHECKS.pop(k, None)
 
 
-def _register(u: Universe, key: tuple) -> None:
+def _remember(cache: dict, u: Universe, key: tuple, value) -> None:
+    """``cache[key] = value``, first dropping the oldest entry of a full
+    cache; ``_KEYS`` follows both."""
+    if len(cache) >= CHECK_LIMIT:
+        old = next(iter(cache))
+        del cache[old]
+        _KEYS[old[0]].discard(old)
     keys = _KEYS.get(id(u))
     if keys is None:
         keys = _KEYS[id(u)] = set()
         weakref.finalize(u, _forget_universe, id(u)).atexit = False
     keys.add(key)
+    cache[key] = value
 
 
 def lhs_states(u: Universe, a: Assertion, store: Store, budget: int = 10**6) -> list[State]:
@@ -500,8 +507,7 @@ def lhs_states(u: Universe, a: Assertion, store: Store, budget: int = 10**6) -> 
         ),
         key=state_key,
     )
-    _register(u, key)
-    _LHS_CACHE[key] = out
+    _remember(_LHS_CACHE, u, key, out)
     return out
 
 
@@ -602,13 +608,8 @@ def wand_check(u: Universe, w: Wand, store: Store) -> WandCheck:
     check = _CHECKS.get(key)
     if check is None:
         check = WandCheck(u, w, store)
-        if len(_CHECKS) >= CHECK_LIMIT:
-            old = next(iter(_CHECKS))
-            del _CHECKS[old]
-            _KEYS[old[0]].discard(old)
         # the check holds w, so the ids in the key are not reused while it lives
-        _register(u, key)
-        _CHECKS[key] = check
+        _remember(_CHECKS, u, key, check)
     return check
 
 

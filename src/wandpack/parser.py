@@ -757,6 +757,6 @@ def format_state(s: State) -> str:
             parts.append(f"{rid} @ {frac}")
         else:
             parts.append(f"wand[{rid.key}] @ {frac}")
-    for loc in sorted(heap_left, key=lambda l: (l.ref, l.field)):
+    for loc in sorted(heap_left):
         parts.append(f"{loc} @ 0 = {format_value(heap_left[loc])}")
     return "{" + ", ".join(parts) + "}"

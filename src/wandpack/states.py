@@ -7,15 +7,17 @@ the core of a state keeps the heap and zeroes the mask.  Heap values held
 at zero permission are valid (the state is merely unstable) — cores and
 verifier worlds rely on this.
 
-Normal form: a state's mask is a tuple of (resource id, positive
-``Fraction``) entries and its heap a tuple of (location, value) entries,
-both sorted by the ``rid_key`` each resource id stores, with no repeated
-key.  ``State.make`` is the public constructor and establishes this from
-any input.  The algebra below receives normal states only, so it builds
-its results with the plain ``State(mask, heap)`` constructor, keeping
-entry order where it can (scaling, filtering, subtraction) and sorting
-once where it cannot (the keys an addition brings in).  Nothing outside
-this module builds a ``State`` that way.
+Normal form: a state is the tuple (mask, heap).  Its mask is a tuple of
+(resource id, positive ``Fraction``) entries and its heap a tuple of
+(location, value) entries, both sorted by resource id, with no repeated
+id.  An id is its own sort key (see ``universe``), so a sort needs no key
+function and, since ids in one mask or heap are distinct, never compares
+two amounts or values.  ``State.make`` is the public constructor and
+establishes this from any input.  The algebra below receives normal states
+only, so it builds its results with the plain ``State(mask, heap)``
+constructor, keeping entry order where it can (scaling, filtering,
+subtraction) and sorting once where it cannot (the keys an addition brings
+in).  Nothing outside this module builds a ``State`` that way.
 
 Amounts stay ``Fraction``, but the kernel decides bounds and order on
 their numerators and denominators: ``a/b <= c/d`` as ``a*d <= c*b`` and
@@ -26,9 +28,8 @@ which skips the generic dispatch of ``Fraction`` comparison.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from .universe import (
     UniverseError,
     Value,
     format_value,
-    rid_key,
     value_key,
     value_type,
     WandInst,
@@ -55,8 +55,7 @@ class StateError(Exception):
     """Contract violation on a state operation (e.g. sub on non-geq inputs)."""
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
     """Immutable (mask, heap) pair, normalized and hashable.
 
     Zero mask entries are dropped on construction; mask and heap are kept
@@ -83,10 +82,7 @@ class State:
             if n:
                 m[rid] = amt
         h = heap if isinstance(heap, dict) else dict(heap)
-        return State(
-            mask=tuple(sorted(m.items(), key=_entry_key)),
-            heap=tuple(sorted(h.items(), key=_entry_key)),
-        )
+        return State(tuple(sorted(m.items())), tuple(sorted(h.items())))
 
     # -- accessors ----------------------------------------------------------
 
@@ -118,19 +114,12 @@ class State:
         return "{" + ", ".join(parts) + "}"
 
 
-def _entry_key(entry: tuple) -> tuple:
-    return rid_key(entry[0])
-
-
 EMPTY = State.make()
 
 
 def state_key(s: State) -> tuple:
     """Deterministic total order used wherever iteration order matters."""
-    return (
-        tuple((rid_key(r), a) for r, a in s.mask),
-        tuple((rid_key(l), value_key(v)) for l, v in s.heap),
-    )
+    return (s.mask, tuple([(l, value_key(v)) for l, v in s.heap]))
 
 
 def validate(s: State, u: Universe) -> None:
@@ -194,7 +183,7 @@ def add(a: State, b: State) -> Optional[State]:
             return None
         m[rid] = tot
     # a's keys keep their order; only keys b brings in need a sort
-    mask = tuple(sorted(m.items(), key=_entry_key)) if grew else tuple(m.items())
+    mask = tuple(sorted(m.items())) if grew else tuple(m.items())
     return State(mask, heap)
 
 
@@ -217,7 +206,7 @@ def _merged_heap(ah: tuple, bh: tuple) -> Optional[tuple]:
         return ah
     if len(h) == len(bh):
         return bh
-    return tuple(sorted(h.items(), key=_entry_key))
+    return tuple(sorted(h.items()))
 
 
 def compatible(a: State, b: State) -> bool:

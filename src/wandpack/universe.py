@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Union
 
 NULL = "null"
@@ -48,84 +49,70 @@ def format_value(v: Value) -> str:
     return str(v)
 
 
-# Resource ids are dict and set keys throughout the state algebra, so each
-# computes its hash and its ``rid_key`` once, in its constructor.  The hash
-# is the one the dataclass would generate (the hash of the tuple of the
-# compared fields), so iteration orders do not depend on the caching; the
-# cached values are not dataclass fields, so equality, order and ``repr``
-# ignore them.  Slots keep the two cached values from costing an instance
-# dict.  Pickling and copying rebuild through the constructor: a string's
-# hash differs between processes.
-
-_set = object.__setattr__
+# Resource ids are dict and set keys and sort keys throughout the state
+# algebra, so each is a tuple that holds its own sort key: (0, ref, field),
+# (1, name, the ``value_key`` of each argument, args) or (2, key).  Hashing,
+# equality and ordering are the tuple's own, run in C; the leading tag keeps
+# ids of different kinds apart and orders field locations before predicate
+# instances before wands.  Pickling and copying rebuild an id through its
+# constructor (``__getnewargs__``), so it hashes as the receiving process
+# hashes strings.
 
 
-def _cached_hash(rid) -> int:
-    return rid._hash
-
-
-@dataclass(frozen=True, order=True, init=False)
-class FieldLoc:
+class FieldLoc(tuple):
     """A concrete heap location: a (reference, field) pair."""
 
-    __slots__ = ("ref", "field", "_hash", "_key")
-    ref: str
-    field: str
+    __slots__ = ()
+    ref: str = property(itemgetter(1))
+    field: str = property(itemgetter(2))
 
-    def __init__(self, ref: str, field: str):
-        _set(self, "ref", ref)
-        _set(self, "field", field)
-        _set(self, "_hash", hash((ref, field)))
-        _set(self, "_key", (0, ref, field))
+    def __new__(cls, ref: str, field: str):
+        return tuple.__new__(cls, (0, ref, field))
 
-    __hash__ = _cached_hash
+    def __getnewargs__(self):
+        return self[1:]
 
-    def __reduce__(self):
-        return FieldLoc, (self.ref, self.field)
+    def __repr__(self) -> str:
+        return f"FieldLoc(ref={self.ref!r}, field={self.field!r})"
 
     def __str__(self) -> str:
         return f"{self.ref}.{self.field}"
 
 
-@dataclass(frozen=True, init=False)
-class PredInst:
+class PredInst(tuple):
     """A predicate-instance resource; the held fraction lives in the mask."""
 
-    __slots__ = ("name", "args", "_hash", "_key")
-    name: str
-    args: tuple[Value, ...]
+    __slots__ = ()
+    name: str = property(itemgetter(1))
+    args: tuple[Value, ...] = property(itemgetter(3))
 
-    def __init__(self, name: str, args: tuple[Value, ...]):
-        _set(self, "name", name)
-        _set(self, "args", args)
-        _set(self, "_hash", hash((name, args)))
-        _set(self, "_key", (1, name, tuple(value_key(a) for a in args)))
+    def __new__(cls, name: str, args: tuple[Value, ...]):
+        return tuple.__new__(cls, (1, name, tuple(value_key(a) for a in args), args))
 
-    __hash__ = _cached_hash
+    def __getnewargs__(self):
+        return self[1], self[3]
 
-    def __reduce__(self):
-        return PredInst, (self.name, self.args)
+    def __repr__(self) -> str:
+        return f"PredInst(name={self.name!r}, args={self.args!r})"
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(format_value(a) for a in self.args)})"
 
 
-@dataclass(frozen=True, init=False)
-class WandInst:
+class WandInst(tuple):
     """A recorded wand instance, keyed by its closed, printed form."""
 
-    __slots__ = ("key", "_hash", "_key")
-    key: str
+    __slots__ = ()
+    key: str = property(itemgetter(1))
 
-    def __init__(self, key: str):
-        _set(self, "key", key)
-        _set(self, "_hash", hash((key,)))
-        _set(self, "_key", (2, key))
+    def __new__(cls, key: str):
+        return tuple.__new__(cls, (2, key))
 
-    __hash__ = _cached_hash
+    def __getnewargs__(self):
+        return self[1:]
 
-    def __reduce__(self):
-        return WandInst, (self.key,)
+    def __repr__(self) -> str:
+        return f"WandInst(key={self.key!r})"
 
     def __str__(self) -> str:
         return f"wand[{self.key}]"
@@ -136,9 +123,8 @@ ResourceId = Union[FieldLoc, PredInst, WandInst]
 
 def rid_key(rid: ResourceId) -> tuple:
     """Deterministic order: field locations, then predicates, then wands.
-    Stored at construction: (0, ref, field), (1, name, the ``value_key``
-    of each argument) or (2, key)."""
-    return rid._key
+    An id is its own key."""
+    return rid
 
 
 @dataclass(frozen=True)

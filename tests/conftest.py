@@ -3,6 +3,7 @@ import pathlib
 import pytest
 
 from wandpack.parser import parse_assertion_text, parse_state_text, parse_universe_text
+from wandpack.universe import FieldLoc, PredInst, value_key
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -64,6 +65,15 @@ def A(text):
 
 def S(text):
     return parse_state_text(text)
+
+
+def formula_rid_key(r) -> tuple:
+    """The order resource ids have always had, written out."""
+    if isinstance(r, FieldLoc):
+        return (0, r.ref, r.field)
+    if isinstance(r, PredInst):
+        return (1, r.name, tuple(value_key(a) for a in r.args))
+    return (2, r.key)
 
 
 @pytest.fixture(scope="session")

@@ -9,10 +9,10 @@ atom to their left).
 from fractions import Fraction
 import random
 
-from wandpack.assertions import Acc, Imp, OrA, PredA, Pure, Star, Wand
+from wandpack.assertions import Acc, Imp, OrA, PredA, Pure, Star, Wand, format_assertion
 from wandpack.exprs import Eq, FieldAcc, Lit, Var
 from wandpack.states import State
-from wandpack.universe import FieldLoc, PredicateDef, Universe, make_universe
+from wandpack.universe import FieldLoc, PredicateDef, PredInst, Universe, WandInst, make_universe
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
@@ -96,6 +96,25 @@ def random_outer(rng: random.Random, u: Universe) -> State:
         if p > 0:
             mask[pid] = p
     return State.make(mask, heap)
+
+
+ARGS = ["x", "y", "null", 0, 1, 2, 10, True, False]
+
+
+def random_mixed_state(rng: random.Random, u: Universe) -> State:
+    """``random_outer`` plus up to three predicate instances with ref, int
+    and bool arguments and, half the time, a wand instance: resources a
+    universe need not declare, for tests of order rather than of the
+    algebra."""
+    outer = random_outer(rng, u)
+    mask = outer.mask_dict()
+    for _ in range(rng.randint(0, 3)):
+        args = tuple(rng.choice(ARGS) for _ in range(rng.randint(0, 2)))
+        mask[PredInst(rng.choice(["Cell", "Flag"]), args)] = rng.choice([ONE, HALF])
+    if rng.random() < 0.5:
+        mask[WandInst(format_assertion(random_wand(rng, u)))] = rng.choice([ONE, HALF])
+    heap = {loc: _random_value(rng, u, loc) for loc in u.sorted_locations() if rng.random() < 0.5}
+    return State.make(mask, {**heap, **outer.heap_dict()})
 
 
 def identity_store(u: Universe) -> dict:

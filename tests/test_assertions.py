@@ -336,6 +336,17 @@ def test_cached_checks_stay_bounded_on_a_living_universe():
     assert asn._KEYS[id(u)] == set(asn._CHECKS)
 
 
+def test_lhs_cache_stays_bounded_on_a_living_universe():
+    u = parse_universe_text(TINY_TEXT)
+    added = []
+    for n in range(1, asn.CHECK_LIMIT + 9):
+        lhs_states(u, A(f"acc(x.f, 1/{n})"), TINY_STORE)
+        added.append(_entries_of(u)[-1])
+    # the oldest pools went first, and their keys with them
+    assert list(asn._LHS_CACHE) == added[-asn.CHECK_LIMIT:]
+    assert asn._KEYS[id(u)] == set(asn._LHS_CACHE)
+
+
 def test_sub_universes_and_their_lhs_cache_entries_die_with_their_universe(monkeypatch):
     built = []
     init = asn.WandCheck.__init__

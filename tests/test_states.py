@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -9,9 +10,11 @@ from hypothesis import strategies as strat
 import wandpack.states as st
 from wandpack.parser import parse_universe_text
 from wandpack.states import EMPTY
-from wandpack.universe import FieldLoc, PredInst
+from wandpack.universe import FieldLoc, PredInst, WandInst, value_key
 
-from conftest import S, TINY_TEXT, U2_TEXT
+import gen
+
+from conftest import S, TINY_TEXT, U2_TEXT, formula_rid_key
 
 HALF = Fraction(1, 2)
 
@@ -565,3 +568,58 @@ def test_codec_decodes_off_the_lattice_exactly_and_refuses_to_encode_there():
     assert s.heap_dict() == {FieldLoc("x", "b"): True, FieldLoc("x", "f"): 0}
     with pytest.raises(st.StateError, match="off the lattice"):
         codec.encode([s])
+
+
+# -- order: ids are their own sort keys ------------------------------------------
+
+
+def formula_state_key(s) -> tuple:
+    return (
+        tuple((formula_rid_key(r), a) for r, a in s.mask),
+        tuple((formula_rid_key(l), value_key(v)) for l, v in s.heap),
+    )
+
+
+MULTI_REF = """
+universe v1
+granularity 2
+refs y, x, z
+loc z.g: int {0}
+loc x.g: int {0, 2, 10}
+loc y.f: int {0, 1}
+loc x.h: bool {false, true}
+loc x.f: int {0}
+pred Cell(r) = acc(r.f)
+pred Apart(r, s) = acc(r.g, 1/2) * acc(s.g, 1/2)
+"""
+
+
+def test_order_matches_the_formula_on_generated_pools():
+    rng = random.Random(24)
+    universes = [parse_universe_text(MULTI_REF)]
+    universes += [gen.random_universe(rng, rng.random() < 0.5, rng.choice([2, 3])) for _ in range(40)]
+    kinds = set()
+    for u in universes:
+        assert u.sorted_locations() == sorted(u.locations, key=formula_rid_key)
+        rids = [next(m[0] if m else h[0] for m, h in opts if m or h) for opts in st.resource_options(u)]
+        assert rids == sorted(rids, key=formula_rid_key)
+        assert rids == [*u.sorted_locations(), *u.predicate_instances()]
+        pool = [gen.random_mixed_state(rng, u) for _ in range(20)]
+        pool += [st.core(s) for s in pool]  # equal masks: the heaps decide
+        for s in pool:
+            mask, heap = list(s.mask), list(s.heap)
+            rng.shuffle(mask)
+            rng.shuffle(heap)
+            made = st.State.make(mask, heap)
+            assert made == s
+            assert [r for r, _ in made.mask] == sorted((r for r, _ in mask), key=formula_rid_key)
+            assert [l for l, _ in made.heap] == sorted((l for l, _ in heap), key=formula_rid_key)
+            kinds.update(type(a) for r, _ in s.mask if isinstance(r, PredInst) for a in r.args)
+            kinds.update(type(r) for r, _ in s.mask)
+        for a in pool:
+            for b in pool:
+                assert (st.state_key(a) < st.state_key(b)) == (formula_state_key(a) < formula_state_key(b))
+                assert (st.state_key(a) == st.state_key(b)) == (formula_state_key(a) == formula_state_key(b))
+        assert st.minimal_elements(pool) == sorted(st.antichain(pool), key=formula_state_key)
+    # the pool held predicate instances with ref, int and bool arguments, and wands
+    assert kinds >= {str, int, bool, FieldLoc, PredInst, WandInst}

@@ -1,19 +1,25 @@
-"""Resource ids compute their hash and ``rid_key`` once, at construction;
-these tests pin that the cached values are the ones the plain dataclasses
-would compute, that nothing else sees them, and that they never travel
-between processes.  The last tests pin the universe's well-formedness
-errors that the text format cannot express."""
+"""Resource ids and states are tuples: an id holds its own sort key and a
+state is its (mask, heap) pair, so hashing, equality and order are the
+tuple's.  These tests pin the properties the state algebra relies on:
+equality sees only the compared fields, ids of different kinds never meet,
+ids order as the formula written out in conftest, copies and pickles rebuild
+in the receiving process, and nothing can be assigned.  The last tests
+pin the universe's well-formedness errors that the text format cannot
+express."""
 
 import copy
-import dataclasses
 import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from wandpack.universe import NULL, FieldLoc, PredInst, UniverseError, WandInst, make_universe, rid_key, value_key
+from wandpack.states import EMPTY, State
+from wandpack.universe import NULL, FieldLoc, PredInst, UniverseError, WandInst, make_universe, rid_key
+
+from conftest import formula_rid_key
 
 IDS = [
     FieldLoc("x", "f"),
@@ -23,67 +29,96 @@ IDS = [
     PredInst("Unit", ()),
     WandInst("acc(x.f) --* acc(x.f)"),
 ]
+STATES = [
+    EMPTY,
+    State.make({FieldLoc("x", "f"): Fraction(1, 2)}, {FieldLoc("x", "f"): 0}),
+    State.make({PredInst("Flag", ("x", True)): 1, WandInst("acc(x.f) --* acc(x.f)"): Fraction(1, 3)}),
+    State.make({}, {FieldLoc("x", "g"): True}),
+]
+FIELDS = {FieldLoc: ("ref", "field"), PredInst: ("name", "args"), WandInst: ("key",), State: ("mask", "heap")}
 
 
 def compared(r) -> tuple:
-    return tuple(getattr(r, f.name) for f in dataclasses.fields(r))
-
-
-def formula_key(r) -> tuple:
-    if isinstance(r, FieldLoc):
-        return (0, r.ref, r.field)
-    if isinstance(r, PredInst):
-        return (1, r.name, tuple(value_key(a) for a in r.args))
-    return (2, r.key)
+    return tuple(getattr(r, name) for name in FIELDS[type(r)])
 
 
 @pytest.mark.parametrize("r", IDS, ids=repr)
 def test_hash_and_key_are_the_dataclass_values(r):
-    assert hash(r) == hash(compared(r))
-    assert rid_key(r) == formula_key(r)
+    """The values the ids compared as dataclasses, and nothing else, give
+    the hash; each id is its own sort key, ordered as ``formula_rid_key``."""
+    assert rid_key(r) is r
+    assert hash(r) == hash(type(r)(*compared(r)))
+    for other in IDS:
+        assert (r < other) == (formula_rid_key(r) < formula_rid_key(other))
+        assert (r == other) == (formula_rid_key(r) == formula_rid_key(other))
 
 
-@pytest.mark.parametrize("r", IDS, ids=repr)
+@pytest.mark.parametrize("r", IDS + STATES, ids=repr)
 def test_equality_order_and_repr_see_only_the_compared_fields(r):
-    assert [f.name for f in dataclasses.fields(r)] == {
-        FieldLoc: ["ref", "field"], PredInst: ["name", "args"], WandInst: ["key"]
-    }[type(r)]
     twin = type(r)(*compared(r))
     assert twin == r and twin is not r and hash(twin) == hash(r)
+    assert not twin < r and not r < twin
     assert repr(r) == f"{type(r).__name__}(" + ", ".join(
-        f"{f.name}={getattr(r, f.name)!r}" for f in dataclasses.fields(r)) + ")"
-    with pytest.raises(dataclasses.FrozenInstanceError):
+        f"{name}={getattr(r, name)!r}" for name in FIELDS[type(r)]) + ")"
+    with pytest.raises(AttributeError):
         r.extra = 1
+    with pytest.raises(AttributeError):
+        setattr(r, FIELDS[type(r)][0], None)
+
+
+def test_changing_any_compared_field_changes_the_value():
+    assert PredInst("P", ("x",)) != PredInst("Q", ("x",)) != PredInst("Q", ("y",))
+    # a bool argument is not the int it equals
+    assert PredInst("P", (True,)) != PredInst("P", (1,))
+    assert FieldLoc("x", "f") != FieldLoc("x", "g") != FieldLoc("y", "g")
+    assert WandInst("a") != WandInst("b")
+    xf = FieldLoc("x", "f")
+    assert State.make({xf: 1}, {xf: 0}) != State.make({}, {xf: 0}) != State.make({}, {xf: 1})
+
+
+def test_ids_of_different_kinds_are_never_equal():
+    kinds = [FieldLoc("x", "f"), PredInst("x", ("f",)), PredInst("x", ()), WandInst("x"), WandInst("x.f")]
+    for i, a in enumerate(kinds):
+        for b in kinds[i + 1:]:
+            assert a != b
+    assert FieldLoc("x", "f") != ("x", "f")
+    assert PredInst("x", ("f",)) != ("x", ("f",))
+    assert WandInst("x") != ("x",)
+    assert all(s != r for s in STATES for r in IDS)
 
 
 def test_field_locations_order_as_their_fields():
     locs = [FieldLoc(r, f) for r in ("y", "x") for f in ("g", "f")]
     assert sorted(locs) == sorted(locs, key=compared)
-    assert sorted(locs) == sorted(locs, key=rid_key)
+    assert sorted(locs) == sorted(locs, key=formula_rid_key)
     assert FieldLoc("x", "f") != ("x", "f")
 
 
-@pytest.mark.parametrize("r", IDS, ids=repr)
+@pytest.mark.parametrize("r", IDS + STATES, ids=repr)
 def test_copies_rebuild_through_the_constructor(r):
     for c in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
-        assert c == r and hash(c) == hash(r) and rid_key(c) == rid_key(r)
-    assert r.__reduce__() == (type(r), compared(r))
+        assert type(c) is type(r) and c == r and hash(c) == hash(r) and compared(c) == compared(r)
+    assert r.__getnewargs__() == compared(r)
 
 
 def test_unpickled_ids_hash_as_the_receiving_process_does():
-    # string hashes differ between processes, so a cached hash must be
-    # recomputed where the id is rebuilt, never carried in the pickle
+    # string hashes differ between processes, so an id or a state must be
+    # hashed where it is rebuilt, with its fields in the right places
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     child = (
-        "import pickle, sys, dataclasses\n"
-        "ids = pickle.loads(sys.stdin.buffer.read())\n"
-        "for r in ids:\n"
-        "    assert hash(r) == hash(tuple(getattr(r, f.name) for f in dataclasses.fields(r))), r\n"
-        "    assert {r: 1}[type(r)(*(getattr(r, f.name) for f in dataclasses.fields(r)))] == 1\n"
+        "import pickle, sys\n"
+        "from wandpack.states import State\n"
+        "from wandpack.universe import FieldLoc, PredInst, WandInst\n"
+        f"FIELDS = {{FieldLoc: {FIELDS[FieldLoc]}, PredInst: {FIELDS[PredInst]}, "
+        f"WandInst: {FIELDS[WandInst]}, State: {FIELDS[State]}}}\n"
+        "for r in pickle.loads(sys.stdin.buffer.read()):\n"
+        "    rebuilt = type(r)(*(getattr(r, name) for name in FIELDS[type(r)]))\n"
+        "    assert hash(r) == hash(rebuilt), r\n"
+        "    assert {r: 1}[rebuilt] == 1\n"
     )
     for seed in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": os.path.abspath(src), "PYTHONHASHSEED": seed}
-        done = subprocess.run([sys.executable, "-c", child], input=pickle.dumps(IDS), env=env,
+        done = subprocess.run([sys.executable, "-c", child], input=pickle.dumps(IDS + STATES), env=env,
                               capture_output=True)
         assert done.returncode == 0, done.stderr.decode()
 
