@@ -1,5 +1,10 @@
 """Parsers for the text formats: expressions, assertions, universes,
-programs, and state literals.  Every format round-trips with the printers.
+programs, and state literals.  Every format round-trips with the printers,
+except three top-level pure expressions that print as assertion
+connectives and parse back as a different tree of the same meaning:
+``Pure(BoolOp("or", l, r))`` as ``OrA(Pure(l), Pure(r))``,
+``Pure(BoolOp("implies", l, r))`` as ``Imp(l, Pure(r))``, and
+``Pure(Ite(c, t, e))`` as ``Star(Imp(c, Pure(t)), Imp(Not(c), Pure(e)))``.
 
 All parsers are recursive descent over the token texts and offsets that
 ``_scan`` reads in one regex pass; a token's kind shows in its text.

@@ -8,11 +8,13 @@ instance plus its left-hand side for the right-hand side, discarding
 worlds the exchange makes inconsistent.  An empty world set verifies
 everything — the path is unreachable.
 
-A package runs once per class of worlds: worlds that agree on the store
-and on the part of the state the wand and its proof script reach.  Each
-world takes its class's footprints, audit and derivation tree, with the
-rest of its state added back to the post-states and its own outer state
-in its derivation document.
+A package runs once per class of worlds that agree on what it reads: the
+store, and the part of the state the wand and its proof script reach,
+except the heap values of fields that only ``acc`` atoms of the
+right-hand side and of script ``assert``s name.  Each world takes its
+class's outcome with its own values at those locations, the rest of its
+state added back to the post-states and its own outer state in its
+derivation document.
 """
 
 from __future__ import annotations
@@ -25,7 +27,11 @@ from . import oracle as orc
 from . import states as st
 from .algorithms import COMBINABLE, FIA, PACKAGERS, SOUND, PackageOutcome
 from .assertions import (
+    Acc,
     Assertion,
+    Imp,
+    OrA,
+    Star,
     Wand,
     AssertionError_,
     PredA,
@@ -40,7 +46,8 @@ from .assertions import (
     wand_key,
     wf,
 )
-from .exprs import ExprError, Store, Unframed, eval_bool, eval_expr, format_expr, infer_type
+from .exprs import ExprError, Store, Unframed, children, eval_bool, eval_expr, format_expr, infer_type
+from .package_logic import Configuration, Context, DAtom, DDisjunction, DExtract, DImplication, DStar, WitnessPair
 from .program import (
     Apply,
     AssertStmt,
@@ -408,24 +415,55 @@ def _heap_write(w: World, stmt: HeapWrite, u: Universe) -> World:
 
 
 def _package(worlds: list[World], stmt: Package, env: _Env) -> list[World]:
-    """Package once per class of worlds: worlds that agree on the store and
-    on the part of the state the wand and its script reach (``reach``)
-    package alike, since the package reads nothing else.  Each class is
-    packaged on that part, for its first world in world order, which is
-    the world a failure names.  Every world then takes the class's result
-    with the rest of its state added back, and a derivation document that
-    stores the world's own outer state."""
-    fields = _package_fields(env.u, stmt)
-    classes: dict[World, tuple[list[State], PackageRecord]] = {}
+    """Package once per class of worlds that agree on what the package reads.
+
+    Two cuts make a class.  The fields the wand and its script do not
+    reach (``reach``) are split off each world's state and added back to
+    its post-states: the package sees nothing of them.  Among the reached
+    fields, the heap values of the opaque ones (``_package_fields``) are
+    left out of the class key; the store, the mask and every other heap
+    value stay in it.  Each class is packaged once, for its first world in
+    world order, which is the world a failure names.
+
+    Why a class packages alike.  An opaque field is named only by ``acc``
+    atoms of the right-hand side and of script ``assert``s, never by the
+    left-hand side, an expression, a predicate body, a fold or unfold, or
+    an applied wand.  So the initial witness pairs hold no value at an
+    opaque location, no step evaluates one, and such a value enters a pair
+    only by extraction from the one outer state (or as a demand's fallback
+    read of it).  Within one package, then, every state that holds a value
+    at an opaque location holds the outer state's value there, and every
+    comparison, sort and compatibility test sees equal values at it.  A
+    world whose outer state differs only at opaque locations therefore
+    takes the same steps, and its outcome is the class's with its own
+    values substituted there (``_map_states``): footprints, post-states,
+    configuration and derivation tree.  Its record, audit and derivation
+    document are rebuilt from that outcome; each distinct footprint is
+    audited by the oracle.  A world's derivation document stores its own
+    outer state."""
+    fields, opaque = _package_fields(env.u, stmt)
+    classes: dict[tuple, tuple[State, PackageOutcome, tuple[list[State], PackageRecord]]] = {}
+    audits: dict[tuple, bool] = {}
     out, records = [], []
     for w in worlds:
         inside, rest = (w.state, EMPTY) if fields is None else st.split_fields(w.state, fields)
         # a variable's values share one type, and so do a location's, so
-        # equal worlds here are equal under ``World.key`` too
-        cls = World(w.store_items, inside)
+        # equal keys here are equal under ``World.key`` too, opaque values aside
+        blind = inside.heap if not opaque else tuple(
+            (loc, None) if loc.field in opaque else (loc, v) for loc, v in inside.heap
+        )
+        cls = (w.store_items, inside.mask, blind)
         if cls not in classes:
-            classes[cls] = _package_class(w, inside, stmt, env)
-        posts, record = classes[cls]
+            outcome = PACKAGERS[env.algorithm](inside, stmt.wand, stmt.script, w.store(), env.u)
+            if not outcome.success:
+                raise VerificationError(f"package failed: {outcome.diagnostic}", w, stmt.pos)
+            classes[cls] = (inside, outcome, _package_result(w, outcome, stmt, env, audits))
+        first, outcome, (posts, record) = classes[cls]
+        # equal keys list the same locations, so the heaps align entry by entry
+        values = {loc: v for (loc, v), (_, v0) in zip(inside.heap, first.heap) if v != v0}
+        if values:
+            outcome = _map_states(outcome, lambda s: _substitute(s, values))
+            posts, record = _package_result(w, outcome, stmt, env, audits)
         if rest.mask or rest.heap:
             posts = [st.add(p, rest) for p in posts]  # rest is disjoint from what the package reaches
             if record.derivation is not None:
@@ -436,40 +474,83 @@ def _package(worlds: list[World], stmt: Package, env: _Env) -> list[World]:
     return _merge([out])
 
 
-def _package_fields(u: Universe, stmt: Package) -> Optional[frozenset]:
+def _package_fields(u: Universe, stmt: Package) -> tuple[Optional[frozenset], frozenset]:
     """The fields a package statement reaches through its wand and script,
-    or None when that is every field of the universe."""
-    sub = reach(u, stmt.wand, *_script_parts(stmt.script))
-    if len(sub.locations) == len(u.locations):
-        return None
-    return frozenset(loc.field for loc in sub.locations)
+    or None when that is every field of the universe; and the opaque ones
+    among them: fields that only ``acc`` atoms of the right-hand side and
+    of script ``assert``s name, so the package never reads their values."""
+    claims, reads = [stmt.wand.rhs], [stmt.wand.lhs]
+    _script_parts(stmt.script, claims, reads)
+    sub = reach(u, *claims, *reads)
+    reached = frozenset(loc.field for loc in sub.locations)
+    read = reach(u, *reads, *(r for a in claims for r in _reads(a)))
+    opaque = reached - {loc.field for loc in read.locations}
+    return (None if len(sub.locations) == len(u.locations) else reached), opaque
 
 
-def _script_parts(script: Sequence[Stmt]):
-    """The assertions a proof script reads: its asserts, ``if`` conditions,
-    folded and unfolded instances and applied wands."""
+def _script_parts(script: Sequence[Stmt], claims: list, reads: list) -> None:
+    """Sort what a proof script names: its asserts go to ``claims``; its
+    ``if`` conditions, folded and unfolded instances and applied wands go
+    to ``reads``."""
     for s in script:
         if isinstance(s, AssertStmt):
-            yield s.assertion
+            claims.append(s.assertion)
         elif isinstance(s, If):
-            yield Pure(s.cond)
-            yield from _script_parts(s.then)
-            yield from _script_parts(s.els)
+            reads.append(Pure(s.cond))
+            _script_parts(s.then, claims, reads)
+            _script_parts(s.els, claims, reads)
         elif isinstance(s, (Fold, Unfold)):
-            yield PredA(s.name, s.args)
+            reads.append(PredA(s.name, s.args))
         elif isinstance(s, Apply):
-            yield s.wand
+            reads.append(s.wand)
 
 
-def _package_class(w: World, outer: State, stmt: Package, env: _Env) -> tuple[list[State], PackageRecord]:
-    """Package ``stmt`` from ``outer`` in ``w``'s store: the post-states,
-    each holding the new wand instance, and the record."""
+def _reads(a: Assertion) -> list:
+    """The parts of a right-hand side or script assertion that read the
+    heap: everything except the fields its ``acc`` atoms name.  An ``acc``
+    atom's receiver is read; a nested wand counts as read whole."""
+    if isinstance(a, Acc):
+        return [a.ref_expr]
+    if not isinstance(a, (Star, OrA, Imp)):
+        return [a]
+    return [r for c in children(a) for r in _reads(c)]
+
+
+def _substitute(s: State, values: dict) -> State:
+    """``s`` with the heap values ``values`` gives at its locations."""
+    if not any(loc in values for loc, _ in s.heap):
+        return s
+    return State(s.mask, tuple((loc, values.get(loc, v)) for loc, v in s.heap))
+
+
+# the records of a package outcome that hold states, directly or below them
+_STATE_HOLDERS = (
+    PackageOutcome, Configuration, Context, WitnessPair, DImplication, DStar, DAtom, DExtract, DDisjunction,
+)
+
+
+def _map_states(x, f: Callable[[State], State]):
+    """``x`` with ``f`` applied to every state in it: through tuples and
+    lists and the fields of outcomes, configurations, contexts, witness
+    pairs and derivation nodes.  ``f`` must keep each state's locations,
+    so the sorted orders of masks, heaps, pairs and choices still hold."""
+    if isinstance(x, State):
+        return f(x)
+    if isinstance(x, (tuple, list)):
+        return type(x)(_map_states(v, f) for v in x)
+    if isinstance(x, _STATE_HOLDERS):
+        return replace(x, **{k: _map_states(v, f) for k, v in vars(x).items()})
+    return x
+
+
+def _package_result(
+    w: World, outcome: PackageOutcome, stmt: Package, env: _Env, audits: dict
+) -> tuple[list[State], PackageRecord]:
+    """The post-states of a successful package in ``w``'s store, each
+    holding the new wand instance, and its record.  ``audits`` holds the
+    oracle's verdict on each (wand instance, footprint) decided so far."""
     u = env.u
     store = w.store()
-    packager = PACKAGERS[env.algorithm]
-    outcome: PackageOutcome = packager(outer, stmt.wand, stmt.script, store, u)
-    if not outcome.success:
-        raise VerificationError(f"package failed: {outcome.diagnostic}", w, stmt.pos)
     try:
         key = wand_key(stmt.wand, store)
     except AssertionError_ as e:
@@ -484,15 +565,11 @@ def _package_class(w: World, outer: State, stmt: Package, env: _Env) -> tuple[li
     record.footprints = [state_to_json(fp) for fp in fps]
     if env.audit:
         kind = COMBINABLE if stmt.wand.combinable else orc.STANDARD
-        plan = orc.plan(u)
         closed = close_assertion(stmt.wand, store)
-        record.audit = [
-            {
-                "footprint": state_to_json(fp),
-                "valid": orc.audit_footprint(fp, closed, kind, plan, {}),
-            }
-            for fp in fps
-        ]
+        for fp in fps:
+            if (key, fp) not in audits:
+                audits[key, fp] = orc.audit_footprint(fp, closed, kind, orc.plan(u), {})
+        record.audit = [{"footprint": state_to_json(fp), "valid": audits[key, fp]} for fp in fps]
     token = State.make({key: Fraction(1)}, {})
     posts = [grown for post in outcome.post_states if (grown := st.add(post, token)) is not None]
     return posts, record

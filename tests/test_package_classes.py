@@ -1,8 +1,10 @@
 """The verifier packages a statement once per class of worlds.
 
 Worlds that agree on the store and on the part of the state the wand and
-its proof script reach package alike, so ``verifier._package`` runs the
-packager once per class and rebuilds each world's result from it.  The
+its proof script reach, leaving out the values of opaque fields (which
+only ``acc`` atoms name), package alike.  So ``verifier._package`` runs
+the packager once per class and rebuilds each world's result from it,
+with the world's own values substituted at the opaque locations.  The
 reference here packages every world on its full state, as the verifier
 did before grouping: records, post-worlds, derivation documents and
 errors must come out the same.
@@ -17,8 +19,8 @@ import pytest
 import wandpack.oracle as orc
 import wandpack.states as st
 import wandpack.verifier as verifier
-from wandpack.algorithms import COMBINABLE, FIA, PACKAGERS
-from wandpack.assertions import Acc, PredA, Star, Wand, close_assertion, wand_key
+from wandpack.algorithms import COMBINABLE, FIA, PACKAGERS, PackageOutcome
+from wandpack.assertions import Acc, Imp, OrA, PredA, Pure, Star, Wand, close_assertion, format_assertion, wand_key
 from wandpack.cli import main
 from wandpack.exprs import Eq, FieldAcc, Lit, Var
 from wandpack.parser import parse_program_text, parse_universe_text
@@ -34,6 +36,9 @@ from gen import HALF, ONE, random_assertion, random_universe
 X = Var("x")
 # fields no generated wand or script names: the requires clause forks over them
 UNNAMED = {("x", "p"): [0, 1], ("x", "q"): [False, True]}
+# a field that only acc atoms name, in the right-hand side or a script
+# assert: the package never reads its value, so its two values share a class
+OPAQUE = {("x", "o"): [0, 1]}
 
 
 def per_world_package(worlds, stmt, env):
@@ -70,14 +75,19 @@ def per_world_package(worlds, stmt, env):
 
 def traced_run(monkeypatch, program, algorithm, audit, package):
     """Run with ``package`` as the package step; returns the report JSON,
-    each package statement's post-worlds, and how many worlds and packager
-    calls the package statements saw."""
-    posts, seen = [], {"worlds": 0, "calls": 0}
-    packager = PACKAGERS[algorithm]
+    each package statement's post-worlds, and how many worlds, packager
+    calls and merges (worlds given their class's outcome with their own
+    opaque values) the package statements saw."""
+    posts, seen = [], {"worlds": 0, "calls": 0, "merges": 0}
+    packager, map_states = PACKAGERS[algorithm], verifier._map_states
 
     def counted(*args):
         seen["calls"] += 1
         return packager(*args)
+
+    def mapped(x, f):
+        seen["merges"] += isinstance(x, PackageOutcome)  # the outermost call
+        return map_states(x, f)
 
     def step(worlds, stmt, env):
         seen["worlds"] += len(worlds)
@@ -87,6 +97,7 @@ def traced_run(monkeypatch, program, algorithm, audit, package):
 
     with monkeypatch.context() as m:
         m.setitem(PACKAGERS, algorithm, counted)
+        m.setattr(verifier, "_map_states", mapped)
         m.setattr(verifier, "_package", step)
         report = run(program, algorithm, audit=audit)
     return dumps_canonical(report.to_json()), posts, seen
@@ -107,9 +118,10 @@ def _script_assertion(rng, u0, framed):
     return random_assertion(rng, u0, 1, framed)[0]
 
 
-def random_package(rng, u0, combinable):
+def random_package(rng, orng, u0, combinable):
     """A wand over ``u0`` and a proof script of one kind: none, assert,
-    if, fold (when ``u0`` has a predicate) or apply."""
+    if, fold (when ``u0`` has a predicate) or apply, and how they name x.o,
+    drawn from ``orng``."""
     kind = rng.choice(["none", "assert", "if", "apply"] + ["fold"] * 2 * bool(u0.predicates))
     lhs, framed = random_assertion(rng, u0, rng.choice([0, 1, 2]))
     rhs, _ = random_assertion(rng, u0, rng.choice([1, 2]), framed=framed)
@@ -132,19 +144,29 @@ def random_package(rng, u0, combinable):
         if rng.random() < 0.7:  # else the script takes x.f1 from the outer state, then finds no instance
             lhs = Star(inner, lhs)
         script = (Apply(inner),)
+    # every package names x.o by an acc atom, so x.o is opaque unless a
+    # guard or a pure atom reads it too
+    if kind == "assert" and orng.random() < 0.5:
+        script = (AssertStmt(Star(script[0].assertion, Acc(X, "o"))),)
+    else:
+        rhs = Star(rhs, Acc(X, "o"))
+        read = Eq(FieldAcc(X, "o"), Lit(orng.choice([0, 1])))
+        half = Acc(X, orng.choice(u0.sorted_locations()).field, HALF)
+        rhs = orng.choice([rhs] * 3 + [Star(rhs, Imp(read, half)), Star(rhs, OrA(Pure(read), half))])
     return kind, Package(Wand(lhs, rhs, combinable), script)
 
 
-def random_program(rng, combinable):
-    """A program whose requires clause forks over the unnamed fields and
-    most of the wand's: a package, then an assert of the unnamed fields."""
+def random_program(rng, orng, combinable):
+    """A program whose requires clause forks over the unnamed and opaque
+    fields and most of the wand's: a package, then an assert of the
+    unnamed fields."""
     u0 = random_universe(rng, with_predicate=rng.random() < 0.5)
     locs = {(loc.ref, loc.field): u0.domain(loc) for loc in u0.sorted_locations()}
-    u = make_universe(u0.refs, {**locs, **UNNAMED}, u0.granularity, u0.predicates)
-    kind, pkg = random_package(rng, u0, combinable)
+    u = make_universe(u0.refs, {**locs, **UNNAMED, **OPAQUE}, u0.granularity, u0.predicates)
+    kind, pkg = random_package(rng, orng, u0, combinable)
     held = [Acc(X, loc.field, rng.choice([ONE, ONE, HALF])) for loc in u0.sorted_locations() if rng.random() < 0.9]
     held += [PredA(n, (X,)) for n in sorted(u0.predicates) if rng.random() < 0.3]
-    held += [Acc(X, "p"), Acc(X, "q")]
+    held += [Acc(X, "p"), Acc(X, "q"), Acc(X, "o")]
     requires = held[0]
     for a in held[1:]:
         requires = Star(requires, a)
@@ -156,14 +178,14 @@ def random_program(rng, combinable):
 
 def programs(algorithm):
     """60 programs; their wands are of the algorithm's kind, mixed under fia."""
-    rng = random.Random(f"package-classes:{algorithm}")
-    return [random_program(rng, algorithm == COMBINABLE or (algorithm == FIA and i % 2)) for i in range(60)]
+    rng, orng = random.Random(f"package-classes:{algorithm}"), random.Random(f"package-classes:{algorithm}:o")
+    return [random_program(rng, orng, algorithm == COMBINABLE or (algorithm == FIA and i % 2)) for i in range(60)]
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_grouped_packaging_equals_per_world_packaging(monkeypatch, algorithm):
     worlds = calls = 0
-    succeeded = set()
+    succeeded, merged = set(), set()
     for i, (kind, p) in enumerate(programs(algorithm)):
         audit = i % 2 == 0
         got = traced_run(monkeypatch, p, algorithm, audit, verifier._package)
@@ -173,9 +195,12 @@ def test_grouped_packaging_equals_per_world_packaging(monkeypatch, algorithm):
         calls += got[2]["calls"]
         if json.loads(got[0])["methods"][0]["packages"]:
             succeeded.add(kind)
-    # the sweep groups worlds, and packages succeed with scripts of every kind
+        if got[2]["merges"]:
+            merged.add(kind)
+    # the sweep groups worlds, packages succeed with scripts of every kind,
+    # and worlds that differ only in opaque values share a class under each
     assert calls < worlds / 2
-    assert succeeded == {"none", "assert", "if", "apply", "fold"}
+    assert succeeded == merged == {"none", "assert", "if", "apply", "fold"}
 
 
 # -- a package that fails in some worlds ---------------------------------------------
@@ -237,42 +262,124 @@ def test_corpus_documents_store_each_worlds_state(monkeypatch, tmp_path, capsys,
     arrow = "--*c" if algorithm == COMBINABLE else "--*"
     forked.write_text(FORKED.format(universe=CORPUS / "laws.universe", arrow=arrow))
     for path in sorted(CORPUS.glob("*.wnd")) + [forked]:
-        packaged, seen = [], {"audits": 0, "calls": 0, "failed": 0}
+        packaged, audited, seen = [], [], {"calls": 0}
         packager, package, audit = PACKAGERS[algorithm], verifier._package, orc.audit_footprint
 
-        def counted_audit(*args):
-            seen["audits"] += 1
-            return audit(*args)
+        def counted_audit(fp, closed, *args):
+            audited.append((format_assertion(closed), dumps_canonical(state_to_json(fp))))
+            return audit(fp, closed, *args)
 
         def counted_packager(*args):
             seen["calls"] += 1
             return packager(*args)
 
         def step(worlds, stmt, env):
-            try:
-                out = package(worlds, stmt, env)
-            except VerificationError:
-                seen["failed"] += 1
-                raise
+            out = package(worlds, stmt, env)
             packaged.extend(worlds)
             return out
 
-        out = tmp_path / f"{path.stem}.{algorithm}.json"
+        out, report = tmp_path / f"{path.stem}.{algorithm}.json", tmp_path / "report.json"
         with monkeypatch.context() as m:
             m.setattr(orc, "audit_footprint", counted_audit)
             m.setitem(PACKAGERS, algorithm, counted_packager)
             m.setattr(verifier, "_package", step)
-            main(["verify", str(path), "--algorithm", algorithm, "--audit", "--emit-derivation", str(out)])
+            main(["verify", str(path), "--algorithm", algorithm, "--audit", "--json", str(report),
+                  "--emit-derivation", str(out)])
         docs = json.loads(out.read_text())
         assert [d["outer"] for d in docs] == [state_to_text(w.state) for w in packaged]
-        # one audit per class that packaged: sound and combinable packages
-        # have one footprint, and a failing statement stops at its first
-        # failing class
-        assert seen["audits"] == seen["calls"] - seen["failed"]
+        # the oracle decides each distinct footprint the report lists, once
+        listed = {
+            (p["wand"], dumps_canonical(a["footprint"]))
+            for mr in json.loads(report.read_text())["methods"]
+            for p in mr["packages"]
+            for a in p["audit"]
+        }
+        assert sorted(audited) == sorted(listed)
         capsys.readouterr()
         assert main(["check-derivation", str(out)]) == 0
         printed = capsys.readouterr().out
         assert printed.count("ACCEPTED") == len(docs) and "REJECTED" not in printed
         if path == forked:
             # x.g's two values fall in one class: 5 worlds, 3 classes
-            assert (len(packaged), seen["calls"], seen["audits"]) == (5, 3, 3)
+            assert (len(packaged), seen["calls"], len(audited)) == (5, 3, 3)
+
+
+# -- the package-scaling templates --------------------------------------------------
+
+TEMPLATE_U = """
+universe v1
+granularity 2
+refs x
+loc x.a: int {0, 1}
+loc x.b: int {0, 1}
+loc x.c: int {0, 1}
+"""
+
+DISJUNCTIVE = "acc(x.a) * (x.a == 0 || x.a == 1) --* acc(x.a) * acc(x.b)"
+COMBINABLE_W = "acc(x.a, 1/2) --*c acc(x.a, 1/2) * acc(x.b)"
+PROOF_FALSE = (
+    "acc(x.a) * (x.a == 0 || x.a == 1) --* acc(x.a) * (x.a == 0 ==> acc(x.b)) * (x.a == 1 ==> acc(x.c))"
+)
+# the three wands and bodies of the package-scaling benchmark, every field
+# required: (own algorithm, worlds whose opaque values differ from their
+# class's first world's, body)
+TEMPLATES = {
+    "disjunctive": (
+        "sound",
+        4,
+        f"package {DISJUNCTIVE}\n  apply {DISJUNCTIVE}\n  assert acc(x.a) * acc(x.b)",
+    ),
+    "combinable": (
+        "combinable",
+        4,
+        f"package {COMBINABLE_W}\n  assert perm(x.b) == none\n  apply {COMBINABLE_W}\n"
+        "  assert acc(x.a) * acc(x.b)",
+    ),
+    "proof-false": (
+        "sound",
+        6,
+        f"package {PROOF_FALSE}\n"
+        f"  assert ({PROOF_FALSE}) * acc(x.a) * (perm(x.b) == write || perm(x.c) == write)\n"
+        "  if (perm(x.b) == write) { x.a := 0 } else { x.a := 1 }\n"
+        f"  apply {PROOF_FALSE}\n"
+        "  assert false",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "template,algorithm",
+    [(name, alg) for name, (own, _, _) in TEMPLATES.items() for alg in (own, FIA)],
+)
+def test_template_packages_once_per_value_of_the_lhs_field(monkeypatch, template, algorithm):
+    # x.b and x.c are opaque or unreached, so the 8 worlds form one class per
+    # value of x.a; the report holds each world's derivation document, and
+    # proof-false reaches every field, so its documents store the substituted
+    # configuration's outer state
+    _, merges, body = TEMPLATES[template]
+    text = f"program v1\nmethod m(x: Ref)\n  requires acc(x.a) * acc(x.b) * acc(x.c)\n{{\n  {body}\n}}\n"
+    p = Program("", parse_program_text(text).methods, parse_universe_text(TEMPLATE_U))
+    got = traced_run(monkeypatch, p, algorithm, False, verifier._package)
+    want = traced_run(monkeypatch, p, algorithm, False, per_world_package)
+    assert got[:2] == want[:2]
+    assert (got[2]["worlds"], got[2]["calls"], got[2]["merges"]) == (8, 2, merges)
+
+
+def test_script_condition_on_a_rhs_field_keeps_its_values_apart(monkeypatch):
+    # the if condition reads x.b, so x.b is not opaque: one class per value
+    # of x.a and x.b, and only x.b == 0 takes x.c into the footprint
+    text = (
+        "program v1\nmethod m(x: Ref)\n  requires acc(x.a) * acc(x.b) * acc(x.c)\n{\n"
+        "  package acc(x.a) --* acc(x.a) * acc(x.b) {\n"
+        "    assert acc(x.b)\n"
+        "    if (x.b == 0) { assert acc(x.c) }\n"
+        "  }\n}\n"
+    )
+    u = parse_universe_text(TEMPLATE_U.replace("x.c: int {0, 1}", "x.c: int {0}"))
+    p = Program("", parse_program_text(text).methods, u)
+    for algorithm in ("sound", FIA):
+        got = traced_run(monkeypatch, p, algorithm, True, verifier._package)
+        want = traced_run(monkeypatch, p, algorithm, True, per_world_package)
+        assert got[:2] == want[:2]
+        assert json.loads(got[0])["verified"]
+        assert (got[2]["worlds"], got[2]["calls"], got[2]["merges"]) == (4, 4, 0)

@@ -93,6 +93,24 @@ def test_parenthesized_span_continued_as_an_expression_round_trips(a):
     assert parse_assertion_text(format_assertion(a)) == a
 
 
+T, F = Lit(True), Lit(False)
+
+
+# the three top-level pure expressions whose printed form parses back as
+# another assertion tree of the same meaning, as the README lists them
+@pytest.mark.parametrize(
+    "a,text,parsed",
+    [
+        (Pure(BoolOp("or", T, F)), "(true || false)", OrA(Pure(T), Pure(F))),
+        (Pure(BoolOp("implies", T, F)), "(true ==> false)", Imp(T, Pure(F))),
+        (Pure(Ite(T, F, T)), "(true ? false : true)", Star(Imp(T, Pure(F)), Imp(Not(T), Pure(T)))),
+    ],
+)
+def test_pure_expressions_that_print_as_assertion_connectives(a, text, parsed):
+    assert format_assertion(a) == text
+    assert parse_assertion_text(text) == parsed
+
+
 def test_parenthesized_conditional_continues_with_not_equal():
     assert parse_assertion_text("(x.f == y ? y : z) != w") == Pure(Not(Eq(ITE, Var("w"))))
 
