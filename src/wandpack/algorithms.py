@@ -52,7 +52,7 @@ from .package_logic import (
     steps,
 )
 from .program import Apply, AssertStmt, Fold, If, Stmt, Unfold
-from .states import EMPTY, State, state_key
+from .states import EMPTY, State
 from .universe import Universe
 
 SOUND = "sound"
@@ -165,8 +165,8 @@ def _cover(u, ctx, conds, a, store, extracts, what) -> tuple[Context, dict]:
 
 def _map_active(ctx: Context, conds, store, step) -> Context:
     """Replace each active pair by the pairs ``step`` returns for it."""
-    active = {p.key() for p in active_pairs(ctx, conds, store)}
-    new_pairs = [q for p in ctx.pairs for q in (step(p) if p.key() in active else (p,))]
+    active = {(p.sigma_a, p.sigma_b) for p in active_pairs(ctx, conds, store)}
+    new_pairs = [q for p in ctx.pairs for q in (step(p) if (p.sigma_a, p.sigma_b) in active else (p,))]
     return Context.make(ctx.outer, new_pairs, ctx.extracted)
 
 
@@ -339,7 +339,7 @@ def package_fia(
     return PackageOutcome(
         "success",
         case_footprints=tuple(results),
-        post_states=tuple(sorted(posts, key=state_key)),
+        post_states=tuple(sorted(posts)),
     )
 
 

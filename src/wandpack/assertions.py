@@ -38,7 +38,7 @@ from .exprs import (
     node,
     substitute,
 )
-from .states import EMPTY, State, state_key
+from .states import EMPTY, State
 from .universe import NULL, REF, FieldLoc, PredInst, Universe, Value, WandInst
 
 
@@ -499,14 +499,7 @@ def lhs_states(u: Universe, a: Assertion, store: Store, budget: int = 10**6) -> 
     hit = _LHS_CACHE.get(key)
     if hit is not None:
         return hit
-    out = sorted(
-        (
-            s
-            for s in st.enumerate_states(u, stable_only=True, budget=budget)
-            if sat(u, s, a, store)
-        ),
-        key=state_key,
-    )
+    out = sorted(s for s in st.enumerate_states(u, stable_only=True, budget=budget) if sat(u, s, a, store))
     _remember(_LHS_CACHE, u, key, out)
     return out
 
@@ -517,7 +510,7 @@ def lhs_cases(u: Universe, a: Assertion, store: Store) -> list[State]:
     and sorted.  Each case holds only the locations it owns.  An
     assertion that reads an unframed location has no cases."""
     try:
-        return sorted(set(_demands(u, a, {}, store, None, FRESH_FORK, None)), key=state_key)
+        return sorted(set(_demands(u, a, {}, store, None, FRESH_FORK, None)))
     except Unframed:
         return []  # sat is False on every state
 

@@ -51,7 +51,7 @@ from .assertions import (
     wand_holds,
 )
 from .exprs import Lit, Store, Unframed, eval_bool
-from .states import State, bin_mask, enumerate_states, state_key
+from .states import State, bin_mask, enumerate_states
 from .universe import PredInst, Universe
 
 STANDARD = "standard"
@@ -77,10 +77,7 @@ def plan(u: Universe, stable_only: bool = False) -> EnumerationPlan:
 def sat_states(a: Assertion, p: EnumerationPlan, store: Store = {}) -> list[State]:
     """Exactly the states of the sub-universe ``a`` reaches satisfying it."""
     u = p.universe
-    return sorted(
-        (s for s in EnumerationPlan(reach(u, a), p.stable_only).states() if sat(u, s, a, store)),
-        key=state_key,
-    )
+    return sorted(s for s in EnumerationPlan(reach(u, a), p.stable_only).states() if sat(u, s, a, store))
 
 
 def _as_kind(w: Wand, kind: str) -> Wand:
@@ -125,7 +122,7 @@ def desugar_state(s: State, p: EnumerationPlan) -> list[State]:
         if isinstance(rid, PredInst):
             body = desugar_predicates(PredA(rid.name, tuple(map(Lit, rid.args)), amt), u)
             out = [grown for acc in out for grown in grow(u, body, acc, {})]
-    return sorted(set(out), key=state_key)
+    return sorted(set(out))
 
 
 def audit_footprint(

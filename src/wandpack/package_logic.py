@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from . import states as st
 from .assertions import (
@@ -35,7 +35,7 @@ from .assertions import (
     reach,
 )
 from .exprs import Expr, Store, Unframed, eval_bool, format_expr
-from .states import EMPTY, State, state_key
+from .states import EMPTY, State
 from .universe import FieldLoc, Universe
 
 
@@ -49,8 +49,7 @@ class CheckFailure(Exception):
         super().__init__(f"{where}: {message}")
 
 
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(NamedTuple):
     """Available and assembled state; for a combinable wand, also the
     left-hand-side state the footprint is restricted to (None otherwise).
     Every rule keeps the assembled heap inside the available one, so the
@@ -59,12 +58,6 @@ class WitnessPair:
     sigma_a: State
     sigma_b: State
     anchor: Optional[State] = None
-
-    def key(self) -> tuple:
-        return (state_key(self.sigma_a), state_key(self.sigma_b))
-
-    def full_key(self) -> tuple:
-        return self.key() + (() if self.anchor is None else state_key(self.anchor),)
 
 
 @dataclass(frozen=True)
@@ -77,11 +70,11 @@ class Context:
 
     @staticmethod
     def make(outer: State, pairs, extracted: State = EMPTY) -> "Context":
-        # deduplication must keep pairs whose anchors differ: they are
-        # distinct cases even when their states coincide
-        uniq = {p.full_key(): p for p in pairs}
-        ordered = tuple(uniq[k] for k in sorted(uniq))
-        return Context(outer, ordered, extracted)
+        # deduplication keeps pairs whose anchors differ: they are distinct
+        # cases even when their states coincide.  The pairs of one context
+        # all have anchors or all have none, so the sort never compares
+        # None with a state.
+        return Context(outer, tuple(sorted(set(pairs))), extracted)
 
 
 PathCondition = tuple[Expr, ...]
@@ -115,13 +108,7 @@ class DAtom:
 
     @staticmethod
     def make(mapping: Mapping[tuple[State, State], State]) -> "DAtom":
-        items = tuple(
-            sorted(
-                ((sa, sb, c) for (sa, sb), c in mapping.items()),
-                key=lambda t: (state_key(t[0]), state_key(t[1])),
-            )
-        )
-        return DAtom(items)
+        return DAtom(tuple((sa, sb, c) for (sa, sb), c in sorted(mapping.items())))
 
 
 @dataclass(frozen=True)
@@ -341,13 +328,11 @@ def apply_atom(b: Assertion, pc, ctx: Context, d: DAtom, u, store, path=()) -> C
 
 def _check_disjunction(b: OrA, pc, ctx: Context, d: DDisjunction, u, store, path) -> Context:
     """The five-step disjunction procedure over a partition of the pairs."""
-    left_keys = {(state_key(sa), state_key(sb)) for sa, sb in d.left_pairs}
-    known = {p.key() for p in ctx.pairs}
-    for k in left_keys:
-        if k not in known:
-            raise CheckFailure("partition names a pair that is not in the witness set", path)
-    sl = [p for p in ctx.pairs if p.key() in left_keys]
-    sr = [p for p in ctx.pairs if p.key() not in left_keys]
+    left = set(d.left_pairs)
+    if not left <= {(p.sigma_a, p.sigma_b) for p in ctx.pairs}:
+        raise CheckFailure("partition names a pair that is not in the witness set", path)
+    sl = [p for p in ctx.pairs if (p.sigma_a, p.sigma_b) in left]
+    sr = [p for p in ctx.pairs if (p.sigma_a, p.sigma_b) not in left]
     ctx_l = _check(b.left, pc, Context.make(ctx.outer, sl, ctx.extracted), d.left, u, store, path + ("left",))
     f1 = extract_footprint(ctx.outer, ctx_l.outer)
     # each branch absorbs the partial footprint extracted for its sibling

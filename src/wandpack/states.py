@@ -12,12 +12,16 @@ Normal form: a state is the tuple (mask, heap).  Its mask is a tuple of
 (location, value) entries, both sorted by resource id, with no repeated
 id.  An id is its own sort key (see ``universe``), so a sort needs no key
 function and, since ids in one mask or heap are distinct, never compares
-two amounts or values.  ``State.make`` is the public constructor and
-establishes this from any input.  The algebra below receives normal states
-only, so it builds its results with the plain ``State(mask, heap)``
-constructor, keeping entry order where it can (scaling, filtering,
-subtraction) and sorting once where it cannot (the keys an addition brings
-in).  Nothing outside this module builds a ``State`` that way.
+two amounts or values.  States sort as tuples too, by mask and then by
+heap; the values one location holds share a type, so states, witness
+pairs and worlds over one universe need no key function either, and only
+a pool that mixes universes needs ``state_key``.  ``State.make`` is the
+public constructor and establishes this from any input.  The algebra
+below receives normal states only, so it builds its results with the
+plain ``State(mask, heap)`` constructor, keeping entry order where it can
+(scaling, filtering, subtraction) and sorting once where it cannot (the
+keys an addition brings in).  Nothing outside this module builds a
+``State`` that way.
 
 Amounts stay ``Fraction``, but the kernel decides bounds and order on
 their numerators and denominators: ``a/b <= c/d`` as ``a*d <= c*b`` and
@@ -43,7 +47,6 @@ from .universe import (
     UniverseError,
     Value,
     format_value,
-    value_key,
     value_type,
     WandInst,
 )
@@ -118,8 +121,10 @@ EMPTY = State.make()
 
 
 def state_key(s: State) -> tuple:
-    """Deterministic total order used wherever iteration order matters."""
-    return (s.mask, tuple([(l, value_key(v)) for l, v in s.heap]))
+    """The order of states extended to pools that mix universes, where
+    one location may hold values of two types: each value is tagged with
+    its type, as a predicate instance's arguments are."""
+    return (s.mask, tuple([(l, (value_type(v), v)) for l, v in s.heap]))
 
 
 def validate(s: State, u: Universe) -> None:
@@ -396,7 +401,7 @@ def resource_options(u: Universe, stable_only: bool = False) -> list[list[tuple]
     at zero permission (unless ``stable_only``), or a value at each
     positive amount; for a predicate instance, none or each positive
     amount.  Locations come sorted and predicate instances follow them in
-    ``rid_key`` order, so the entries of every state come out sorted."""
+    id order, so the entries of every state come out sorted."""
     amounts = u.fraction_lattice()[1:]
     out = []
     for loc in u.sorted_locations():
@@ -509,4 +514,4 @@ def antichain(states: Sequence[State]) -> list[State]:
 
 def minimal_elements(states: Iterable[State]) -> list[State]:
     """The >=-antichain of minimal states, in deterministic order."""
-    return sorted(antichain(list(states)), key=state_key)
+    return sorted(antichain(list(states)))

@@ -38,11 +38,6 @@ def value_type(v: Value) -> str:
     return REF
 
 
-def value_key(v: Value) -> tuple:
-    """Total deterministic order over heterogeneous values."""
-    return (value_type(v), str(v) if not isinstance(v, bool) else str(v).lower())
-
-
 def format_value(v: Value) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -50,13 +45,14 @@ def format_value(v: Value) -> str:
 
 
 # Resource ids are dict and set keys and sort keys throughout the state
-# algebra, so each is a tuple that holds its own sort key: (0, ref, field),
-# (1, name, the ``value_key`` of each argument, args) or (2, key).  Hashing,
-# equality and ordering are the tuple's own, run in C; the leading tag keeps
-# ids of different kinds apart and orders field locations before predicate
-# instances before wands.  Pickling and copying rebuild an id through its
-# constructor (``__getnewargs__``), so it hashes as the receiving process
-# hashes strings.
+# algebra, so each is a tuple that is its own sort key: (0, ref, field),
+# (1, name, each argument as (value type, value), args) or (2, key).
+# Hashing, equality and ordering are the tuple's own, run in C; the leading
+# tag keeps ids of different kinds apart and orders field locations before
+# predicate instances before wands, and the type tags keep ``P(1)`` and
+# ``P(true)`` apart (``True == 1`` in Python) and never compare values of
+# two types.  Pickling and copying rebuild an id through its constructor
+# (``__getnewargs__``), so it hashes as the receiving process hashes strings.
 
 
 class FieldLoc(tuple):
@@ -87,7 +83,7 @@ class PredInst(tuple):
     args: tuple[Value, ...] = property(itemgetter(3))
 
     def __new__(cls, name: str, args: tuple[Value, ...]):
-        return tuple.__new__(cls, (1, name, tuple(value_key(a) for a in args), args))
+        return tuple.__new__(cls, (1, name, tuple((value_type(a), a) for a in args), args))
 
     def __getnewargs__(self):
         return self[1], self[3]
@@ -119,12 +115,6 @@ class WandInst(tuple):
 
 
 ResourceId = Union[FieldLoc, PredInst, WandInst]
-
-
-def rid_key(rid: ResourceId) -> tuple:
-    """Deterministic order: field locations, then predicates, then wands.
-    An id is its own key."""
-    return rid
 
 
 @dataclass(frozen=True)
@@ -233,7 +223,7 @@ def make_universe(
     predicates: Mapping[str, PredicateDef] | None = None,
 ) -> Universe:
     locs = {
-        FieldLoc(r, f): tuple(sorted(dom, key=value_key))
+        FieldLoc(r, f): tuple(sorted(dom, key=lambda v: (value_type(v), v)))
         for (r, f), dom in locations.items()
     }
     return Universe(

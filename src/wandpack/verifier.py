@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, is_dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import oracle as orc
 from . import states as st
@@ -65,8 +65,8 @@ from .program import (
     VarDecl,
 )
 from .serialization import derivation_doc, state_to_json, state_to_text
-from .states import EMPTY, State, state_key
-from .universe import BOOL, NULL, REF, FieldLoc, Universe, UniverseError, value_key
+from .states import EMPTY, State
+from .universe import BOOL, NULL, REF, FieldLoc, Universe, UniverseError
 
 ALGORITHMS = (FIA, SOUND, COMBINABLE)
 
@@ -80,8 +80,10 @@ class ProgramError(Exception):
         self.pos = pos
 
 
-@dataclass(frozen=True)
-class World:
+class World(NamedTuple):
+    """A store, as sorted (variable, value) entries, and a state.  Worlds
+    sort as tuples: a variable's values share one type, as a location's do."""
+
     store_items: tuple[tuple[str, object], ...]
     state: State
 
@@ -91,12 +93,6 @@ class World:
 
     def store(self) -> dict:
         return dict(self.store_items)
-
-    def key(self) -> tuple:
-        return (
-            tuple((k, value_key(v)) for k, v in self.store_items),
-            state_key(self.state),
-        )
 
     def describe(self) -> str:
         binds = ", ".join(f"{k}={v}" for k, v in self.store_items)
@@ -246,11 +242,7 @@ def check_stmts(stmts: Sequence[Stmt], u, var_types: dict) -> None:
 
 
 def _merge(world_lists) -> list[World]:
-    seen = {}
-    for ws in world_lists:
-        for w in ws:
-            seen[w.key()] = w
-    return [seen[k] for k in sorted(seen)]
+    return sorted({w for ws in world_lists for w in ws})
 
 
 def run(
@@ -321,7 +313,7 @@ def _initial_worlds(m: Method, u: Universe) -> list[World]:
     worlds = [World.make(s, EMPTY) for s in stores]
     if m.requires is not None:
         worlds = _merge([_inhale(w, m.requires, u, m.pos) for w in worlds])
-    return sorted(worlds, key=World.key)
+    return sorted(worlds)
 
 
 def _inhale(w: World, a: Assertion, u: Universe, pos) -> list[World]:
@@ -376,7 +368,12 @@ def _exec_stmt(stmt: Stmt, worlds: list[World], env: _Env) -> list[World]:
             except Unframed as e:
                 raise VerificationError(f"unframed condition: {e.description}", w, stmt.pos)
             (then_worlds if cond else else_worlds).append(w)
-        return _merge([_exec_block(stmt.then, then_worlds, env), _exec_block(stmt.els, else_worlds, env)])
+        out = _exec_block(stmt.then, then_worlds, env) + _exec_block(stmt.els, else_worlds, env)
+        # a variable a branch declares goes out of scope at its end, as
+        # ``check_stmts`` scopes it, so the worlds after the if share their
+        # variables and each variable's values share one type
+        scope = {k for k, _ in worlds[0].store_items} if worlds else ()
+        return _merge([[World(tuple(e for e in w.store_items if e[0] in scope), w.state) for w in out]])
     if isinstance(stmt, Package):
         return _package(worlds, stmt, env)
     if isinstance(stmt, Apply):
@@ -385,19 +382,19 @@ def _exec_stmt(stmt: Stmt, worlds: list[World], env: _Env) -> list[World]:
 
 
 def _assign_var(w: World, name: str, expr, u, pos) -> World:
+    store = w.store()
     try:
-        v = eval_expr(expr, w.state.heap_dict(), w.store(), w.state.mask_dict())
+        store[name] = eval_expr(expr, w.state.heap_dict(), store, w.state.mask_dict())
     except Unframed as e:
         raise VerificationError(f"unframed expression: {e.description}", w, pos)
-    store = w.store()
-    store[name] = v
     return World.make(store, w.state)
 
 
 def _heap_write(w: World, stmt: HeapWrite, u: Universe) -> World:
+    heap, store, mask = w.state.heap_dict(), w.store(), w.state.mask_dict()
     try:
-        base = eval_expr(stmt.base, w.state.heap_dict(), w.store(), w.state.mask_dict())
-        value = eval_expr(stmt.expr, w.state.heap_dict(), w.store(), w.state.mask_dict())
+        base = eval_expr(stmt.base, heap, store, mask)
+        value = eval_expr(stmt.expr, heap, store, mask)
     except Unframed as e:
         raise VerificationError(f"unframed expression: {e.description}", w, stmt.pos)
     if not isinstance(base, str) or base == NULL:
@@ -409,9 +406,8 @@ def _heap_write(w: World, stmt: HeapWrite, u: Universe) -> World:
         raise VerificationError(f"write to {loc} requires full permission", w, stmt.pos)
     if value not in u.domain(loc):
         raise VerificationError(f"value {value!r} outside the domain of {loc}", w, stmt.pos)
-    heap = w.state.heap_dict()
     heap[loc] = value
-    return World(w.store_items, State.make(w.state.mask_dict(), heap))
+    return World(w.store_items, State.make(mask, heap))
 
 
 def _package(worlds: list[World], stmt: Package, env: _Env) -> list[World]:
@@ -448,7 +444,7 @@ def _package(worlds: list[World], stmt: Package, env: _Env) -> list[World]:
     for w in worlds:
         inside, rest = (w.state, EMPTY) if fields is None else st.split_fields(w.state, fields)
         # a variable's values share one type, and so do a location's, so
-        # equal keys here are equal under ``World.key`` too, opaque values aside
+        # equal keys here are equal worlds, opaque values aside
         blind = inside.heap if not opaque else tuple(
             (loc, None) if loc.field in opaque else (loc, v) for loc, v in inside.heap
         )
@@ -524,9 +520,7 @@ def _substitute(s: State, values: dict) -> State:
 
 
 # the records of a package outcome that hold states, directly or below them
-_STATE_HOLDERS = (
-    PackageOutcome, Configuration, Context, WitnessPair, DImplication, DStar, DAtom, DExtract, DDisjunction,
-)
+_STATE_HOLDERS = (PackageOutcome, Configuration, Context, DImplication, DStar, DAtom, DExtract, DDisjunction)
 
 
 def _map_states(x, f: Callable[[State], State]):
@@ -536,6 +530,8 @@ def _map_states(x, f: Callable[[State], State]):
     so the sorted orders of masks, heaps, pairs and choices still hold."""
     if isinstance(x, State):
         return f(x)
+    if isinstance(x, WitnessPair):
+        return x._make(_map_states(v, f) for v in x)
     if isinstance(x, (tuple, list)):
         return type(x)(_map_states(v, f) for v in x)
     if isinstance(x, _STATE_HOLDERS):

@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 from wandpack.parser import parse_assertion_text, parse_state_text, parse_universe_text
-from wandpack.universe import FieldLoc, PredInst, value_key
+from wandpack.universe import FieldLoc, PredInst, value_type
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
 
@@ -68,11 +68,12 @@ def S(text):
 
 
 def formula_rid_key(r) -> tuple:
-    """The order resource ids have always had, written out."""
+    """The order of resource ids, written out: field locations, then
+    predicate instances by name and type-tagged arguments, then wands."""
     if isinstance(r, FieldLoc):
         return (0, r.ref, r.field)
     if isinstance(r, PredInst):
-        return (1, r.name, tuple(value_key(a) for a in r.args))
+        return (1, r.name, tuple((value_type(a), a) for a in r.args))
     return (2, r.key)
 
 

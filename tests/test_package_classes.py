@@ -19,7 +19,7 @@ import pytest
 import wandpack.oracle as orc
 import wandpack.states as st
 import wandpack.verifier as verifier
-from wandpack.algorithms import COMBINABLE, FIA, PACKAGERS, PackageOutcome
+from wandpack.algorithms import COMBINABLE, FIA, PACKAGERS, SOUND, PackageOutcome
 from wandpack.assertions import Acc, Imp, OrA, PredA, Pure, Star, Wand, close_assertion, format_assertion, wand_key
 from wandpack.cli import main
 from wandpack.exprs import Eq, FieldAcc, Lit, Var
@@ -92,7 +92,7 @@ def traced_run(monkeypatch, program, algorithm, audit, package):
     def step(worlds, stmt, env):
         seen["worlds"] += len(worlds)
         out = package(worlds, stmt, env)
-        posts.append((stmt.pos, [w.key() for w in out]))
+        posts.append((stmt.pos, list(out)))
         return out
 
     with monkeypatch.context() as m:
@@ -118,11 +118,12 @@ def _script_assertion(rng, u0, framed):
     return random_assertion(rng, u0, 1, framed)[0]
 
 
-def random_package(rng, orng, u0, combinable):
+def random_package(rng, orng, u0, combinable, held=False):
     """A wand over ``u0`` and a proof script of one kind: none, assert,
     if, fold (when ``u0`` has a predicate) or apply, and how they name x.o,
-    drawn from ``orng``."""
-    kind = rng.choice(["none", "assert", "if", "apply"] + ["fold"] * 2 * bool(u0.predicates))
+    drawn from ``orng``.  With ``held``, the kind is apply and the wand's
+    left-hand side holds the applied wand and that wand's left-hand side."""
+    kind = "apply" if held else rng.choice(["none", "assert", "if", "apply"] + ["fold"] * 2 * bool(u0.predicates))
     lhs, framed = random_assertion(rng, u0, rng.choice([0, 1, 2]))
     rhs, _ = random_assertion(rng, u0, rng.choice([1, 2]), framed=framed)
     script = ()
@@ -141,7 +142,9 @@ def random_package(rng, orng, u0, combinable):
     elif kind == "apply":
         f1, f2 = (rng.choice(u0.sorted_locations()).field for _ in range(2))
         inner = Wand(Acc(X, f1), Acc(X, f2))
-        if rng.random() < 0.7:  # else the script takes x.f1 from the outer state, then finds no instance
+        if held:
+            lhs = Star(Star(inner, Acc(X, f1)), lhs)
+        elif rng.random() < 0.7:  # else the script takes x.f1 from the outer state, then finds no instance
             lhs = Star(inner, lhs)
         script = (Apply(inner),)
     # every package names x.o by an acc atom, so x.o is opaque unless a
@@ -156,14 +159,14 @@ def random_package(rng, orng, u0, combinable):
     return kind, Package(Wand(lhs, rhs, combinable), script)
 
 
-def random_program(rng, orng, combinable):
+def random_program(rng, orng, combinable, held=False):
     """A program whose requires clause forks over the unnamed and opaque
     fields and most of the wand's: a package, then an assert of the
     unnamed fields."""
     u0 = random_universe(rng, with_predicate=rng.random() < 0.5)
     locs = {(loc.ref, loc.field): u0.domain(loc) for loc in u0.sorted_locations()}
     u = make_universe(u0.refs, {**locs, **UNNAMED, **OPAQUE}, u0.granularity, u0.predicates)
-    kind, pkg = random_package(rng, orng, u0, combinable)
+    kind, pkg = random_package(rng, orng, u0, combinable, held)
     held = [Acc(X, loc.field, rng.choice([ONE, ONE, HALF])) for loc in u0.sorted_locations() if rng.random() < 0.9]
     held += [PredA(n, (X,)) for n in sorted(u0.predicates) if rng.random() < 0.3]
     held += [Acc(X, "p"), Acc(X, "q"), Acc(X, "o")]
@@ -177,14 +180,21 @@ def random_program(rng, orng, combinable):
 
 
 def programs(algorithm):
-    """60 programs; their wands are of the algorithm's kind, mixed under fia."""
-    rng, orng = random.Random(f"package-classes:{algorithm}"), random.Random(f"package-classes:{algorithm}:o")
-    return [random_program(rng, orng, algorithm == COMBINABLE or (algorithm == FIA and i % 2)) for i in range(60)]
+    """60 programs, then 24 from a stream of their own whose scripts apply
+    a wand their left-hand sides hold (``held``); their wands are of the
+    algorithm's kind, mixed under fia."""
+
+    def draw(stream, n, held):
+        rng, orng = random.Random(stream), random.Random(f"{stream}:o")
+        return [random_program(rng, orng, algorithm == COMBINABLE or (algorithm == FIA and i % 2), held)
+                for i in range(n)]
+
+    return draw(f"package-classes:{algorithm}", 60, False) + draw(f"package-classes:{algorithm}:held", 24, True)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_grouped_packaging_equals_per_world_packaging(monkeypatch, algorithm):
-    worlds = calls = 0
+    worlds = calls = applied = 0
     succeeded, merged = set(), set()
     for i, (kind, p) in enumerate(programs(algorithm)):
         audit = i % 2 == 0
@@ -197,10 +207,14 @@ def test_grouped_packaging_equals_per_world_packaging(monkeypatch, algorithm):
             succeeded.add(kind)
         if got[2]["merges"]:
             merged.add(kind)
+            applied += kind == "apply"
     # the sweep groups worlds, packages succeed with scripts of every kind,
     # and worlds that differ only in opaque values share a class under each
     assert calls < worlds / 2
     assert succeeded == merged == {"none", "assert", "if", "apply", "fold"}
+    # apply scripts package and merge worlds in 12 fia programs (1 of them
+    # among the first 60), 22 sound and 15 combinable ones
+    assert applied >= {FIA: 12, SOUND: 22, COMBINABLE: 15}[algorithm]
 
 
 # -- a package that fails in some worlds ---------------------------------------------

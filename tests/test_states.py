@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as strat
 
 import wandpack.states as st
-from wandpack.parser import parse_universe_text
+from wandpack.oracle import plan, sat_states
+from wandpack.parser import format_universe, parse_assertion_text, parse_universe_text
 from wandpack.states import EMPTY
-from wandpack.universe import FieldLoc, PredInst, WandInst, value_key
+from wandpack.universe import FieldLoc, PredInst, WandInst, value_type
 
 import gen
 
@@ -570,13 +571,13 @@ def test_codec_decodes_off_the_lattice_exactly_and_refuses_to_encode_there():
         codec.encode([s])
 
 
-# -- order: ids are their own sort keys ------------------------------------------
+# -- order: ids and states are their own sort keys ------------------------------------------
 
 
 def formula_state_key(s) -> tuple:
     return (
         tuple((formula_rid_key(r), a) for r, a in s.mask),
-        tuple((formula_rid_key(l), value_key(v)) for l, v in s.heap),
+        tuple((formula_rid_key(l), (value_type(v), v)) for l, v in s.heap),
     )
 
 
@@ -621,5 +622,16 @@ def test_order_matches_the_formula_on_generated_pools():
                 assert (st.state_key(a) < st.state_key(b)) == (formula_state_key(a) < formula_state_key(b))
                 assert (st.state_key(a) == st.state_key(b)) == (formula_state_key(a) == formula_state_key(b))
         assert st.minimal_elements(pool) == sorted(st.antichain(pool), key=formula_state_key)
+        assert sorted(pool) == sorted(pool, key=formula_state_key)  # one universe: no key needed
     # the pool held predicate instances with ref, int and bool arguments, and wands
     assert kinds >= {str, int, bool, FieldLoc, PredInst, WandInst}
+
+
+def test_integers_of_different_lengths_sort_by_value():
+    u = parse_universe_text("universe v1\ngranularity 1\nrefs x\nloc x.g: int {2, 10, 0}\n")
+    assert "loc x.g: int {0, 2, 10}" in format_universe(u)
+    g = FieldLoc("x", "g")
+    pool = [st.State.make({g: 1}, {g: v}) for v in (10, 0, 2)]
+    assert [s.heap_value(g) for s in st.minimal_elements(pool)] == [0, 2, 10]
+    assert [s.heap_value(g) for s in sat_states(parse_assertion_text("acc(x.g)"), plan(u), {"x": "x"})] == [0, 2, 10]
+    assert [r.args for r in sorted([PredInst("P", (10,)), PredInst("P", (2,))])] == [(2,), (10,)]

@@ -213,6 +213,35 @@ def test_var_decl_and_assign():
     assert run(p, "sound").verified
 
 
+def test_branch_locals_go_out_of_scope_at_the_end_of_the_if():
+    # each branch declares v with a type of its own; after the if no v is in
+    # scope, so the two worlds that differ only in v are one world
+    p = program(
+        """
+        program v1
+        method m(x: Ref) {
+          inhale acc(x.b)
+          if (x.b) {
+            var v: int := 1
+            x.b := false
+          } else {
+            var v: ref := x
+          }
+          assert x.b == false
+        }
+        """,
+        """
+        universe v1
+        granularity 2
+        refs x
+        loc x.b: bool
+        """,
+    )
+    report = run(p, "sound")
+    assert report.verified
+    assert [s.worlds for s in report.methods[0].statements] == [2, 1, 1]
+
+
 LOCALS_PROGRAM = """program v1
 
 method m(x: Ref)
