@@ -97,29 +97,32 @@ def derivation_to_json(d: Derivation) -> dict:
     raise SerializationError(f"unknown derivation node {d!r}")
 
 
-def derivation_from_json(d: dict) -> Derivation:
+def derivation_from_json(d: dict, u: Universe) -> Derivation:
+    """The derivation tree ``d`` holds, each state it names checked against
+    ``u`` (``states.validate``) as a document's outer state is."""
     rule = d["rule"]
     if rule == "implication":
-        return DImplication(derivation_from_json(d["child"]))
+        return DImplication(derivation_from_json(d["child"], u))
     if rule == "star":
-        return DStar(derivation_from_json(d["left"]), derivation_from_json(d["right"]))
+        return DStar(derivation_from_json(d["left"], u), derivation_from_json(d["right"], u))
     if rule == "extract":
-        return DExtract(parse_state_text(d["state"]), derivation_from_json(d["child"]))
+        return DExtract(_state(d["state"], u), derivation_from_json(d["child"], u))
     if rule == "atom":
         choices = {
-            (parse_state_text(c["available"]), parse_state_text(c["assembled"])): parse_state_text(
-                c["choice"]
-            )
+            (_state(c["available"], u), _state(c["assembled"], u)): _state(c["choice"], u)
             for c in d["choices"]
         }
         return DAtom.make(choices)
     if rule == "disjunction":
-        pairs = tuple(
-            (parse_state_text(p["available"]), parse_state_text(p["assembled"]))
-            for p in d["left_pairs"]
-        )
-        return DDisjunction(pairs, derivation_from_json(d["left"]), derivation_from_json(d["right"]))
+        pairs = tuple((_state(p["available"], u), _state(p["assembled"], u)) for p in d["left_pairs"])
+        return DDisjunction(pairs, derivation_from_json(d["left"], u), derivation_from_json(d["right"], u))
     raise SerializationError(f"unknown derivation rule {rule!r}")
+
+
+def _state(text: str, u: Universe) -> State:
+    s = parse_state_text(text)
+    validate(s, u)
+    return s
 
 
 def derivation_doc(
@@ -146,7 +149,8 @@ def derivation_doc_read(doc: dict):
     """Returns (universe, store, wand, initial configuration, derivation, script).
 
     The wand and script get a ``package`` statement's static check, each
-    store variable typed by its value, before the configuration is rebuilt."""
+    store variable typed by its value, and every state the document names
+    is checked against its universe, before the configuration is rebuilt."""
     from .verifier import ProgramError, check_stmts  # the verifier writes documents
 
     if not isinstance(doc, dict) or doc.get("format") != DERIVATION_FORMAT:
@@ -164,12 +168,13 @@ def derivation_doc_read(doc: dict):
     try:
         check_stmts([Package(wand, script)], u, {x: value_type(v) for x, v in store.items()})
         validate(outer, u)
+        deriv = derivation_from_json(doc["derivation"], u)
     except ProgramError as e:
         raise SerializationError(e.message) from None
     except (StateError, UniverseError) as e:
         raise SerializationError(str(e)) from None
     conf = initial_configuration(u, wand, store, outer)
-    return u, store, wand, conf, derivation_from_json(doc["derivation"]), script
+    return u, store, wand, conf, deriv, script
 
 
 def derivation_doc_parse(doc: dict):

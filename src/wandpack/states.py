@@ -351,22 +351,6 @@ def capped(a_mask: dict, sigma_w: State) -> State:
     return State(mask, sigma_w.heap)
 
 
-def split_fields(s: State, fields: frozenset) -> tuple[State, State]:
-    """``s`` as (inside, outside) with ``add(inside, outside) == s``: outside
-    holds the mask and heap entries of the field locations whose field is
-    not in ``fields``; inside keeps the rest, predicate and wand instances
-    included."""
-    def out(rid) -> bool:
-        return isinstance(rid, FieldLoc) and rid.field not in fields
-
-    mask_in, mask_out, heap_in, heap_out = [], [], [], []
-    for e in s.mask:
-        (mask_out if out(e[0]) else mask_in).append(e)
-    for e in s.heap:
-        (heap_out if out(e[0]) else heap_in).append(e)
-    return State(tuple(mask_in), tuple(heap_in)), State(tuple(mask_out), tuple(heap_out))
-
-
 def bin_mask(s: State) -> State:
     """Binary restriction: keep full-permission entries, zero the rest."""
     return State(tuple(e for e in s.mask if e[1] == 1), s.heap)

@@ -9,12 +9,9 @@ worlds the exchange makes inconsistent.  An empty world set verifies
 everything — the path is unreachable.
 
 A package runs once per class of worlds that agree on what it reads: the
-store, and the part of the state the wand and its proof script reach,
-except the heap values of fields that only ``acc`` atoms of the
-right-hand side and of script ``assert``s name.  Each world takes its
-class's outcome with its own values at those locations, the rest of its
-state added back to the post-states and its own outer state in its
-derivation document.
+store, the mask, and the heap values of the fields the wand and its proof
+script read.  Each world takes its class's outcome with its own values at
+the unread locations.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from .assertions import (
     Wand,
     AssertionError_,
     PredA,
-    Pure,
     atoms,
     close_assertion,
     demands,
@@ -413,88 +409,74 @@ def _heap_write(w: World, stmt: HeapWrite, u: Universe) -> World:
 def _package(worlds: list[World], stmt: Package, env: _Env) -> list[World]:
     """Package once per class of worlds that agree on what the package reads.
 
-    Two cuts make a class.  The fields the wand and its script do not
-    reach (``reach``) are split off each world's state and added back to
-    its post-states: the package sees nothing of them.  Among the reached
-    fields, the heap values of the opaque ones (``_package_fields``) are
-    left out of the class key; the store, the mask and every other heap
-    value stay in it.  Each class is packaged once, for its first world in
-    world order, which is the world a failure names.
+    A class's key is a world's store, its mask and its heap with the value
+    of every unread field (``_read_fields``) left out.  Each class is
+    packaged once, on the state of its first world in world order, which
+    is the world a failure names.
 
-    Why a class packages alike.  An opaque field is named only by ``acc``
-    atoms of the right-hand side and of script ``assert``s, never by the
-    left-hand side, an expression, a predicate body, a fold or unfold, or
-    an applied wand.  So the initial witness pairs hold no value at an
-    opaque location, no step evaluates one, and such a value enters a pair
-    only by extraction from the one outer state (or as a demand's fallback
-    read of it).  Within one package, then, every state that holds a value
-    at an opaque location holds the outer state's value there, and every
+    Why a class packages alike.  An unread field is named by no left-hand
+    side, expression, predicate body, fold or unfold, or applied wand: at
+    most by ``acc`` atoms of the right-hand side and of script ``assert``s.
+    So the initial witness pairs hold no value at an unread location, no
+    step evaluates one, and such a value enters a pair only by extraction
+    from the one outer state (or as a demand's fallback read of it), or
+    never.  Within one package, then, every state that holds a value at an
+    unread location holds the outer state's value there, and every
     comparison, sort and compatibility test sees equal values at it.  A
-    world whose outer state differs only at opaque locations therefore
-    takes the same steps, and its outcome is the class's with its own
-    values substituted there (``_map_states``): footprints, post-states,
-    configuration and derivation tree.  Its record, audit and derivation
-    document are rebuilt from that outcome; each distinct footprint is
-    audited by the oracle.  A world's derivation document stores its own
-    outer state."""
-    fields, opaque = _package_fields(env.u, stmt)
-    classes: dict[tuple, tuple[State, PackageOutcome, tuple[list[State], PackageRecord]]] = {}
+    world whose state differs from its class's first only at unread
+    locations therefore takes the same steps, and its outcome is the
+    class's with its own values substituted there (``_map_states``):
+    footprints, post-states, configuration, whose outer state becomes the
+    world's own, and derivation tree.  Its record, audit and derivation
+    document are built from that outcome; each distinct footprint is
+    audited by the oracle."""
+    read = _read_fields(env.u, stmt)
+    classes: dict[tuple, tuple[State, PackageOutcome]] = {}
     audits: dict[tuple, bool] = {}
     out, records = [], []
     for w in worlds:
-        inside, rest = (w.state, EMPTY) if fields is None else st.split_fields(w.state, fields)
         # a variable's values share one type, and so do a location's, so
-        # equal keys here are equal worlds, opaque values aside
-        blind = inside.heap if not opaque else tuple(
-            (loc, None) if loc.field in opaque else (loc, v) for loc, v in inside.heap
-        )
-        cls = (w.store_items, inside.mask, blind)
+        # equal keys here are equal worlds, unread values aside
+        blind = tuple((loc, v if loc.field in read else None) for loc, v in w.state.heap)
+        cls = (w.store_items, w.state.mask, blind)
         if cls not in classes:
-            outcome = PACKAGERS[env.algorithm](inside, stmt.wand, stmt.script, w.store(), env.u)
+            outcome = PACKAGERS[env.algorithm](w.state, stmt.wand, stmt.script, w.store(), env.u)
             if not outcome.success:
                 raise VerificationError(f"package failed: {outcome.diagnostic}", w, stmt.pos)
-            classes[cls] = (inside, outcome, _package_result(w, outcome, stmt, env, audits))
-        first, outcome, (posts, record) = classes[cls]
+            classes[cls] = (w.state, outcome)
+        first, outcome = classes[cls]
         # equal keys list the same locations, so the heaps align entry by entry
-        values = {loc: v for (loc, v), (_, v0) in zip(inside.heap, first.heap) if v != v0}
+        values = {loc: v for (loc, v), (_, v0) in zip(w.state.heap, first.heap) if v != v0}
         if values:
             outcome = _map_states(outcome, lambda s: _substitute(s, values))
-            posts, record = _package_result(w, outcome, stmt, env, audits)
-        if rest.mask or rest.heap:
-            posts = [st.add(p, rest) for p in posts]  # rest is disjoint from what the package reaches
-            if record.derivation is not None:
-                record = replace(record, derivation={**record.derivation, "outer": state_to_text(w.state)})
+        posts, record = _package_result(w, outcome, stmt, env, audits)
         records.append(record)
         out.extend(World(w.store_items, p) for p in posts)
     env.mreport.packages.extend(records)  # a failing statement records no package
     return _merge([out])
 
 
-def _package_fields(u: Universe, stmt: Package) -> tuple[Optional[frozenset], frozenset]:
-    """The fields a package statement reaches through its wand and script,
-    or None when that is every field of the universe; and the opaque ones
-    among them: fields that only ``acc`` atoms of the right-hand side and
-    of script ``assert``s name, so the package never reads their values."""
-    claims, reads = [stmt.wand.rhs], [stmt.wand.lhs]
-    _script_parts(stmt.script, claims, reads)
-    sub = reach(u, *claims, *reads)
-    reached = frozenset(loc.field for loc in sub.locations)
-    read = reach(u, *reads, *(r for a in claims for r in _reads(a)))
-    opaque = reached - {loc.field for loc in read.locations}
-    return (None if len(sub.locations) == len(u.locations) else reached), opaque
+def _read_fields(u: Universe, stmt: Package) -> frozenset:
+    """The fields whose values a package statement reads: those its
+    left-hand side, expressions, predicate bodies, folds and unfolds and
+    applied wands name.  A field that only ``acc`` atoms of the right-hand
+    side and of script ``assert``s name, or that nothing names, is unread."""
+    reads = [stmt.wand.lhs, *_reads(stmt.wand.rhs)]
+    _script_reads(stmt.script, reads)
+    return frozenset(loc.field for loc in reach(u, *reads).locations)
 
 
-def _script_parts(script: Sequence[Stmt], claims: list, reads: list) -> None:
-    """Sort what a proof script names: its asserts go to ``claims``; its
-    ``if`` conditions, folded and unfolded instances and applied wands go
-    to ``reads``."""
+def _script_reads(script: Sequence[Stmt], reads: list) -> None:
+    """Add to ``reads`` what a proof script reads: the parts of its asserts
+    that ``_reads`` keeps, its ``if`` conditions, its folded and unfolded
+    instances and its applied wands."""
     for s in script:
         if isinstance(s, AssertStmt):
-            claims.append(s.assertion)
+            reads.extend(_reads(s.assertion))
         elif isinstance(s, If):
-            reads.append(Pure(s.cond))
-            _script_parts(s.then, claims, reads)
-            _script_parts(s.els, claims, reads)
+            reads.append(s.cond)
+            _script_reads(s.then, reads)
+            _script_reads(s.els, reads)
         elif isinstance(s, (Fold, Unfold)):
             reads.append(PredA(s.name, s.args))
         elif isinstance(s, Apply):

@@ -161,8 +161,9 @@ def test_prune_matches_pairwise_reference_on_generated_demands():
         # permission, so among them strict heap inclusion alone dominates
         for d in ds[:]:
             if rng.random() < 0.5:
-                c = st.core(d)
-                ds += [c, st.split_fields(c, frozenset({rng.choice(fields)}))[0]]
+                c, f = st.core(d), rng.choice(fields)
+                mask = tuple(e for e in c.mask if not isinstance(e[0], FieldLoc) or e[0].field == f)
+                ds += [c, st.State(mask, tuple(e for e in c.heap if e[0].field == f))]
         ds += rng.sample(ds, len(ds) // 3)
         rng.shuffle(ds)
         got = st.antichain(ds)

@@ -334,6 +334,11 @@ def test_decode_errors_name_the_file(tmp_path, capsys):
 
 SHIPPED = json.loads((CORPUS / "derivations" / "two_footprints_half_xb.json").read_text())
 HEADER = '"format": "wandpack-derivation-2", "universe": "universe v1\\ngranularity 2\\nrefs x"'
+# the shipped document's tree: an extract of x.b, then a star whose left is an atom
+TREE = SHIPPED["derivation"]
+ATOM = TREE["child"]["left"]
+UNUSED = [{"available": f"{{x.b @ 1 = {v}}}", "assembled": "{}", "choice": "{}"} for v in ("x", 7)]
+UNUSED_ATOM = {**ATOM, "choices": ATOM["choices"] + UNUSED}
 
 
 @pytest.mark.parametrize(
@@ -356,6 +361,9 @@ HEADER = '"format": "wandpack-derivation-2", "universe": "universe v1\\ngranular
         json.dumps({**SHIPPED, "outer": "{x.b @ 1 = false, x.f @ 1 = 0, z.q @ 1 = 3}"}),
         json.dumps({**SHIPPED, "outer": "{x.b @ 1 = false, x.f @ 1 = 0, Nope(x) @ 1}"}),
         json.dumps({**SHIPPED, "outer": "{x.b @ 1 = false, x.f @ 1 = 0, wand[acc(q.z) --* acc(q.z)] @ 1}"}),
+        # states in the derivation tree the document's universe cannot hold
+        json.dumps({**SHIPPED, "derivation": {**TREE, "child": {**TREE["child"], "left": UNUSED_ATOM}}}),
+        json.dumps({**SHIPPED, "derivation": {**TREE, "state": "{x.q @ 1/2 = 3}"}}),
         # stores, wands and scripts the package statement's static check rejects
         json.dumps({**SHIPPED, "store": {}}),
         json.dumps({**SHIPPED, "store": {"x": "q"}}),
@@ -372,7 +380,8 @@ HEADER = '"format": "wandpack-derivation-2", "universe": "universe v1\\ngranular
         "not-json", "no-format", "not-an-object", "missing-field", "bad-store", "store-string", "format-1",
         "zero-denominator", "undeclared-ref", "value-outside-domain", "int-at-a-bool-location",
         "bool-at-an-int-location", "undeclared-location",
-        "undeclared-predicate-instance", "wand-over-undeclared-location", "store-missing-variable",
+        "undeclared-predicate-instance", "wand-over-undeclared-location", "choice-value-outside-domain",
+        "extract-undeclared-location", "store-missing-variable",
         "store-undeclared-reference", "wand-ill-typed", "wand-not-self-framing", "script-parse-error",
         "script-method-statement", "script-undeclared-predicate", "script-wrong-arity",
     ],

@@ -1,10 +1,9 @@
 """The verifier packages a statement once per class of worlds.
 
-Worlds that agree on the store and on the part of the state the wand and
-its proof script reach, leaving out the values of opaque fields (which
-only ``acc`` atoms name), package alike.  So ``verifier._package`` runs
-the packager once per class and rebuilds each world's result from it,
-with the world's own values substituted at the opaque locations.  The
+Worlds that agree on the store, the mask and the values of the fields the
+wand and its proof script read package alike.  So ``verifier._package``
+runs the packager once per class and rebuilds each world's result from
+it, with the world's own values substituted at the unread locations.  The
 reference here packages every world on its full state, as the verifier
 did before grouping: records, post-worlds, derivation documents and
 errors must come out the same.
@@ -77,7 +76,8 @@ def traced_run(monkeypatch, program, algorithm, audit, package):
     """Run with ``package`` as the package step; returns the report JSON,
     each package statement's post-worlds, and how many worlds, packager
     calls and merges (worlds given their class's outcome with their own
-    opaque values) the package statements saw."""
+    unread values: every world but its class's first) the package
+    statements saw."""
     posts, seen = [], {"worlds": 0, "calls": 0, "merges": 0}
     packager, map_states = PACKAGERS[algorithm], verifier._map_states
 
@@ -335,23 +335,19 @@ PROOF_FALSE = (
     "acc(x.a) * (x.a == 0 || x.a == 1) --* acc(x.a) * (x.a == 0 ==> acc(x.b)) * (x.a == 1 ==> acc(x.c))"
 )
 # the three wands and bodies of the package-scaling benchmark, every field
-# required: (own algorithm, worlds whose opaque values differ from their
-# class's first world's, body)
+# required: (own algorithm, body)
 TEMPLATES = {
     "disjunctive": (
         "sound",
-        4,
         f"package {DISJUNCTIVE}\n  apply {DISJUNCTIVE}\n  assert acc(x.a) * acc(x.b)",
     ),
     "combinable": (
         "combinable",
-        4,
         f"package {COMBINABLE_W}\n  assert perm(x.b) == none\n  apply {COMBINABLE_W}\n"
         "  assert acc(x.a) * acc(x.b)",
     ),
     "proof-false": (
         "sound",
-        6,
         f"package {PROOF_FALSE}\n"
         f"  assert ({PROOF_FALSE}) * acc(x.a) * (perm(x.b) == write || perm(x.c) == write)\n"
         "  if (perm(x.b) == write) { x.a := 0 } else { x.a := 1 }\n"
@@ -363,20 +359,21 @@ TEMPLATES = {
 
 @pytest.mark.parametrize(
     "template,algorithm",
-    [(name, alg) for name, (own, _, _) in TEMPLATES.items() for alg in (own, FIA)],
+    [(name, alg) for name, (own, _) in TEMPLATES.items() for alg in (own, FIA)],
 )
 def test_template_packages_once_per_value_of_the_lhs_field(monkeypatch, template, algorithm):
-    # x.b and x.c are opaque or unreached, so the 8 worlds form one class per
-    # value of x.a; the report holds each world's derivation document, and
-    # proof-false reaches every field, so its documents store the substituted
-    # configuration's outer state
-    _, merges, body = TEMPLATES[template]
+    # x.b and x.c are unread, so the 8 worlds form one class per value of
+    # x.a, and every world but its class's first takes the class outcome
+    # with its own values substituted; the report holds each world's
+    # derivation document, which stores the substituted configuration's
+    # outer state
+    _, body = TEMPLATES[template]
     text = f"program v1\nmethod m(x: Ref)\n  requires acc(x.a) * acc(x.b) * acc(x.c)\n{{\n  {body}\n}}\n"
     p = Program("", parse_program_text(text).methods, parse_universe_text(TEMPLATE_U))
     got = traced_run(monkeypatch, p, algorithm, False, verifier._package)
     want = traced_run(monkeypatch, p, algorithm, False, per_world_package)
     assert got[:2] == want[:2]
-    assert (got[2]["worlds"], got[2]["calls"], got[2]["merges"]) == (8, 2, merges)
+    assert (got[2]["worlds"], got[2]["calls"], got[2]["merges"]) == (8, 2, 6)
 
 
 def test_script_condition_on_a_rhs_field_keeps_its_values_apart(monkeypatch):
@@ -397,3 +394,22 @@ def test_script_condition_on_a_rhs_field_keeps_its_values_apart(monkeypatch):
         assert got[:2] == want[:2]
         assert json.loads(got[0])["verified"]
         assert (got[2]["worlds"], got[2]["calls"], got[2]["merges"]) == (4, 4, 0)
+
+
+def test_worlds_that_differ_in_an_unread_mask_fall_into_separate_classes(monkeypatch):
+    # x.p and x.q are unread, so their values do not split a class, but the
+    # class key holds the whole mask: the x.p == 0 worlds hold half of x.q,
+    # so each value of x.a makes two classes
+    text = (
+        "program v1\nmethod m(x: Ref)\n  requires acc(x.a) * acc(x.p) * acc(x.q)\n{\n"
+        "  if (x.p == 0) { exhale acc(x.q, 1/2) }\n"
+        "  package acc(x.a) * (x.a == 0 || x.a == 1) --* acc(x.a)\n}\n"
+    )
+    u = parse_universe_text(TEMPLATE_U.replace("x.b", "x.p").replace("x.c", "x.q"))
+    p = Program("", parse_program_text(text).methods, u)
+    for algorithm in ("sound", FIA):
+        got = traced_run(monkeypatch, p, algorithm, True, verifier._package)
+        want = traced_run(monkeypatch, p, algorithm, True, per_world_package)
+        assert got[:2] == want[:2]
+        assert json.loads(got[0])["verified"]
+        assert (got[2]["worlds"], got[2]["calls"], got[2]["merges"]) == (8, 4, 4)

@@ -425,18 +425,6 @@ def test_capped_is_restrict_once_addable(pool):
                 assert st.capped(mask, b) == st.restrict(a, b), (a, b)
 
 
-@pytest.mark.parametrize("fields", [frozenset(), frozenset({"f"}), frozenset({"f", "g"})])
-def test_split_fields_partitions_a_state(fields):
-    for s in RICH_POOL + POOL:
-        inside, outside = st.split_fields(s, fields)
-        assert_normal(inside)
-        assert_normal(outside)
-        assert st.add(inside, outside) == s
-        assert all(not isinstance(r, FieldLoc) or r.field in fields for r, _ in inside.mask)
-        assert all(loc.field in fields for loc, _ in inside.heap)
-        assert all(loc.field not in fields for loc, _ in outside.mask + outside.heap)
-
-
 # -- the integer bound tests against Fraction arithmetic --------------------------------------
 #
 # The kernel decides sums against 1 and the order of amounts on numerators
