@@ -17,7 +17,11 @@ second check.
 * ``package_fia`` — the deliberately flawed baseline, kept for
   differential comparison: it runs each left-hand-side case alone through
   the same engine, as a one-pair witness set, and returns one footprint
-  and one post-state per case.
+  per case.
+
+A package's post-state is what is left of the outer state once its
+footprint is taken (``states.sub(outer, footprint)``): the Extract rule
+is the only step that takes from the outer state.
 """
 
 from __future__ import annotations
@@ -66,17 +70,15 @@ PackageFailure = CheckFailure
 
 @dataclass(frozen=True)
 class PackageOutcome:
-    status: str  # "success" | "failure"
-    diagnostic: Optional[str] = None
+    diagnostic: Optional[str] = None  # why the package failed; None on success
     footprint: Optional[State] = None
     case_footprints: tuple[tuple[State, State], ...] = ()
-    post_states: tuple[State, ...] = ()
     derivation: Optional[Derivation] = None
     configuration: Optional[Configuration] = None
 
     @property
     def success(self) -> bool:
-        return self.status == "success"
+        return self.diagnostic is None
 
 
 # -- proveRHS ----------------------------------------------------------------------
@@ -262,19 +264,13 @@ def _package_witnessed(
     outer: State, wand: Wand, script: Sequence[Stmt], store: Store, u: Universe
 ) -> PackageOutcome:
     if not wf(wand):
-        return PackageOutcome("failure", diagnostic="wand is not well-formed (self-framing)")
+        return PackageOutcome(diagnostic="wand is not well-formed (self-framing)")
     conf = initial_configuration(u, wand, store, outer)
     try:
         ctx, tree = _run(conf.context, wand, script, store, u)
     except CheckFailure as e:
-        return PackageOutcome("failure", diagnostic=e.message)
-    return PackageOutcome(
-        "success",
-        footprint=extract_footprint(outer, ctx.outer),
-        post_states=(ctx.outer,),
-        derivation=tree,
-        configuration=conf,
-    )
+        return PackageOutcome(diagnostic=e.message)
+    return PackageOutcome(footprint=extract_footprint(outer, ctx.outer), derivation=tree, configuration=conf)
 
 
 def package_sound(
@@ -286,7 +282,7 @@ def package_sound(
 ) -> PackageOutcome:
     """Package a standard wand; the returned derivation re-validates."""
     if wand.combinable:
-        return PackageOutcome("failure", diagnostic="sound algorithm expects a standard wand")
+        return PackageOutcome(diagnostic="sound algorithm expects a standard wand")
     return _package_witnessed(outer, wand, script, store, u)
 
 
@@ -299,7 +295,7 @@ def package_combinable(
 ) -> PackageOutcome:
     """Package a combinable wand through the lifted logic."""
     if not wand.combinable:
-        return PackageOutcome("failure", diagnostic="combinable algorithm expects a --*c wand")
+        return PackageOutcome(diagnostic="combinable algorithm expects a --*c wand")
     return _package_witnessed(outer, wand, script, store, u)
 
 
@@ -318,29 +314,20 @@ def package_fia(
     the other cases.  No derivation is emitted — in general none exists.
     """
     if not wf(wand):
-        return PackageOutcome("failure", diagnostic="wand is not well-formed (self-framing)")
+        return PackageOutcome(diagnostic="wand is not well-formed (self-framing)")
     results: list[tuple[State, State]] = []
-    posts: list[State] = []
     for case in lhs_cases(u, wand.lhs, store):
         try:
             ctx, _ = _run(Context.make(outer, [WitnessPair(case, EMPTY)]), wand, script, store, u)
         except CheckFailure as e:
-            return PackageOutcome("failure", diagnostic=f"case {case}: {e.message}")
+            return PackageOutcome(diagnostic=f"case {case}: {e.message}")
         taken = extract_footprint(outer, ctx.outer)
         if not ctx.pairs:
-            return PackageOutcome(
-                "failure", diagnostic=f"case {case}: case state cannot absorb {taken}"
-            )
+            return PackageOutcome(diagnostic=f"case {case}: case state cannot absorb {taken}")
         entry = (State.make(case.mask, case.heap + taken.heap), taken)
         if entry not in results:
             results.append(entry)
-        if ctx.outer not in posts:
-            posts.append(ctx.outer)
-    return PackageOutcome(
-        "success",
-        case_footprints=tuple(results),
-        post_states=tuple(sorted(posts)),
-    )
+    return PackageOutcome(case_footprints=tuple(results))
 
 
 PACKAGERS = {

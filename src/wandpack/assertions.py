@@ -10,7 +10,6 @@ the semantic footprint quantification.
 
 from __future__ import annotations
 
-import functools
 import math
 import weakref
 from fractions import Fraction
@@ -157,20 +156,26 @@ def close_assertion(a: Assertion, store: Store) -> Assertion:
     return substitute(a, {v: Lit(store[v]) for v in fv})
 
 
+_WAND_KEYS: dict[tuple, tuple[Wand, WandInst]] = {}  # (id, typed store) -> (wand, key)
+WAND_KEY_LIMIT = 1024
+
+
 def wand_key(w: Wand, store: Store) -> WandInst:
     """Normalized wand resource key: the closed wand's printed form.
 
     Wands have no binders, so alpha-normalization reduces to canonical
     printing after closing; syntactically identical wands collide.
     """
-    # keyed by identity too: Lit(1) == Lit(True), yet they print differently;
-    # an entry holds its wand, so the id is not reused while the entry lives
-    return _wand_key(id(w), w, tuple((k, type(v), v) for k, v in sorted(store.items())))
-
-
-@functools.lru_cache(maxsize=1024)
-def _wand_key(_, w: Wand, store_items: tuple) -> WandInst:
-    return WandInst(format_assertion(close_assertion(w, {k: v for k, _, v in store_items})))
+    # keyed by identity, not by the wand's value: Lit(1) == Lit(True), yet
+    # they print differently, and hashing a wand rehashes its whole tree.
+    # An entry holds its wand, so the id is not reused while the entry lives.
+    key = (id(w), tuple((k, type(v), v) for k, v in sorted(store.items())))
+    hit = _WAND_KEYS.get(key)
+    if hit is None:
+        if len(_WAND_KEYS) >= WAND_KEY_LIMIT:
+            del _WAND_KEYS[next(iter(_WAND_KEYS))]  # the oldest entry
+        hit = _WAND_KEYS[key] = (w, WandInst(format_assertion(close_assertion(w, store))))
+    return hit[1]
 
 
 def atoms(a: Assertion) -> Iterator[Assertion]:

@@ -10,8 +10,9 @@ everything — the path is unreachable.
 
 A package runs once per class of worlds that agree on what it reads: the
 store, the mask, and the heap values of the fields the wand and its proof
-script read.  Each world takes its class's outcome with its own values at
-the unread locations.
+script read.  Each world takes its class's footprints and derivation tree
+with its own values at the unread locations, and its post-states from its
+own state: the state less each footprint.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .assertions import (
     wf,
 )
 from .exprs import ExprError, Store, Unframed, children, eval_bool, eval_expr, format_expr, infer_type
-from .package_logic import Configuration, Context, DAtom, DDisjunction, DExtract, DImplication, DStar, WitnessPair
+from .package_logic import Derivation
 from .program import (
     Apply,
     AssertStmt,
@@ -62,7 +63,7 @@ from .program import (
 )
 from .serialization import derivation_doc, state_to_json, state_to_text
 from .states import EMPTY, State
-from .universe import BOOL, NULL, REF, FieldLoc, Universe, UniverseError
+from .universe import BOOL, NULL, REF, FieldLoc, Universe, UniverseError, WandInst
 
 ALGORITHMS = (FIA, SOUND, COMBINABLE)
 
@@ -412,7 +413,8 @@ def _package(worlds: list[World], stmt: Package, env: _Env) -> list[World]:
     A class's key is a world's store, its mask and its heap with the value
     of every unread field (``_read_fields``) left out.  Each class is
     packaged once, on the state of its first world in world order, which
-    is the world a failure names.
+    is the world a failure names; its wand instance is computed once too,
+    since the store is part of the key.
 
     Why a class packages alike.  An unread field is named by no left-hand
     side, expression, predicate body, fold or unfold, or applied wand: at
@@ -424,14 +426,14 @@ def _package(worlds: list[World], stmt: Package, env: _Env) -> list[World]:
     unread location holds the outer state's value there, and every
     comparison, sort and compatibility test sees equal values at it.  A
     world whose state differs from its class's first only at unread
-    locations therefore takes the same steps, and its outcome is the
-    class's with its own values substituted there (``_map_states``):
-    footprints, post-states, configuration, whose outer state becomes the
-    world's own, and derivation tree.  Its record, audit and derivation
-    document are built from that outcome; each distinct footprint is
-    audited by the oracle."""
+    locations therefore takes the same steps: the class's footprints and
+    derivation tree with its own values substituted there
+    (``_map_states``), and the class's initial configuration with its own
+    state as the outer state.  The Extract rule alone takes from the outer
+    state, so its post-states are its own state less each distinct
+    footprint.  Each distinct footprint is audited by the oracle."""
     read = _read_fields(env.u, stmt)
-    classes: dict[tuple, tuple[State, PackageOutcome]] = {}
+    classes: dict[tuple, tuple[State, WandInst, PackageOutcome]] = {}
     audits: dict[tuple, bool] = {}
     out, records = [], []
     for w in worlds:
@@ -443,15 +445,15 @@ def _package(worlds: list[World], stmt: Package, env: _Env) -> list[World]:
             outcome = PACKAGERS[env.algorithm](w.state, stmt.wand, stmt.script, w.store(), env.u)
             if not outcome.success:
                 raise VerificationError(f"package failed: {outcome.diagnostic}", w, stmt.pos)
-            classes[cls] = (w.state, outcome)
-        first, outcome = classes[cls]
+            classes[cls] = (w.state, _wand_inst(w, stmt), outcome)
+        first, key, outcome = classes[cls]
         # equal keys list the same locations, so the heaps align entry by entry
         values = {loc: v for (loc, v), (_, v0) in zip(w.state.heap, first.heap) if v != v0}
-        if values:
-            outcome = _map_states(outcome, lambda s: _substitute(s, values))
-        posts, record = _package_result(w, outcome, stmt, env, audits)
+        fps, record = _package_record(w, key, outcome, values, stmt, env, audits)
         records.append(record)
-        out.extend(World(w.store_items, p) for p in posts)
+        token = State.make({key: Fraction(1)}, {})
+        posts = (st.add(st.sub(w.state, fp), token) for fp in set(fps))
+        out.extend(World(w.store_items, p) for p in posts if p is not None)
     env.mreport.packages.extend(records)  # a failing statement records no package
     return _merge([out])
 
@@ -501,45 +503,38 @@ def _substitute(s: State, values: dict) -> State:
     return State(s.mask, tuple((loc, values.get(loc, v)) for loc, v in s.heap))
 
 
-# the records of a package outcome that hold states, directly or below them
-_STATE_HOLDERS = (PackageOutcome, Configuration, Context, DImplication, DStar, DAtom, DExtract, DDisjunction)
-
-
 def _map_states(x, f: Callable[[State], State]):
     """``x`` with ``f`` applied to every state in it: through tuples and
-    lists and the fields of outcomes, configurations, contexts, witness
-    pairs and derivation nodes.  ``f`` must keep each state's locations,
-    so the sorted orders of masks, heaps, pairs and choices still hold."""
+    the fields of derivation nodes.  ``f`` must keep each state's
+    locations, so the sorted orders of masks, heaps, pairs and choices
+    still hold."""
     if isinstance(x, State):
         return f(x)
-    if isinstance(x, WitnessPair):
-        return x._make(_map_states(v, f) for v in x)
-    if isinstance(x, (tuple, list)):
-        return type(x)(_map_states(v, f) for v in x)
-    if isinstance(x, _STATE_HOLDERS):
+    if isinstance(x, tuple):
+        return tuple(_map_states(v, f) for v in x)
+    if isinstance(x, Derivation):
         return replace(x, **{k: _map_states(v, f) for k, v in vars(x).items()})
     return x
 
 
-def _package_result(
-    w: World, outcome: PackageOutcome, stmt: Package, env: _Env, audits: dict
+def _package_record(
+    w: World, key: WandInst, outcome: PackageOutcome, values: dict, stmt: Package, env: _Env, audits: dict
 ) -> tuple[list[State], PackageRecord]:
-    """The post-states of a successful package in ``w``'s store, each
-    holding the new wand instance, and its record.  ``audits`` holds the
-    oracle's verdict on each (wand instance, footprint) decided so far."""
-    u = env.u
-    store = w.store()
-    try:
-        key = wand_key(stmt.wand, store)
-    except AssertionError_ as e:
-        raise VerificationError(str(e), w, stmt.pos)
+    """``w``'s footprints and package record, from its class's outcome
+    with ``w``'s own heap values ``values`` substituted.  ``audits`` holds
+    the oracle's verdict on each (wand instance, footprint) decided so far."""
+
+    def own(x):
+        return _map_states(x, lambda s: _substitute(s, values)) if values else x
+
+    u, store = env.u, w.store()
     record = PackageRecord(pos=stmt.pos, algorithm=env.algorithm, wand=key.key, footprints=[])
     if env.algorithm == FIA:
-        fps = [fp for _, fp in outcome.case_footprints]
+        fps = [own(fp) for _, fp in outcome.case_footprints]
     else:
-        fps = [outcome.footprint]
-        conf, tree = outcome.configuration, outcome.derivation
-        record.derivation = derivation_doc(u, store, stmt.wand, conf, tree, stmt.script)
+        fps = [own(outcome.footprint)]
+        conf = replace(outcome.configuration, context=replace(outcome.configuration.context, outer=w.state))
+        record.derivation = derivation_doc(u, store, stmt.wand, conf, own(outcome.derivation), stmt.script)
     record.footprints = [state_to_json(fp) for fp in fps]
     if env.audit:
         kind = COMBINABLE if stmt.wand.combinable else orc.STANDARD
@@ -548,19 +543,20 @@ def _package_result(
             if (key, fp) not in audits:
                 audits[key, fp] = orc.audit_footprint(fp, closed, kind, orc.plan(u), {})
         record.audit = [{"footprint": state_to_json(fp), "valid": audits[key, fp]} for fp in fps]
-    token = State.make({key: Fraction(1)}, {})
-    posts = [grown for post in outcome.post_states if (grown := st.add(post, token)) is not None]
-    return posts, record
+    return fps, record
+
+
+def _wand_inst(w: World, stmt: Package | Apply) -> WandInst:
+    """The instance of the statement's wand in ``w``'s store."""
+    try:
+        return wand_key(stmt.wand, w.store())
+    except AssertionError_ as e:
+        raise VerificationError(str(e), w, stmt.pos)
 
 
 def _apply(w: World, stmt: Apply, env: _Env) -> list[World]:
     u = env.u
-    store = w.store()
-    try:
-        key = wand_key(stmt.wand, store)
-    except AssertionError_ as e:
-        raise VerificationError(str(e), w, stmt.pos)
-    token = State.make({key: Fraction(1)}, {})
+    token = State.make({_wand_inst(w, stmt): Fraction(1)}, {})
     if not st.geq(w.state, token):
         raise VerificationError(
             f"apply failed: no recorded instance of {format_assertion(stmt.wand)}", w, stmt.pos

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,9 @@ import wandpack.oracle as orc
 import wandpack.package_logic as pl
 import wandpack.states as st
 from wandpack.algorithms import (
+    COMBINABLE,
+    FIA,
+    SOUND,
     PackageFailure,
     lhs_cases,
     package_combinable,
@@ -16,13 +20,15 @@ from wandpack.algorithms import (
     recheck_package,
     run_script,
 )
-from wandpack.assertions import wand_key
+from wandpack.assertions import Acc, Star, Wand, wand_key
+from wandpack.exprs import Eq, FieldAcc, Lit, Var
 from wandpack.package_logic import (
     Configuration,
     Context,
     DAtom,
     DExtract,
     DStar,
+    WitnessPair,
     check_derivation,
     extract_footprint,
     init_witness_set,
@@ -35,7 +41,7 @@ from wandpack.parser import (
     parse_state_text as S,
     parse_universe_text,
 )
-from wandpack.program import AssertStmt
+from wandpack.program import Apply, AssertStmt, Fold, If
 from wandpack.serialization import derivation_to_json, dumps_canonical, state_to_json
 from wandpack.states import EMPTY
 from wandpack.universe import FieldLoc
@@ -45,6 +51,25 @@ from conftest import CORPUS
 DISJ_WAND = "acc(x.f) * (x.f == y || x.f == z) --* acc(x.f) * acc(x.f.g)"
 CHOICE_WAND = "acc(x.b, 1/2) --* acc(x.b, 1/2) * (x.b ==> acc(x.f))"
 OUTER_FULL = "{x.f @ 1 = y, y.g @ 1 = 0, z.g @ 1 = 0}"
+
+
+def staged_outers(outer, wand, script, store, u, fia=False):
+    """The outer state each run of a package leaves, run in stages:
+    ``init_witness_set``, then ``run_script``, then ``prove_rhs``.  Under
+    ``fia`` each left-hand-side case runs alone, as a one-pair witness set.
+    Raises PackageFailure where the packager fails."""
+    if fia:
+        starts = [Context.make(outer, [WitnessPair(case, EMPTY)]) for case in lhs_cases(u, wand.lhs, store)]
+    else:
+        starts = [Context.make(outer, init_witness_set(wand.lhs, u, True, store, combinable=wand.combinable))]
+    outers = []
+    for ctx in starts:
+        ctx, _, _ = run_script(ctx, script, store, u)
+        ctx, _ = prove_rhs(ctx, (), wand.rhs, u, store)
+        if fia and not ctx.pairs:
+            raise PackageFailure("the case state cannot absorb what the case took")
+        outers.append(ctx.outer)
+    return outers
 
 
 # -- consLHS ---------------------------------------------------------------------
@@ -134,7 +159,7 @@ def test_package_sound_disjunctive_wand(u1, store1):
     out = package_sound(S(OUTER_FULL), A(DISJ_WAND), (), store1, u1)
     assert out.success
     assert out.footprint == S("{y.g @ 1 = 0, z.g @ 1 = 0}")
-    assert out.post_states == (st.sub(S(OUTER_FULL), out.footprint),)
+    assert staged_outers(S(OUTER_FULL), A(DISJ_WAND), (), store1, u1) == [st.sub(S(OUTER_FULL), out.footprint)]
     final = check_derivation(out.configuration, out.derivation, u1, store1)
     assert extract_footprint(out.configuration.context.outer, final.outer) == out.footprint
     assert orc.is_footprint(out.footprint, A(DISJ_WAND), "standard", orc.plan(u1), store1)
@@ -205,7 +230,8 @@ def test_package_fia_per_case_footprints(u1, store1):
     assert out.success
     fps = sorted(str(fp) for _, fp in out.case_footprints)
     assert fps == ["{y.g@1=0}", "{z.g@1=0}"]
-    assert len(out.post_states) == 2
+    posts = staged_outers(S(OUTER_FULL), A(DISJ_WAND), (), store1, u1, fia=True)
+    assert sorted(posts) == sorted(st.sub(S(OUTER_FULL), fp) for _, fp in out.case_footprints)
     assert out.derivation is None
 
 
@@ -261,10 +287,12 @@ def test_package_fia_case_holds_no_value_it_does_not_own():
     # a case owns only x.g, so no stray value for x.f steers the
     # disjunction toward the location the outer state lacks
     u = parse_universe_text(U3)
-    out = package_fia(S("{x.h @ 1 = 0}"), A("acc(x.g) --* acc(x.f) || acc(x.h)"), (), {"x": "x"}, u)
+    outer, wand = S("{x.h @ 1 = 0}"), A("acc(x.g) --* acc(x.f) || acc(x.h)")
+    out = package_fia(outer, wand, (), {"x": "x"}, u)
     assert out.success, out.diagnostic
     assert [fp for _, fp in out.case_footprints] == [S("{x.h @ 1 = 0}")] * 2
-    assert out.post_states == (S("{x.h @ 0 = 0}"),)
+    assert staged_outers(outer, wand, (), {"x": "x"}, u, fia=True) == [S("{x.h @ 0 = 0}")] * 2
+    assert st.sub(outer, out.case_footprints[0][1]) == S("{x.h @ 0 = 0}")
 
 
 # -- proof scripts ------------------------------------------------------------------------------
@@ -582,8 +610,61 @@ def test_packaged_derivations_recheck_to_the_reported_outcome():
         successes[wand.combinable] += 1
         assert recheck_package(out.configuration, (), out.derivation, u, store) == out.footprint
         final = check_derivation(out.configuration, out.derivation, u, store)
-        assert final.outer == out.post_states[0]
+        assert final.outer == st.sub(outer, out.footprint)
     assert min(successes.values()) >= 50, successes
+
+
+def _scripted(rng, u, store, wand):
+    """``wand`` with a random proof script: none, an ``assert``, an ``if``
+    on a value the left-hand side frames, a ``fold`` (when the universe has
+    a predicate), or an ``apply`` of a wand its left-hand side then holds.
+    Returns the kind, the wand and the script."""
+    import gen
+
+    x = Var("x")
+    kind = rng.choice(["none", "assert", "if", "if", "apply"] + ["fold"] * 4 * bool(u.predicates))
+    if kind in ("assert", "if"):
+        then = (AssertStmt(gen.random_assertion(rng, u, 1)[0]),)
+        framed = [{loc for loc, _ in case.heap} for case in lhs_cases(u, wand.lhs, store)]
+        if kind == "assert" or not framed or not set.intersection(*framed):
+            return "assert", wand, then
+        loc = rng.choice(sorted(set.intersection(*framed)))
+        cond = Eq(FieldAcc(x, loc.field), Lit(rng.choice(list(u.domain(loc)))))
+        return kind, wand, (If(cond, then, (AssertStmt(gen.random_assertion(rng, u, 1)[0]),)),)
+    if kind == "fold":
+        return kind, wand, (Fold("Cell", (x,)),)
+    if kind == "apply":
+        f1, f2 = (rng.choice(u.sorted_locations()).field for _ in range(2))
+        inner = Wand(Acc(x, f1, gen.ONE), Acc(x, f2, gen.ONE))
+        wand = Wand(Star(Star(inner, Acc(x, f1, gen.ONE)), wand.lhs), wand.rhs, wand.combinable)
+        return kind, wand, (Apply(inner),)
+    return kind, wand, ()
+
+
+def test_post_state_is_the_outer_state_less_the_footprint():
+    # the Extract rule is the only step that takes from the outer state, so
+    # a package leaves the outer state less its footprint, which is how the
+    # verifier builds each world's post-states from its own state
+    successes = {}
+    rng = random.Random("post-states")
+    for u, store, wand, outer in _generated_packages(12, 400):
+        kind, wand, script = _scripted(rng, u, store, wand) if rng.random() < 0.7 else ("none", wand, ())
+        packager = package_combinable if wand.combinable else package_sound
+        for fia, out in ((False, packager(outer, wand, script, store, u)),
+                         (True, package_fia(outer, wand, script, store, u))):
+            try:
+                outers = staged_outers(outer, wand, script, store, u, fia)
+            except PackageFailure:
+                assert not out.success
+                continue
+            fps = [extract_footprint(outer, o) for o in outers]
+            assert outers == [st.sub(outer, fp) for fp in fps]
+            assert out.success
+            assert set(fps) == ({fp for _, fp in out.case_footprints} if fia else {out.footprint})
+            name = FIA if fia else COMBINABLE if wand.combinable else SOUND
+            successes[name, kind] = successes.get((name, kind), 0) + 1
+    assert all(successes.get((a, k), 0) >= 3 for a in (SOUND, COMBINABLE, FIA)
+               for k in ("none", "assert", "if", "apply", "fold")), successes
 
 
 def test_prove_rhs_context_is_the_checked_context():

@@ -292,7 +292,12 @@ def test_close_assertion_and_wand_key(u1, store1):
     n = A("acc(x.f) --* n == 1")
     assert wand_key(n, {"x": "x", "n": 1}).key.endswith(" 1 == 1")
     assert wand_key(n, {"x": "x", "n": True}).key.endswith(" true == 1")
-    assert asn._wand_key.cache_info().maxsize is not None
+    # the cache is bounded, and an entry holds its wand, so no id it is
+    # keyed on is reused while it lives
+    for i in range(asn.WAND_KEY_LIMIT + 8):
+        wand_key(A(f"acc(x.f) --* x.f == {i % 2}"), store1)
+    assert len(asn._WAND_KEYS) == asn.WAND_KEY_LIMIT
+    assert all(id(w) == k[0] for k, (w, _) in asn._WAND_KEYS.items())
 
 
 def test_lhs_states_minimal(u1, store1):

@@ -2,8 +2,9 @@
 
 Worlds that agree on the store, the mask and the values of the fields the
 wand and its proof script read package alike.  So ``verifier._package``
-runs the packager once per class and rebuilds each world's result from
-it, with the world's own values substituted at the unread locations.  The
+runs the packager once per class, and each world takes its class's
+footprints and derivation tree with its own values substituted at the
+unread locations, and post-states taken from its own state.  The
 reference here packages every world on its full state, as the verifier
 did before grouping: records, post-worlds, derivation documents and
 errors must come out the same.
@@ -18,7 +19,7 @@ import pytest
 import wandpack.oracle as orc
 import wandpack.states as st
 import wandpack.verifier as verifier
-from wandpack.algorithms import COMBINABLE, FIA, PACKAGERS, SOUND, PackageOutcome
+from wandpack.algorithms import COMBINABLE, FIA, PACKAGERS, SOUND
 from wandpack.assertions import Acc, Imp, OrA, PredA, Pure, Star, Wand, close_assertion, format_assertion, wand_key
 from wandpack.cli import main
 from wandpack.exprs import Eq, FieldAcc, Lit, Var
@@ -67,7 +68,10 @@ def per_world_package(worlds, stmt, env):
         fps_json = [state_to_json(fp) for fp in fps]
         records.append(PackageRecord(stmt.pos, env.algorithm, key.key, fps_json, derivation, audit))
         token = State.make({key: Fraction(1)}, {})
-        out += [World(w.store_items, g) for post in outcome.post_states if (g := st.add(post, token)) is not None]
+        # a package leaves the outer state less a footprint (pinned by
+        # test_algorithms.test_post_state_is_the_outer_state_less_the_footprint)
+        posts = [st.sub(w.state, fp) for fp in fps]
+        out += [World(w.store_items, g) for post in posts if (g := st.add(post, token)) is not None]
     env.mreport.packages.extend(records)
     return verifier._merge([out])
 
@@ -75,29 +79,28 @@ def per_world_package(worlds, stmt, env):
 def traced_run(monkeypatch, program, algorithm, audit, package):
     """Run with ``package`` as the package step; returns the report JSON,
     each package statement's post-worlds, and how many worlds, packager
-    calls and merges (worlds given their class's outcome with their own
-    unread values: every world but its class's first) the package
-    statements saw."""
+    calls and merges the package statements saw.  A merge is a world given
+    its class's outcome with its own unread values: every world but its
+    class's first.  So a package statement that succeeds merges its worlds
+    less its packager calls (two worlds with equal keys and equal heaps are
+    one world), and one that fails counts no merge."""
     posts, seen = [], {"worlds": 0, "calls": 0, "merges": 0}
-    packager, map_states = PACKAGERS[algorithm], verifier._map_states
+    packager = PACKAGERS[algorithm]
 
     def counted(*args):
         seen["calls"] += 1
         return packager(*args)
 
-    def mapped(x, f):
-        seen["merges"] += isinstance(x, PackageOutcome)  # the outermost call
-        return map_states(x, f)
-
     def step(worlds, stmt, env):
         seen["worlds"] += len(worlds)
+        calls = seen["calls"]
         out = package(worlds, stmt, env)
+        seen["merges"] += len(worlds) - (seen["calls"] - calls)
         posts.append((stmt.pos, list(out)))
         return out
 
     with monkeypatch.context() as m:
         m.setitem(PACKAGERS, algorithm, counted)
-        m.setattr(verifier, "_map_states", mapped)
         m.setattr(verifier, "_package", step)
         report = run(program, algorithm, audit=audit)
     return dumps_canonical(report.to_json()), posts, seen
@@ -365,8 +368,8 @@ def test_template_packages_once_per_value_of_the_lhs_field(monkeypatch, template
     # x.b and x.c are unread, so the 8 worlds form one class per value of
     # x.a, and every world but its class's first takes the class outcome
     # with its own values substituted; the report holds each world's
-    # derivation document, which stores the substituted configuration's
-    # outer state
+    # derivation document, which stores the world's own state as its outer
+    # state
     _, body = TEMPLATES[template]
     text = f"program v1\nmethod m(x: Ref)\n  requires acc(x.a) * acc(x.b) * acc(x.c)\n{{\n  {body}\n}}\n"
     p = Program("", parse_program_text(text).methods, parse_universe_text(TEMPLATE_U))
