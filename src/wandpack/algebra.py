@@ -8,7 +8,7 @@ cross-checked against the public ``add`` on a deterministic sample.
 The table is int16, since every entry is a state index or the sentinel
 n and n stays within ``TABLE_BUDGET``.  Every n² pass, the table's last
 composition step included, runs one block of rows at a time, so no
-temporary holds more than about ``BLOCK_ENTRIES`` entries.
+temporary holds more than about ``states.BLOCK_ENTRIES`` entries.
 Associativity is decided on a generating set by Light's test: the
 entries m with (x+m)+y = x+(m+y) for all x, y are closed under addition,
 so the table is associative exactly when its generators are such
@@ -48,8 +48,6 @@ TABLE_BUDGET = 5000
 TABLE_DTYPE = np.int16
 if TABLE_BUDGET + 1 > np.iinfo(TABLE_DTYPE).max:
     raise ImportError(f"TABLE_BUDGET + 1 does not fit the table dtype {np.dtype(TABLE_DTYPE)}")
-# the n² passes run in row blocks of about this many table entries
-BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -62,8 +60,8 @@ class AlgebraLawReport:
 
 def _blocks(rows: int, cols: int):
     """Slices covering range(rows) in order, each a block of rows of a
-    table ``cols`` wide that holds about ``BLOCK_ENTRIES`` entries."""
-    step = max(1, BLOCK_ENTRIES // max(cols, 1))
+    table ``cols`` wide that holds about ``states.BLOCK_ENTRIES`` entries."""
+    step = max(1, st.BLOCK_ENTRIES // max(cols, 1))
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 

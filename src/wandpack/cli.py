@@ -25,17 +25,13 @@ from .exprs import ExprError
 from .package_logic import CheckFailure
 from .parser import (
     ParseError,
+    format_state,
     parse_assertion_text,
     parse_program_text,
     parse_state_text,
     parse_universe_text,
 )
-from .serialization import (
-    SerializationError,
-    derivation_doc_read,
-    dumps_canonical,
-    state_to_text,
-)
+from .serialization import SerializationError, derivation_doc_read, dumps_canonical
 from .states import BudgetExceeded, StateError, is_stable, validate
 from .universe import REF, Universe, UniverseError
 from .verifier import ProgramError, run
@@ -174,7 +170,7 @@ def _cmd_check_derivation(args) -> int:
         except CheckFailure as e:
             print(f"derivation {i}: REJECTED: {e}")
             return 1
-        print(f"derivation {i}: ACCEPTED, footprint {state_to_text(fp)}")
+        print(f"derivation {i}: ACCEPTED, footprint {format_state(fp)}")
     return 0
 
 
@@ -197,7 +193,7 @@ def _cmd_oracle(args) -> int:
             print("combinable")
             return 0
         fp, fq, s = cex
-        print(f"not combinable: p={fp}, q={fq}, state {state_to_text(s)}")
+        print(f"not combinable: p={fp}, q={fq}, state {format_state(s)}")
         return 1
     if args.query == "entail":
         a, b = _assertion(args, "lhs", u), _assertion(args, "rhs", u)
@@ -207,7 +203,7 @@ def _cmd_oracle(args) -> int:
     if args.query == "minimal":
         fps = oracle.minimal_footprints(wand, kind, p, store, compatible_with_lhs=args.compatible_only)
         for s in fps:
-            print(state_to_text(s))
+            print(format_state(s))
         return 0 if fps else 1
     raise CliError(f"unknown oracle query {args.query!r}")
 
@@ -220,7 +216,7 @@ def _footprint_state(text: str, u: Universe):
     except (ParseError, StateError) as e:
         raise CliError(f"--state: {e}")
     if not is_stable(sigma):
-        raise CliError(f"--state: {state_to_text(sigma)} is not stable: it holds a value without permission")
+        raise CliError(f"--state: {format_state(sigma)} is not stable: it holds a value without permission")
     return sigma
 
 
@@ -250,7 +246,7 @@ def _cmd_laws(args) -> int:
         mark = "pass" if r.passed else "FAIL"
         line = f"{r.axiom}: {mark}"
         if not r.passed:
-            states = "; ".join(state_to_text(s) for s in r.counterexample or ())
+            states = "; ".join(format_state(s) for s in r.counterexample or ())
             line += f" ({r.detail}; counterexample: {states})"
         print(line)
     print(f"{len(reports)} axioms checked in {elapsed:.2f}s")

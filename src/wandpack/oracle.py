@@ -179,10 +179,6 @@ def minimal_footprints(
     return st.minimal_elements(found)
 
 
-# at most this many entries in any one array of the combinability sweep
-SWEEP_ENTRIES = 1 << 16
-
-
 def check_combinable(
     a: Assertion, p: EnumerationPlan, store: Store = {}
 ) -> tuple[bool, Optional[tuple[Fraction, Fraction, State]]]:
@@ -241,12 +237,12 @@ def _agreeing_pairs(V: np.ndarray, upper: bool):
     ``V`` whose value codes agree wherever both are set: in order of j,
     then l, with l >= j when ``upper``.  Rows go in blocks, and one row in
     column blocks where it is too wide, so that no array built here or
-    from one block's pairs holds more than ``SWEEP_ENTRIES`` entries (a
+    from one block's pairs holds more than ``states.BLOCK_ENTRIES`` entries (a
     single pair is the smallest block)."""
     m, R = V.shape
     width = max(1, R)
-    cols = max(1, min(m, SWEEP_ENTRIES // width))
-    rows = max(1, SWEEP_ENTRIES // (cols * width)) if cols == m else 1
+    cols = max(1, min(m, st.BLOCK_ENTRIES // width))
+    rows = max(1, st.BLOCK_ENTRIES // (cols * width)) if cols == m else 1
     for j0 in range(0, m, rows):
         j1 = min(m, j0 + rows)
         for l0 in range(j0 if upper else 0, m, cols):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .assertions import Wand, format_assertion
 from .package_logic import (
@@ -61,38 +61,30 @@ def state_to_json(s: State) -> dict:
     return {"mask": mask, "heap": heap}
 
 
-state_to_text = format_state
-
-
-def derivation_to_json(d: Derivation) -> dict:
+def derivation_to_json(d: Derivation, text: Callable[[State], str] = format_state) -> dict:
+    """The JSON form of ``d``, each state in it printed by ``text``."""
     tag = rule_tag(d)
     if isinstance(d, DImplication):
-        return {"rule": tag, "child": derivation_to_json(d.child)}
+        return {"rule": tag, "child": derivation_to_json(d.child, text)}
     if isinstance(d, DStar):
-        return {"rule": tag, "left": derivation_to_json(d.left), "right": derivation_to_json(d.right)}
+        left, right = derivation_to_json(d.left, text), derivation_to_json(d.right, text)
+        return {"rule": tag, "left": left, "right": right}
     if isinstance(d, DExtract):
-        return {"rule": tag, "state": state_to_text(d.sigma_w), "child": derivation_to_json(d.child)}
+        return {"rule": tag, "state": text(d.sigma_w), "child": derivation_to_json(d.child, text)}
     if isinstance(d, DAtom):
         return {
             "rule": tag,
             "choices": [
-                {
-                    "available": state_to_text(sa),
-                    "assembled": state_to_text(sb),
-                    "choice": state_to_text(choice),
-                }
+                {"available": text(sa), "assembled": text(sb), "choice": text(choice)}
                 for sa, sb, choice in d.choices
             ],
         }
     if isinstance(d, DDisjunction):
         return {
             "rule": tag,
-            "left_pairs": [
-                {"available": state_to_text(sa), "assembled": state_to_text(sb)}
-                for sa, sb in d.left_pairs
-            ],
-            "left": derivation_to_json(d.left),
-            "right": derivation_to_json(d.right),
+            "left_pairs": [{"available": text(sa), "assembled": text(sb)} for sa, sb in d.left_pairs],
+            "left": derivation_to_json(d.left, text),
+            "right": derivation_to_json(d.right, text),
         }
     raise SerializationError(f"unknown derivation node {d!r}")
 
@@ -139,7 +131,7 @@ def derivation_doc(
         "universe": format_universe(u),
         "store": dict(sorted(store.items())),
         "wand": format_assertion(wand),
-        "outer": state_to_text(conf.context.outer),
+        "outer": format_state(conf.context.outer),
         "script": " ".join(["{", *(line.strip() for line in format_stmts(script, "")), "}"]),
         "derivation": derivation_to_json(deriv),
     }

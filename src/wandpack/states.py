@@ -396,6 +396,11 @@ def resource_options(u: Universe, stable_only: bool = False) -> list[list[tuple]
     return out
 
 
+# at most about this many entries in any one numpy temporary of a pass over
+# many states: the law suite's n² passes and the combinability sweep
+BLOCK_ENTRIES = 1 << 16
+
+
 class Codec:
     """The integer codes of a universe's states, shared by the law suite and
     the oracle's combinability sweep: one column per resource, in
@@ -458,14 +463,13 @@ class Codec:
 def enumerate_states(
     u: Universe,
     stable_only: bool = False,
-    budget: Optional[int] = 10**6,
+    budget: int = 10**6,
 ) -> Iterator[State]:
     """All valid states of the universe on the granularity lattice: the
     product of ``resource_options``, the last resource varying fastest."""
-    if budget is not None:
-        n = count_states(u, stable_only)
-        if n > budget:
-            raise BudgetExceeded(n, budget)
+    n = count_states(u, stable_only)
+    if n > budget:
+        raise BudgetExceeded(n, budget)
     for combo in itertools.product(*resource_options(u, stable_only)):
         yield State(
             tuple([m for m, _ in combo if m is not None]),

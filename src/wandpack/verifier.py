@@ -10,20 +10,22 @@ everything — the path is unreachable.
 
 A package runs once per class of worlds that agree on what it reads: the
 store, the mask, and the heap values of the fields the wand and its proof
-script read.  Each world takes its class's footprints and derivation tree
-with its own values at the unread locations, and its post-states from its
-own state: the state less each footprint.
+script read.  Each class's footprints and derivation document are built
+once.  Each world takes the footprints with its own values at the unread
+locations, the document with its own state as the outer state and its own
+values in the tree's states, and its post-states from its own state: the
+state less each footprint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, is_dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import oracle as orc
 from . import states as st
-from .algorithms import COMBINABLE, FIA, PACKAGERS, SOUND, PackageOutcome
+from .algorithms import COMBINABLE, FIA, PACKAGERS, SOUND
 from .assertions import (
     Acc,
     Assertion,
@@ -44,7 +46,6 @@ from .assertions import (
     wf,
 )
 from .exprs import ExprError, Store, Unframed, children, eval_bool, eval_expr, format_expr, infer_type
-from .package_logic import Derivation
 from .program import (
     Apply,
     AssertStmt,
@@ -61,7 +62,8 @@ from .program import (
     Unfold,
     VarDecl,
 )
-from .serialization import derivation_doc, state_to_json, state_to_text
+from .parser import format_state
+from .serialization import derivation_doc, derivation_to_json, state_to_json
 from .states import EMPTY, State
 from .universe import BOOL, NULL, REF, FieldLoc, Universe, UniverseError, WandInst
 
@@ -289,7 +291,7 @@ def _error_json(e: VerificationError) -> dict:
         "message": e.message,
         "world": None if e.world is None else {
             "store": {k: v for k, v in e.world.store_items},
-            "state": state_to_text(e.world.state),
+            "state": format_state(e.world.state),
         },
         "pos": list(e.pos) if e.pos else None,
     }
@@ -413,8 +415,9 @@ def _package(worlds: list[World], stmt: Package, env: _Env) -> list[World]:
     A class's key is a world's store, its mask and its heap with the value
     of every unread field (``_read_fields``) left out.  Each class is
     packaged once, on the state of its first world in world order, which
-    is the world a failure names; its wand instance is computed once too,
-    since the store is part of the key.
+    is the world a failure names; its wand instance, closed wand,
+    footprints and derivation document are computed once too, since the
+    store is part of the key.
 
     Why a class packages alike.  An unread field is named by no left-hand
     side, expression, predicate body, fold or unfold, or applied wand: at
@@ -427,14 +430,17 @@ def _package(worlds: list[World], stmt: Package, env: _Env) -> list[World]:
     comparison, sort and compatibility test sees equal values at it.  A
     world whose state differs from its class's first only at unread
     locations therefore takes the same steps: the class's footprints and
-    derivation tree with its own values substituted there
-    (``_map_states``), and the class's initial configuration with its own
-    state as the outer state.  The Extract rule alone takes from the outer
-    state, so its post-states are its own state less each distinct
-    footprint.  Each distinct footprint is audited by the oracle."""
-    read = _read_fields(env.u, stmt)
-    classes: dict[tuple, tuple[State, WandInst, PackageOutcome]] = {}
-    audits: dict[tuple, bool] = {}
+    derivation tree with its own values substituted there (``_substitute``),
+    from the class's initial configuration with its own state as the outer
+    state.  So its derivation document is the class's with its own state
+    as ``outer`` and each state of the tree printed with its own values.
+    The Extract rule alone takes from the outer state, so its post-states
+    are its own state less each distinct footprint.  Each distinct
+    footprint is audited by the oracle."""
+    u, read = env.u, _read_fields(env.u, stmt)
+    kind = COMBINABLE if stmt.wand.combinable else orc.STANDARD
+    classes: dict[tuple, tuple] = {}
+    audits: dict[tuple, bool] = {}  # the oracle's verdict on each (wand instance, footprint)
     out, records = [], []
     for w in worlds:
         # a variable's values share one type, and so do a location's, so
@@ -442,14 +448,31 @@ def _package(worlds: list[World], stmt: Package, env: _Env) -> list[World]:
         blind = tuple((loc, v if loc.field in read else None) for loc, v in w.state.heap)
         cls = (w.store_items, w.state.mask, blind)
         if cls not in classes:
-            outcome = PACKAGERS[env.algorithm](w.state, stmt.wand, stmt.script, w.store(), env.u)
+            store = w.store()
+            outcome = PACKAGERS[env.algorithm](w.state, stmt.wand, stmt.script, store, u)
             if not outcome.success:
                 raise VerificationError(f"package failed: {outcome.diagnostic}", w, stmt.pos)
-            classes[cls] = (w.state, _wand_inst(w, stmt), outcome)
-        first, key, outcome = classes[cls]
+            if env.algorithm == FIA:
+                fps, doc = [fp for _, fp in outcome.case_footprints], None
+            else:
+                fps = [outcome.footprint]
+                doc = derivation_doc(u, store, stmt.wand, outcome.configuration, outcome.derivation, stmt.script)
+            closed = close_assertion(stmt.wand, store) if env.audit else None
+            classes[cls] = (w.state, _wand_inst(w, stmt), closed, fps, outcome.derivation, doc)
+        first, key, closed, fps, tree, doc = classes[cls]
         # equal keys list the same locations, so the heaps align entry by entry
         values = {loc: v for (loc, v), (_, v0) in zip(w.state.heap, first.heap) if v != v0}
-        fps, record = _package_record(w, key, outcome, values, stmt, env, audits)
+        if values:
+            fps = [_substitute(fp, values) for fp in fps]
+            if doc is not None:
+                tree_json = derivation_to_json(tree, lambda s: format_state(_substitute(s, values)))
+                doc = {**doc, "outer": format_state(w.state), "derivation": tree_json}
+        record = PackageRecord(stmt.pos, env.algorithm, key.key, [state_to_json(fp) for fp in fps], doc)
+        if env.audit:
+            for fp in fps:
+                if (key, fp) not in audits:
+                    audits[key, fp] = orc.audit_footprint(fp, closed, kind, orc.plan(u), {})
+            record.audit = [{"footprint": state_to_json(fp), "valid": audits[key, fp]} for fp in fps]
         records.append(record)
         token = State.make({key: Fraction(1)}, {})
         posts = (st.add(st.sub(w.state, fp), token) for fp in set(fps))
@@ -501,49 +524,6 @@ def _substitute(s: State, values: dict) -> State:
     if not any(loc in values for loc, _ in s.heap):
         return s
     return State(s.mask, tuple((loc, values.get(loc, v)) for loc, v in s.heap))
-
-
-def _map_states(x, f: Callable[[State], State]):
-    """``x`` with ``f`` applied to every state in it: through tuples and
-    the fields of derivation nodes.  ``f`` must keep each state's
-    locations, so the sorted orders of masks, heaps, pairs and choices
-    still hold."""
-    if isinstance(x, State):
-        return f(x)
-    if isinstance(x, tuple):
-        return tuple(_map_states(v, f) for v in x)
-    if isinstance(x, Derivation):
-        return replace(x, **{k: _map_states(v, f) for k, v in vars(x).items()})
-    return x
-
-
-def _package_record(
-    w: World, key: WandInst, outcome: PackageOutcome, values: dict, stmt: Package, env: _Env, audits: dict
-) -> tuple[list[State], PackageRecord]:
-    """``w``'s footprints and package record, from its class's outcome
-    with ``w``'s own heap values ``values`` substituted.  ``audits`` holds
-    the oracle's verdict on each (wand instance, footprint) decided so far."""
-
-    def own(x):
-        return _map_states(x, lambda s: _substitute(s, values)) if values else x
-
-    u, store = env.u, w.store()
-    record = PackageRecord(pos=stmt.pos, algorithm=env.algorithm, wand=key.key, footprints=[])
-    if env.algorithm == FIA:
-        fps = [own(fp) for _, fp in outcome.case_footprints]
-    else:
-        fps = [own(outcome.footprint)]
-        conf = replace(outcome.configuration, context=replace(outcome.configuration.context, outer=w.state))
-        record.derivation = derivation_doc(u, store, stmt.wand, conf, own(outcome.derivation), stmt.script)
-    record.footprints = [state_to_json(fp) for fp in fps]
-    if env.audit:
-        kind = COMBINABLE if stmt.wand.combinable else orc.STANDARD
-        closed = close_assertion(stmt.wand, store)
-        for fp in fps:
-            if (key, fp) not in audits:
-                audits[key, fp] = orc.audit_footprint(fp, closed, kind, orc.plan(u), {})
-        record.audit = [{"footprint": state_to_json(fp), "valid": audits[key, fp]} for fp in fps]
-    return fps, record
 
 
 def _wand_inst(w: World, stmt: Package | Apply) -> WandInst:

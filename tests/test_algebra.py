@@ -422,7 +422,7 @@ def test_blocked_passes_match_unblocked_on_mutated_tables(monkeypatch, text, mut
     stable = np.array([st.is_stable(s) for s in states] + [False])
     # blocks of `rows` rows, a size that divides neither n nor n + 1
     rows = next(r for r in range(3, n) if n % r and (n + 1) % r)
-    monkeypatch.setattr(algebra, "BLOCK_ENTRIES", rows * (n + 1))
+    monkeypatch.setattr(st, "BLOCK_ENTRIES", rows * (n + 1))
     assert [s.stop - s.start for s in algebra._blocks(n, n)][:2] == [rows, rows]
     assert [s.stop - s.start for s in algebra._blocks(n + 1, n + 1)][:2] == [rows, rows]
 
@@ -454,7 +454,7 @@ def test_blocked_passes_match_unblocked_on_mutated_tables(monkeypatch, text, mut
         assert found == _unblocked_candidates(A, P, H, core_idx, stable)
         assert algebra._table_associative(A) == _light_unblocked(A)
         with monkeypatch.context() as one_block:
-            one_block.setattr(algebra, "BLOCK_ENTRIES", (n + 1) ** 2)
+            one_block.setattr(st, "BLOCK_ENTRIES", (n + 1) ** 2)
             gens = algebra._generators(A)
         assert algebra._generators(A) == gens
         nominated |= {axiom for axiom, c in found.items() if c}

@@ -515,11 +515,11 @@ def test_combinable_sweep_runs_sat_once_per_recombination(monkeypatch, u, text):
     assert calls == expected
 
 
-@pytest.mark.parametrize("entries", [1, 5, 64, orc.SWEEP_ENTRIES])
+@pytest.mark.parametrize("entries", [1, 5, 64, st.BLOCK_ENTRIES])
 @pytest.mark.parametrize("upper", [False, True])
 def test_agreeing_pairs_come_in_sweep_order_in_bounded_blocks(monkeypatch, entries, upper):
     V = np.random.default_rng(7).integers(0, 3, size=(40, 3))
-    monkeypatch.setattr(orc, "SWEEP_ENTRIES", entries)
+    monkeypatch.setattr(st, "BLOCK_ENTRIES", entries)
     got = []
     for js, ls in orc._agreeing_pairs(V, upper):
         assert len(js) * V.shape[1] <= max(entries, V.shape[1])
@@ -535,7 +535,7 @@ def test_agreeing_pairs_come_in_sweep_order_in_bounded_blocks(monkeypatch, entri
 
 @pytest.mark.parametrize("entries", [1, 7])
 def test_combinable_sweep_in_small_blocks_matches_reference(monkeypatch, entries):
-    monkeypatch.setattr(orc, "SWEEP_ENTRIES", entries)
+    monkeypatch.setattr(st, "BLOCK_ENTRIES", entries)
     for u, text in [
         (QUARTERS, "acc(x.f) || acc(x.g)"),
         (QUARTERS, "acc(x.f, 1/2) --* acc(x.f) * acc(x.g)"),

@@ -23,9 +23,9 @@ from wandpack.algorithms import COMBINABLE, FIA, PACKAGERS, SOUND
 from wandpack.assertions import Acc, Imp, OrA, PredA, Pure, Star, Wand, close_assertion, format_assertion, wand_key
 from wandpack.cli import main
 from wandpack.exprs import Eq, FieldAcc, Lit, Var
-from wandpack.parser import parse_program_text, parse_universe_text
+from wandpack.parser import format_state, parse_program_text, parse_universe_text
 from wandpack.program import Apply, AssertStmt, Fold, If, Method, Package, Program, format_program
-from wandpack.serialization import derivation_doc, dumps_canonical, state_to_json, state_to_text
+from wandpack.serialization import derivation_doc, dumps_canonical, state_to_json
 from wandpack.states import State
 from wandpack.universe import make_universe
 from wandpack.verifier import ALGORITHMS, PackageRecord, VerificationError, World, run
@@ -303,7 +303,7 @@ def test_corpus_documents_store_each_worlds_state(monkeypatch, tmp_path, capsys,
             main(["verify", str(path), "--algorithm", algorithm, "--audit", "--json", str(report),
                   "--emit-derivation", str(out)])
         docs = json.loads(out.read_text())
-        assert [d["outer"] for d in docs] == [state_to_text(w.state) for w in packaged]
+        assert [d["outer"] for d in docs] == [format_state(w.state) for w in packaged]
         # the oracle decides each distinct footprint the report lists, once
         listed = {
             (p["wand"], dumps_canonical(a["footprint"]))
@@ -360,6 +360,13 @@ TEMPLATES = {
 }
 
 
+def template_program(template: str) -> Program:
+    """The template's body in a method that requires every field."""
+    _, body = TEMPLATES[template]
+    text = f"program v1\nmethod m(x: Ref)\n  requires acc(x.a) * acc(x.b) * acc(x.c)\n{{\n  {body}\n}}\n"
+    return Program("", parse_program_text(text).methods, parse_universe_text(TEMPLATE_U))
+
+
 @pytest.mark.parametrize(
     "template,algorithm",
     [(name, alg) for name, (own, _) in TEMPLATES.items() for alg in (own, FIA)],
@@ -370,13 +377,29 @@ def test_template_packages_once_per_value_of_the_lhs_field(monkeypatch, template
     # with its own values substituted; the report holds each world's
     # derivation document, which stores the world's own state as its outer
     # state
-    _, body = TEMPLATES[template]
-    text = f"program v1\nmethod m(x: Ref)\n  requires acc(x.a) * acc(x.b) * acc(x.c)\n{{\n  {body}\n}}\n"
-    p = Program("", parse_program_text(text).methods, parse_universe_text(TEMPLATE_U))
+    p = template_program(template)
     got = traced_run(monkeypatch, p, algorithm, False, verifier._package)
     want = traced_run(monkeypatch, p, algorithm, False, per_world_package)
     assert got[:2] == want[:2]
     assert (got[2]["worlds"], got[2]["calls"], got[2]["merges"]) == (8, 2, 6)
+
+
+@pytest.mark.parametrize("template", TEMPLATES)
+def test_template_builds_one_derivation_document_per_class(monkeypatch, template):
+    # a class's document is built once, from its first world's outcome;
+    # every other world's is that one with its own outer state and values
+    built, doc = [], verifier.derivation_doc
+
+    def counted(*args):
+        built.append(args)
+        return doc(*args)
+
+    monkeypatch.setattr(verifier, "derivation_doc", counted)
+    report, _, seen = traced_run(monkeypatch, template_program(template), TEMPLATES[template][0], False,
+                                 verifier._package)
+    docs = [p["derivation"] for m in json.loads(report)["methods"] for p in m["packages"]]
+    assert (seen["worlds"], seen["calls"], len(built)) == (8, 2, 2)
+    assert len(docs) == 8 and len({d["outer"] for d in docs}) == 8
 
 
 def test_script_condition_on_a_rhs_field_keeps_its_values_apart(monkeypatch):

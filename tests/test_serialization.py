@@ -18,14 +18,13 @@ from wandpack.package_logic import (
     extract_footprint,
     initial_configuration,
 )
-from wandpack.parser import ParseError, parse_assertion_text, parse_state_text, parse_universe_text
+from wandpack.parser import ParseError, format_state, parse_assertion_text, parse_state_text, parse_universe_text
 from wandpack.serialization import (
     SerializationError,
     derivation_doc,
     derivation_doc_parse,
     dumps_canonical,
     state_to_json,
-    state_to_text,
 )
 from wandpack.states import EMPTY
 
@@ -39,7 +38,7 @@ def test_state_json_is_canonical():
         "mask": {"x.f": "1", "y.g": "1/2", "Cell(x)": "1/2"},
         "heap": {"x.f": "y", "y.g": 0},
     }
-    assert parse_state_text(state_to_text(s)) == s
+    assert parse_state_text(format_state(s)) == s
 
 
 def test_derivation_documents_round_trip_and_recheck():
