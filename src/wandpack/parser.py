@@ -23,7 +23,6 @@ from . import program as pr
 from .assertions import (
     Acc,
     Assertion,
-    AssertionError_,
     Imp,
     OrA,
     PredA,
@@ -450,7 +449,8 @@ class Parser:
         granularity = None
         refs: list[str] = []
         locations: dict[tuple[str, str], tuple[Value, ...]] = {}
-        raw_preds: list[tuple[str, tuple[str, ...], Assertion]] = []
+        raw_preds: list[tuple[str, tuple[str, ...], Assertion, int]] = []
+        at: dict = {}  # the token index of each declaration a UniverseError may name
         while self.texts[self.i]:
             start = self.i
             t = self.next()
@@ -459,6 +459,7 @@ class Parser:
                 if not n.isdecimal():
                     self.error("expected the granularity integer")
                 granularity = int(n)
+                at["granularity"] = start
             elif t == "refs":
                 refs += self.items(self.expect_ident)
             elif t == "loc":
@@ -470,22 +471,48 @@ class Parser:
                 if (r, f) in locations:
                     self.error(f"duplicate location {r}.{f}")
                 locations[(r, f)] = dom
+                at[r, f] = start
             elif t == "pred":
                 name = self.expect_ident()
                 self.expect("(")
                 params = self.items(self.expect_ident, ")")
                 self.expect("=")
                 body = self.parse_assertion()
-                raw_preds.append((name, tuple(params), body))
+                raw_preds.append((name, tuple(params), body, start))
             else:
                 self.error("expected a universe declaration", start)
         if granularity is None:
             raise ParseError("missing granularity declaration", 1, 1)
+        preds = self._predicates(raw_preds)
         try:
-            preds = _check_predicates(raw_preds)
             return make_universe(refs, locations, granularity, preds)
-        except (UniverseError, AssertionError_) as e:
-            raise ParseError(str(e), 1, 1)
+        except UniverseError as e:
+            raise ParseError(str(e), *(self.pos(at[e.subject]) if e.subject in at else (1, 1)))
+
+    def _predicates(self, raw: list[tuple[str, tuple[str, ...], Assertion, int]]) -> dict[str, PredicateDef]:
+        """Reject duplicate and recursive definitions, wands and perm() in
+        predicate bodies, each at the ``pred`` token (raw's last entry) of
+        the definition at fault: a duplicate's second definition, and the
+        first definition on a cycle."""
+        seen = set()
+        for name, _, _, i in raw:
+            if name in seen:
+                self.error("duplicate predicate definition", i)
+            seen.add(name)
+        deps = {n: {x.name for x in atoms(b) if isinstance(x, PredA)} & seen for n, _, b, _ in raw}
+        try:
+            TopologicalSorter(deps).prepare()
+        except CycleError as e:
+            first = min(i for n, _, _, i in raw if n in e.args[1])
+            self.error("recursive predicate definitions are not supported", first)
+        out = {}
+        for name, params, body, i in raw:
+            if contains_wand(body):
+                self.error(f"predicate {name} contains a wand", i)
+            if contains_perm(body):
+                self.error(f"predicate {name} uses perm()", i)
+            out[name] = PredicateDef(name, params, body)
+        return out
 
     def _parse_domain(self) -> tuple[Value, ...]:
         t = self.texts[self.i]
@@ -667,27 +694,6 @@ class Parser:
             self.expect(":=")
             return pr.HeapWrite(target.base, target.field, self.parse_expr(), pos)
         self.error("expected a statement")
-
-
-def _check_predicates(raw: list[tuple[str, tuple[str, ...], Assertion]]) -> dict[str, PredicateDef]:
-    """Reject recursion, wands and perm() in predicate bodies."""
-    names = {n for n, _, _ in raw}
-    if len(names) != len(raw):
-        raise AssertionError_("duplicate predicate definition")
-
-    deps = {n: {x.name for x in atoms(b) if isinstance(x, PredA)} & names for n, _, b in raw}
-    try:
-        TopologicalSorter(deps).prepare()
-    except CycleError:
-        raise AssertionError_("recursive predicate definitions are not supported")
-    out = {}
-    for name, params, body in raw:
-        if contains_wand(body):
-            raise AssertionError_(f"predicate {name} contains a wand")
-        if contains_perm(body):
-            raise AssertionError_(f"predicate {name} uses perm()")
-        out[name] = PredicateDef(name, params, body)
-    return out
 
 
 # -- module-level conveniences ----------------------------------------------------

@@ -26,7 +26,10 @@ keys an addition brings in).  Nothing outside this module builds a
 Amounts stay ``Fraction``, but the kernel decides bounds and order on
 their numerators and denominators: ``a/b <= c/d`` as ``a*d <= c*b`` and
 ``a/b + c/d > 1`` as ``a*d + c*b > b*d`` (denominators are positive),
-which skips the generic dispatch of ``Fraction`` comparison.
+which skips the generic dispatch of ``Fraction`` comparison.  ``add``
+forms a sum the same way and takes its ``Fraction`` from a bounded table
+keyed by the unreduced numerator and denominator, skipping ``Fraction``
+addition and its gcd.
 """
 
 from __future__ import annotations
@@ -166,8 +169,16 @@ def _validate_wand(rid: WandInst, u: Universe) -> None:
 # -- separation algebra ------------------------------------------------------
 
 
+# The sums ``add`` forms, keyed by their unreduced numerator and
+# denominator: a lookup here skips ``Fraction``'s gcd and construction.  The
+# table holds at most AMOUNT_LIMIT sums and starts afresh when full.
+AMOUNT_LIMIT = 1024
+_AMOUNTS: dict[tuple[int, int], Fraction] = {}
+
+
 def add(a: State, b: State) -> Optional[State]:
-    """Partial addition: None (undefined) when the states are incompatible."""
+    """Partial addition: None (undefined) when the states are incompatible.
+    Two amounts of one resource sum as a/b + c/d = (a*d + c*b)/(b*d)."""
     heap = _merged_heap(a.heap, b.heap)
     if heap is None:
         return None
@@ -183,9 +194,15 @@ def add(a: State, b: State) -> Optional[State]:
             m[rid] = amt
             grew = True
             continue
-        tot = have + amt
-        if tot.numerator > tot.denominator:
+        hd, ad = have.denominator, amt.denominator
+        num, den = have.numerator * ad + amt.numerator * hd, hd * ad
+        if num > den:
             return None
+        tot = _AMOUNTS.get((num, den))
+        if tot is None:
+            if len(_AMOUNTS) >= AMOUNT_LIMIT:
+                _AMOUNTS.clear()
+            tot = _AMOUNTS[num, den] = Fraction(num, den)
         m[rid] = tot
     # a's keys keep their order; only keys b brings in need a sort
     mask = tuple(sorted(m.items())) if grew else tuple(m.items())

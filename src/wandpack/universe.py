@@ -27,7 +27,13 @@ BOOL = "bool"
 
 
 class UniverseError(Exception):
-    """Raised for ill-formed universe declarations."""
+    """Raised for ill-formed universe declarations.  ``subject`` names the
+    declaration at fault, where there is one: "granularity", or a
+    location's (ref, field) pair."""
+
+    def __init__(self, message: str, subject=None):
+        super().__init__(message)
+        self.subject = subject
 
 
 def value_type(v: Value) -> str:
@@ -141,29 +147,31 @@ class Universe:
 
     def __post_init__(self):
         if self.granularity < 1:
-            raise UniverseError("granularity must be a positive integer")
+            raise UniverseError("granularity must be a positive integer", "granularity")
         if NULL in self.refs:
             raise UniverseError("null is implicit and declares no locations")
         for loc, dom in self.locations.items():
+            decl = (loc.ref, loc.field)  # the subject of this location's errors
             if loc.ref == NULL:
-                raise UniverseError("locations rooted at null are not allowed")
+                raise UniverseError("locations rooted at null are not allowed", decl)
             if loc.ref not in self.refs:
-                raise UniverseError(f"location {loc} roots at undeclared reference")
+                raise UniverseError(f"location {loc} roots at undeclared reference", decl)
             if not dom:
-                raise UniverseError(f"location {loc} has an empty value domain")
+                raise UniverseError(f"location {loc} has an empty value domain", decl)
             types = {value_type(v) for v in dom}
             if len(types) != 1:
-                raise UniverseError(f"location {loc} mixes value types in its domain")
+                raise UniverseError(f"location {loc} mixes value types in its domain", decl)
             for v in dom:
                 if value_type(v) == REF and v != NULL and v not in self.refs:
-                    raise UniverseError(f"location {loc} domain names undeclared reference {v}")
+                    raise UniverseError(f"location {loc} domain names undeclared reference {v}", decl)
         # Fields must be consistently typed across references so expressions
-        # can be typechecked per field.
+        # can be typechecked per field; the fault is the first location, in
+        # declaration order, that disagrees with an earlier one.
         ftypes: dict[str, str] = {}
         for loc, dom in self.locations.items():
             t = value_type(dom[0])
             if ftypes.setdefault(loc.field, t) != t:
-                raise UniverseError(f"field {loc.field} has inconsistent value types")
+                raise UniverseError(f"field {loc.field} has inconsistent value types", (loc.ref, loc.field))
 
     # -- lookups -----------------------------------------------------------
 

@@ -47,6 +47,23 @@ def test_laws_universe_passes(corpus_dir):
     assert all_pass(reports)
 
 
+def test_lawful_table_locates_no_violations(monkeypatch, corpus_dir):
+    # a lawful table's row blocks hold no violation, so the blocked passes
+    # skip them all: only neutral and core-a, which test their one row and
+    # one diagonal whole, call np.argwhere
+    callers = []
+    argwhere = np.argwhere
+
+    def counted(a):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return argwhere(a)
+
+    monkeypatch.setattr(np, "argwhere", counted)
+    reports = check_axioms(parse_universe_text((corpus_dir / "laws.universe").read_text()))
+    assert all_pass(reports)
+    assert sorted(callers) == ["_core_a", "_neutral"]
+
+
 def test_budget_refusal():
     big = parse_universe_text(
         """

@@ -616,19 +616,21 @@ def test_laws_bad_file_exit_2():
     assert run_cli("laws", CORPUS / "proof_of_false.wnd") == 2
 
 
+# each error is reported at the declaration it concerns: the granularity
+# line, the loc line, or the second of two conflicting locs
 @pytest.mark.parametrize(
-    "body, message",
+    "body, message, line",
     [
-        ("granularity 0\nrefs x\nloc x.f: int {0}", "granularity must be a positive integer"),
-        ("granularity 2\nrefs x\nloc y.f: int {0}", "location y.f roots at undeclared reference"),
-        ("granularity 2\nrefs x\nloc x.n: ref {x, y}", "location x.n domain names undeclared reference y"),
-        ("granularity 2\nrefs x, y\nloc x.f: int {0}\nloc y.f: bool", "field f has inconsistent value types"),
+        ("granularity 0\nrefs x\nloc x.f: int {0}", "granularity must be a positive integer", 2),
+        ("granularity 2\nrefs x\nloc y.f: int {0}", "location y.f roots at undeclared reference", 4),
+        ("granularity 2\nrefs x\nloc x.n: ref {x, y}", "location x.n domain names undeclared reference y", 4),
+        ("granularity 2\nrefs x, y\nloc x.f: int {0}\nloc y.f: bool", "field f has inconsistent value types", 5),
     ],
     ids=["granularity-0", "undeclared-root", "undeclared-ref-value", "inconsistent-field"],
 )
-def test_laws_rejects_an_ill_formed_universe_exit_2(tmp_path, capsys, body, message):
+def test_laws_rejects_an_ill_formed_universe_exit_2(tmp_path, capsys, body, message, line):
     path = tmp_path / "bad.universe"
     path.write_text(f"universe v1\n{body}\n")
     assert run_cli("laws", path) == 2
     out = capsys.readouterr()
-    assert out.out == "" and out.err == f"error: 1:1: {message}\n"
+    assert out.out == "" and out.err == f"error: {line}:1: {message}\n"

@@ -245,6 +245,23 @@ def test_universe_rejects_wand_in_predicate():
         )
 
 
+@pytest.mark.parametrize(
+    "preds, message, line",
+    [
+        ("pred P(r) = acc(r.f)\npred P(r) = acc(r.f)", "duplicate predicate definition", 6),
+        ("pred P(r) = acc(r.f)\npred Q(r) = R(r)\npred R(r) = Q(r)", "recursive predicate definitions are not supported", 6),
+        ("pred P(r) = acc(r.f)\npred Q(r) = acc(r.f) --* acc(r.f)", "predicate Q contains a wand", 6),
+        ("pred P(r) = perm(r.f) == 1\npred Q(r) = acc(r.f)", "predicate P uses perm()", 5),
+    ],
+    ids=["duplicate", "recursive", "wand", "perm"],
+)
+def test_universe_reports_a_predicate_error_at_its_pred_line(preds, message, line):
+    # a duplicate at its second definition, a cycle at its first definition
+    with pytest.raises(ParseError) as e:
+        parse_universe_text(f"universe v1\ngranularity 2\nrefs x\nloc x.f: int {{0}}\n{preds}\n")
+    assert (e.value.message, e.value.line, e.value.col) == (message, line, 1)
+
+
 def test_universe_rejects_null_location():
     with pytest.raises(ParseError):
         parse_universe_text(

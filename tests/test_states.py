@@ -468,6 +468,51 @@ def test_integer_bounds_agree_on_every_amount_up_to_fifths():
         check_bounds(CELL, p, q)
 
 
+def check_add(a, b):
+    got = st.add(a, b)
+    assert got == ref_add(a, b), (a, b)
+    if got is not None:
+        assert_normal(got)  # every amount a Fraction, in normal form
+
+
+@pytest.mark.parametrize("granularity", [2, 3])
+def test_add_matches_fraction_arithmetic_on_generated_pools(granularity):
+    rng = random.Random(granularity)
+    for _ in range(4):
+        u = gen.random_universe(rng, with_predicate=rng.random() < 0.5, granularity=granularity)
+        pool = list(st.enumerate_states(u))
+        for _ in range(1500):
+            a, b = rng.choice(pool), rng.choice(pool)
+            check_add(a, b)
+            ab = st.add(a, b)
+            if ab is not None:  # sums reach amounts and unions enumeration never yields
+                check_add(ab, rng.choice(pool))
+
+
+@pytest.mark.parametrize("rid", [LOC, CELL], ids=str)
+def test_add_sums_off_the_lattice_exactly(rid):
+    third, two_thirds = Fraction(1, 3), Fraction(2, 3)
+    whole = st.add(single(rid, third), single(rid, two_thirds))
+    assert whole.mask == ((rid, Fraction(1)),) and type(whole.mask[0][1]) is Fraction
+    assert st.add(single(rid, HALF), single(rid, two_thirds)) is None
+    assert st.add(single(rid, third), single(rid, third)).mask == ((rid, two_thirds),)
+    for p, q in [(third, two_thirds), (HALF, two_thirds), (third, third)]:
+        check_add(single(rid, p), single(rid, q))
+
+
+def test_amount_table_stays_within_its_bound():
+    # each k gives the distinct sum 1/k + 1/(k+1), past the table's bound
+    largest = 0
+    for k in range(2, st.AMOUNT_LIMIT + 200):
+        p, q = Fraction(1, k), Fraction(1, k + 1)
+        total = st.add(single(CELL, p), single(CELL, q))
+        assert total.mask == ((CELL, p + q),) and type(total.mask[0][1]) is Fraction
+        largest = max(largest, len(st._AMOUNTS))
+    assert largest == st.AMOUNT_LIMIT
+    assert len(st._AMOUNTS) <= st.AMOUNT_LIMIT
+    check_add(single(CELL, HALF), single(CELL, HALF))  # sums stay exact after a refill
+
+
 def test_make_reads_every_input_form():
     mask = {LOC: HALF, CELL: 1, FieldLoc("x", "g"): 0}
     heap = {LOC: 0, FieldLoc("x", "g"): 1}
