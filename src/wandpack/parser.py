@@ -471,7 +471,7 @@ class Parser:
                 if (r, f) in locations:
                     self.error(f"duplicate location {r}.{f}")
                 locations[(r, f)] = dom
-                at[r, f] = start
+                at[FieldLoc(r, f)] = start
             elif t == "pred":
                 name = self.expect_ident()
                 self.expect("(")

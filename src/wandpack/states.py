@@ -27,9 +27,8 @@ Amounts stay ``Fraction``, but the kernel decides bounds and order on
 their numerators and denominators: ``a/b <= c/d`` as ``a*d <= c*b`` and
 ``a/b + c/d > 1`` as ``a*d + c*b > b*d`` (denominators are positive),
 which skips the generic dispatch of ``Fraction`` comparison.  ``add``
-forms a sum the same way and takes its ``Fraction`` from a bounded table
-keyed by the unreduced numerator and denominator, skipping ``Fraction``
-addition and its gcd.
+forms a sum the same way and builds its ``Fraction`` from the numerator
+and denominator, skipping ``Fraction`` addition.
 """
 
 from __future__ import annotations
@@ -169,13 +168,6 @@ def _validate_wand(rid: WandInst, u: Universe) -> None:
 # -- separation algebra ------------------------------------------------------
 
 
-# The sums ``add`` forms, keyed by their unreduced numerator and
-# denominator: a lookup here skips ``Fraction``'s gcd and construction.  The
-# table holds at most AMOUNT_LIMIT sums and starts afresh when full.
-AMOUNT_LIMIT = 1024
-_AMOUNTS: dict[tuple[int, int], Fraction] = {}
-
-
 def add(a: State, b: State) -> Optional[State]:
     """Partial addition: None (undefined) when the states are incompatible.
     Two amounts of one resource sum as a/b + c/d = (a*d + c*b)/(b*d)."""
@@ -198,12 +190,7 @@ def add(a: State, b: State) -> Optional[State]:
         num, den = have.numerator * ad + amt.numerator * hd, hd * ad
         if num > den:
             return None
-        tot = _AMOUNTS.get((num, den))
-        if tot is None:
-            if len(_AMOUNTS) >= AMOUNT_LIMIT:
-                _AMOUNTS.clear()
-            tot = _AMOUNTS[num, den] = Fraction(num, den)
-        m[rid] = tot
+        m[rid] = Fraction(num, den)
     # a's keys keep their order; only keys b brings in need a sort
     mask = tuple(sorted(m.items())) if grew else tuple(m.items())
     return State(mask, heap)

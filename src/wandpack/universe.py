@@ -29,7 +29,7 @@ BOOL = "bool"
 class UniverseError(Exception):
     """Raised for ill-formed universe declarations.  ``subject`` names the
     declaration at fault, where there is one: "granularity", or a
-    location's (ref, field) pair."""
+    location's ``FieldLoc``."""
 
     def __init__(self, message: str, subject=None):
         super().__init__(message)
@@ -151,19 +151,18 @@ class Universe:
         if NULL in self.refs:
             raise UniverseError("null is implicit and declares no locations")
         for loc, dom in self.locations.items():
-            decl = (loc.ref, loc.field)  # the subject of this location's errors
             if loc.ref == NULL:
-                raise UniverseError("locations rooted at null are not allowed", decl)
+                raise UniverseError("locations rooted at null are not allowed", loc)
             if loc.ref not in self.refs:
-                raise UniverseError(f"location {loc} roots at undeclared reference", decl)
+                raise UniverseError(f"location {loc} roots at undeclared reference", loc)
             if not dom:
-                raise UniverseError(f"location {loc} has an empty value domain", decl)
+                raise UniverseError(f"location {loc} has an empty value domain", loc)
             types = {value_type(v) for v in dom}
             if len(types) != 1:
-                raise UniverseError(f"location {loc} mixes value types in its domain", decl)
+                raise UniverseError(f"location {loc} mixes value types in its domain", loc)
             for v in dom:
                 if value_type(v) == REF and v != NULL and v not in self.refs:
-                    raise UniverseError(f"location {loc} domain names undeclared reference {v}", decl)
+                    raise UniverseError(f"location {loc} domain names undeclared reference {v}", loc)
         # Fields must be consistently typed across references so expressions
         # can be typechecked per field; the fault is the first location, in
         # declaration order, that disagrees with an earlier one.
@@ -171,7 +170,7 @@ class Universe:
         for loc, dom in self.locations.items():
             t = value_type(dom[0])
             if ftypes.setdefault(loc.field, t) != t:
-                raise UniverseError(f"field {loc.field} has inconsistent value types", (loc.ref, loc.field))
+                raise UniverseError(f"field {loc.field} has inconsistent value types", loc)
 
     # -- lookups -----------------------------------------------------------
 

@@ -500,19 +500,6 @@ def test_add_sums_off_the_lattice_exactly(rid):
         check_add(single(rid, p), single(rid, q))
 
 
-def test_amount_table_stays_within_its_bound():
-    # each k gives the distinct sum 1/k + 1/(k+1), past the table's bound
-    largest = 0
-    for k in range(2, st.AMOUNT_LIMIT + 200):
-        p, q = Fraction(1, k), Fraction(1, k + 1)
-        total = st.add(single(CELL, p), single(CELL, q))
-        assert total.mask == ((CELL, p + q),) and type(total.mask[0][1]) is Fraction
-        largest = max(largest, len(st._AMOUNTS))
-    assert largest == st.AMOUNT_LIMIT
-    assert len(st._AMOUNTS) <= st.AMOUNT_LIMIT
-    check_add(single(CELL, HALF), single(CELL, HALF))  # sums stay exact after a refill
-
-
 def test_make_reads_every_input_form():
     mask = {LOC: HALF, CELL: 1, FieldLoc("x", "g"): 0}
     heap = {LOC: 0, FieldLoc("x", "g"): 1}
